@@ -20,8 +20,9 @@ Examples
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.experiments import (
     ablations,
@@ -54,17 +55,48 @@ EXPERIMENTS: Dict[str, Callable[[List[str]], None]] = {
 }
 
 
+#: Subcommands that hand their arguments to another tool's ``main``,
+#: as ``name -> (module, function)``.
+TOOLS: Dict[str, Tuple[str, str]] = {
+    "analyze": ("repro.analysis.cli", "main"),
+    "bench-gate": ("repro.analysis.benchgate", "main"),
+    "lint": ("repro.lint.cli", "main"),
+    "profile": ("repro.obs.profilecli", "main"),
+    "trace": ("repro.obs.cli", "main"),
+}
+
+
+def _dispatch(name: str, rest: List[str]) -> int:
+    """Run subcommand ``name`` with its own arguments ``rest``."""
+    if name in TOOLS:
+        module, func = TOOLS[name]
+        return getattr(importlib.import_module(module), func)(rest)
+    if name == "all":
+        for experiment in (
+            "fig1", "fig2", "table1", "fig3", "fig4",
+            "overhead", "lemmas", "related", "ablations",
+        ):
+            print(f"\n{'#' * 70}\n# {experiment}\n{'#' * 70}")
+            EXPERIMENTS[experiment](rest)
+        return 0
+    EXPERIMENTS[name](rest)
+    return 0
+
+
 def main(argv=None) -> int:
     """Dispatch one (or all) experiment reproductions."""
     argv = list(sys.argv[1:] if argv is None else argv)
+    # A leading subcommand gets every later argument, ``-h`` included, so
+    # ``repro profile run --help`` shows the subcommand's own help.
+    if argv and (argv[0] in EXPERIMENTS or argv[0] in TOOLS):
+        return _dispatch(argv[0], argv[1:])
     parser = argparse.ArgumentParser(
         prog="sstsp-experiment",
         description="Reproduce the SSTSP paper's tables and figures.",
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS)
-        + ["all", "analyze", "bench-gate", "lint", "profile", "trace"],
+        choices=sorted(EXPERIMENTS) + ["all"] + sorted(TOOLS),
         help="which table/figure to regenerate ('analyze' rolls sweep "
         "output into summary tables with CIs; 'bench-gate' compares a "
         "BENCH_*.json against a baseline; 'lint' runs reprolint, "
@@ -73,36 +105,7 @@ def main(argv=None) -> int:
         "event-trace JSONL files)",
     )
     args, passthrough = parser.parse_known_args(argv)
-    if args.experiment == "profile":
-        from repro.obs.profilecli import main as profile_main
-
-        return profile_main(passthrough)
-    if args.experiment == "lint":
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(passthrough)
-    if args.experiment == "trace":
-        from repro.obs.cli import main as trace_main
-
-        return trace_main(passthrough)
-    if args.experiment == "analyze":
-        from repro.analysis.cli import main as analyze_main
-
-        return analyze_main(passthrough)
-    if args.experiment == "bench-gate":
-        from repro.analysis.benchgate import main as benchgate_main
-
-        return benchgate_main(passthrough)
-    if args.experiment == "all":
-        for name in (
-            "fig1", "fig2", "table1", "fig3", "fig4",
-            "overhead", "lemmas", "related", "ablations",
-        ):
-            print(f"\n{'#' * 70}\n# {name}\n{'#' * 70}")
-            EXPERIMENTS[name](passthrough)
-        return 0
-    EXPERIMENTS[args.experiment](passthrough)
-    return 0
+    return _dispatch(args.experiment, passthrough)
 
 
 if __name__ == "__main__":

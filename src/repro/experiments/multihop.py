@@ -76,26 +76,46 @@ _SPEC_PASSTHROUGH = (
 )
 
 
+#: Job params each topology kind needs.
+_TOPOLOGY_FIELDS = {
+    "chain": ("n",),
+    "full_mesh": ("n",),
+    "grid": ("rows", "cols"),
+    "unit_disk": ("n",),
+}
+
+
 def _build_topology(params: Mapping[str, Any], job: JobSpec):
     """Topology from flat job params (unit-disk draws from the job seed)."""
     from repro.multihop.topology import Topology
 
+    if "topology" not in params:
+        raise ValueError(
+            f"missing job param 'topology' (one of {sorted(_TOPOLOGY_FIELDS)})"
+        )
     kind = params["topology"]
+    if kind not in _TOPOLOGY_FIELDS:
+        raise ValueError(f"unknown topology kind {kind!r}")
+    missing = [name for name in _TOPOLOGY_FIELDS[kind] if name not in params]
+    if missing:
+        raise ValueError(
+            f"topology {kind!r} needs job param(s) "
+            + ", ".join(repr(name) for name in missing)
+        )
     if kind == "chain":
         return Topology.chain(int(params["n"]))
     if kind == "full_mesh":
         return Topology.full_mesh(int(params["n"]))
     if kind == "grid":
         return Topology.grid(int(params["rows"]), int(params["cols"]))
-    if kind == "unit_disk":
-        rng = np.random.default_rng(job.derived_seed())
-        return Topology.unit_disk(
-            int(params["n"]),
-            rng,
-            area_m=float(params.get("area_m", 1_000.0)),
-            radius_m=float(params.get("radius_m", 250.0)),
-        )
-    raise ValueError(f"unknown topology kind {kind!r}")
+    # unit_disk
+    rng = np.random.default_rng(job.derived_seed())
+    return Topology.unit_disk(
+        int(params["n"]),
+        rng,
+        area_m=float(params.get("area_m", 1_000.0)),
+        radius_m=float(params.get("radius_m", 250.0)),
+    )
 
 
 def job_multihop_run(job: JobSpec) -> Dict[str, Any]:

@@ -54,7 +54,6 @@ CALL_RETURN_UNITS: Dict[str, str] = {
     "true_time_at": "us",
     "read_current": "us",
     "synchronized_time": "us",
-    "synchronized_time_at": "us",
     "scheduled_true_time": "us",
     "sample_timestamp_error": "us",
     "invert_affine_fixed_point": "us",

@@ -63,10 +63,6 @@ class Node:
             raise ArithmeticError(f"invalid scheduled time for node {self.node_id}")
         return true_time
 
-    def synchronized_time_at(self, true_time: float) -> float:
-        """The node's synchronized clock at true time ``true_time``."""
-        return self.protocol.synchronized_time(self.hw.read(true_time))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "present" if self.present else "away"
         return f"Node(id={self.node_id}, {state}, {self.protocol!r})"

@@ -36,17 +36,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.analysis.metrics import TraceRecorder, SyncTrace
 from repro.mac.contention import ContentionResult, partition_domains, resolve_contention
 from repro.obs.counters import work_lane
-from repro.obs.events import emit
+from repro.obs.events import emit, tracing_enabled
 from repro.obs.profile import span
 from repro.network.churn import ChurnApplier, ChurnSchedule
 from repro.network.node import Node
 from repro.phy.channel import BroadcastChannel
 from repro.phy.params import PhyParams
-from repro.protocols.base import RxContext
+from repro.protocols.base import RxContext, SyncProtocol
 from repro.sim.engine import Simulator
 from repro.sim.units import S
 
 logger = logging.getLogger(__name__)
+
+#: The base class's no-op period-time hook (see ``_period_body``).
+_NO_PERIOD_TIME = SyncProtocol.on_period_time
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,8 @@ class NetworkRunner:
 
     def _period_body(self, period: int) -> None:
         bp = self.params.beacon_period_us
+        by_id = self._by_id
+        tracing = tracing_enabled()
         with span("singlehop.churn"):
             self._apply_churn(period)
         if self.injector is not None:
@@ -198,14 +203,15 @@ class NetworkRunner:
             partition = None
         # Stalled nodes are present (their clocks keep running and they
         # stay in the metric) but frozen: no tx, no rx, no hooks.
-        active = [
-            node
-            for node in self.nodes
-            if node.present and node.node_id not in stalled
-        ]
+        active = [node for node in self.nodes if node.present]
+        if stalled:
+            active = [node for node in active if node.node_id not in stalled]
         now = period * bp
         for node in active:
-            node.protocol.on_period_time(period, node.hw.read(now))
+            protocol = node.protocol
+            # Skip the clock read for drivers that keep the no-op hook.
+            if type(protocol).on_period_time is not _NO_PERIOD_TIME:
+                protocol.on_period_time(period, node.hw.read(now))
 
         candidates = []
         for node in active:
@@ -246,54 +252,53 @@ class NetworkRunner:
             winner_id = success.members[0]
             winner_ids.add(winner_id)
             success_starts.append(success.start_us)
-            sender = self._by_id[winner_id]
+            sender = by_id[winner_id]
             hw_tx = sender.hw.read(success.start_us)
             frame = sender.protocol.make_frame(hw_tx, period)
             self._beacon_successes += 1
+            proto_name = sender.protocol.protocol_name
             emit(
                 "beacon_tx",
                 t_us=success.start_us,
                 node=winner_id,
                 period=period,
-                proto=sender.protocol.protocol_name,
+                proto=proto_name,
             )
             pool = [nid for nid in members if nid != winner_id]
             with span("singlehop.broadcast"):
                 delivered = self.channel.broadcast(
                     winner_id, pool, success.start_us, frame.size_bytes
                 )
+            if not delivered:
+                continue
             arrival = success.end_us + self.phy.propagation_delay_us
             latency = (success.end_us - success.start_us) + self.phy.propagation_delay_us
-            for rid in delivered:
-                rnode = self._by_id[rid]
-                est = (
-                    frame.timestamp_us
-                    + latency
-                    + self.channel.sample_timestamp_error()
+            # One jitter draw per broadcast, in delivered order: the same
+            # stream as one scalar draw per receiver.
+            errors = self.channel.sample_timestamp_errors(len(delivered))
+            base = frame.timestamp_us + latency
+            for rid, err in zip(delivered, errors.tolist()):
+                rnode = by_id[rid]
+                rnode.protocol.on_beacon(
+                    frame,
+                    RxContext(arrival, rnode.hw.read(arrival), base + err, period),
                 )
-                rx = RxContext(
-                    true_time=arrival,
-                    hw_time=rnode.hw.read(arrival),
-                    est_timestamp=est,
-                    period=period,
-                )
-                rnode.protocol.on_beacon(frame, rx)
-                received_ids.add(rid)
-                emit(
-                    "beacon_rx",
-                    t_us=arrival,
-                    node=rid,
-                    src=winner_id,
-                    period=period,
-                    proto=sender.protocol.protocol_name,
-                )
+                if tracing:
+                    emit(
+                        "beacon_rx",
+                        t_us=arrival,
+                        node=rid,
+                        src=winner_id,
+                        period=period,
+                        proto=proto_name,
+                    )
+            received_ids.update(delivered)
 
         for node in active:
+            nid = node.node_id
+            # Positional: heard_beacon, transmitted, tx_success.
             node.protocol.end_period(
-                period,
-                heard_beacon=node.node_id in received_ids,
-                transmitted=node.node_id in transmitted_ids,
-                tx_success=node.node_id in winner_ids,
+                period, nid in received_ids, nid in transmitted_ids, nid in winner_ids
             )
 
         # Sample at a fixed phase relative to the beacon grid (see the
@@ -318,7 +323,7 @@ class NetworkRunner:
                 and node.protocol.is_synchronized()
             ):
                 continue
-            value = node.synchronized_time_at(sample_time)
+            value = node.protocol.synchronized_time(node.hw.read(sample_time))
             values.append(value)
             if full is not None:
                 full[index] = value

@@ -201,7 +201,13 @@ class BroadcastChannel:
         return float(self._rng.uniform(-j, j))
 
     def sample_timestamp_errors(self, n: int) -> np.ndarray:
-        """Vectorised version of :meth:`sample_timestamp_error`."""
+        """Receive-side timestamping errors for ``n`` receptions at once.
+
+        Stream-identical to ``n`` calls of :meth:`sample_timestamp_error`:
+        the same values in the same order, the generator left in the same
+        state, and ``phy.ts_jitter_draw`` counted ``n`` times.
+        """
+        count("phy.ts_jitter_draw", n)
         j = self.phy.timestamp_jitter_us
         if j == 0.0:
             return np.zeros(n)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mac.beacon import BeaconFrame, SecureBeaconFrame
@@ -56,9 +56,13 @@ class TxIntent:
     clock: ClockKind = ClockKind.TSF
 
 
-@dataclass(frozen=True)
-class RxContext:
+class RxContext(NamedTuple):
     """What a receiver knows about one received beacon.
+
+    An immutable named tuple rather than a frozen dataclass: the harness
+    builds one per reception, and a tuple is several times cheaper to
+    construct. Fields are read by name; construction takes positional or
+    keyword arguments.
 
     Attributes
     ----------
@@ -103,7 +107,8 @@ class SyncProtocol(ABC):
         that need a hardware timestamp outside of beacon receptions (for
         example SSTSP's free-run slew hardening, which re-anchors the
         adjusted clock while *no* beacons arrive) have a current one.
-        Default: no-op."""
+        Default: no-op, and the harness skips the call for a driver class
+        that does not override it."""
 
     @abstractmethod
     def begin_period(self, period: int) -> Optional[TxIntent]:

@@ -6,12 +6,14 @@ import pytest
 from repro.analysis.metrics import TraceRecorder
 from repro.experiments import fig1, fig2, fig3, fig4, lemmas, overhead, table1
 from repro.experiments.cli import main as cli_main
+from repro.experiments.multihop import job_multihop_run
 from repro.experiments.report import (
     ascii_chart,
     downsample_rows,
     format_table,
     trace_chart,
 )
+from repro.sweep.spec import JobSpec
 
 
 def make_trace(values):
@@ -108,6 +110,27 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["fig99"])
 
+    def test_subcommand_help_is_its_own(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["profile", "run", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--param" in out
+        assert "sstsp-experiment" not in out
+
+    @pytest.mark.parametrize("argv", [["fig1", "-h"], ["analyze", "--help"]])
+    def test_help_reaches_subcommand(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            cli_main(argv)
+        assert "{ablations,chaos" not in capsys.readouterr().out
+
+    def test_top_level_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        assert "sstsp-experiment" in capsys.readouterr().out
+
+
     def test_fig2_quick_writes_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path / "r"))
         import importlib
@@ -123,3 +146,31 @@ class TestCli:
         finally:
             monkeypatch.delenv("SSTSP_RESULTS_DIR")
             importlib.reload(report)  # restore default RESULTS_DIR
+
+
+class TestMultihopJobParams:
+    @pytest.mark.parametrize(
+        "params, missing",
+        [
+            ({"topology": "grid"}, "'rows', 'cols'"),
+            ({"topology": "grid", "rows": 3}, "'cols'"),
+            ({"topology": "chain"}, "'n'"),
+            ({"topology": "full_mesh"}, "'n'"),
+            ({"topology": "unit_disk"}, "'n'"),
+        ],
+    )
+    def test_missing_topology_field_names_it(self, params, missing):
+        spec = JobSpec.make("multihop_run", params)
+        with pytest.raises(ValueError) as exc:
+            job_multihop_run(spec)
+        message = str(exc.value)
+        assert f"{params['topology']!r}" in message
+        assert message.endswith(missing)
+
+    def test_missing_topology_kind(self):
+        with pytest.raises(ValueError, match="missing job param 'topology'"):
+            job_multihop_run(JobSpec.make("multihop_run", {"n": 4}))
+
+    def test_unknown_topology_kind(self):
+        with pytest.raises(ValueError, match="unknown topology kind 'ring'"):
+            job_multihop_run(JobSpec.make("multihop_run", {"topology": "ring"}))

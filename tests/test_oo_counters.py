@@ -1,0 +1,100 @@
+"""Work-counter pins for the OO single-hop lane.
+
+The BENCH_10 work counters cover the fastlane and multi-hop lanes only,
+so nothing else pins how much work ``NetworkRunner`` does. The committed
+fixtures under ``tests/data/oo_counters/`` hold the work-counter tally of
+small ``scenario_trace`` jobs on ``lane=oo``, in the byte-stable format
+``repro profile run`` writes, plus the SHA-256 of each job's trace
+arrays. A runner optimisation must reproduce both byte for byte: same
+RNG draws (``phy.ts_jitter_draw`` counts every jitter sample, batched or
+not), same events, same clock samples.
+
+Any case can be re-profiled from the command line and compared with
+``repro profile diff``::
+
+    python -m repro profile run scenario_trace --param protocol=tsf \\
+        --param lane=oo --param scenario=quick --param n=20 \\
+        --param seed=5 --param duration_s=10.0
+    python -m repro profile diff \\
+        tests/data/oo_counters/tsf.counters.json \\
+        results/profile/scenario_trace-<hash>.counters.json
+
+Regenerate (only legitimate before a behaviour-changing change, with the
+old code still in the tree)::
+
+    PYTHONPATH=src:tests python -m test_oo_counters
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Dict
+
+import numpy as np
+import pytest
+
+from repro.obs.counters import count_work, write_counts_json
+from repro.sweep.jobs import execute_job
+from repro.sweep.spec import JobSpec
+
+FIXTURE_DIR = Path(__file__).parent / "data" / "oo_counters"
+TRACE_DIGESTS = FIXTURE_DIR / "traces.json"
+
+_BASE = {"lane": "oo", "scenario": "quick", "n": 20, "seed": 5, "duration_s": 10.0}
+
+#: case name -> scenario_trace params
+CASES: Dict[str, Dict[str, object]] = {
+    "tsf": dict(_BASE, protocol="tsf"),
+    "sstsp": dict(_BASE, protocol="sstsp"),
+    # A guard-tuned insider mid-run: attacker receptions and an excluded
+    # metric station go through the same fan-out.
+    "sstsp-attack": dict(
+        _BASE, protocol="sstsp", attack_start_s=3.0, attack_end_s=7.0
+    ),
+}
+
+
+def _trace_sha(trace) -> str:
+    digest = hashlib.sha256()
+    for array in (
+        trace.times_us,
+        trace.max_diff_us,
+        trace.mean_vs_true_us,
+        trace.present_counts,
+        trace.reference_ids,
+    ):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def run_case(name: str):
+    """Run one case under the work counters: ``(counts, trace_sha)``."""
+    spec = JobSpec.make("scenario_trace", CASES[name])
+    with count_work() as work:
+        payload = execute_job(spec)
+    return work.snapshot(), _trace_sha(payload["trace"])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_oo_case_matches_fixture(name, tmp_path):
+    counts, sha = run_case(name)
+    fresh = write_counts_json(str(tmp_path / f"{name}.counters.json"), counts)
+    committed = FIXTURE_DIR / f"{name}.counters.json"
+    assert Path(fresh).read_bytes() == committed.read_bytes()
+    assert sha == json.loads(TRACE_DIGESTS.read_text())[name]
+
+
+def regenerate() -> None:
+    """Rewrite every fixture from the code in the tree."""
+    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
+    digests = {}
+    for name in sorted(CASES):
+        counts, digests[name] = run_case(name)
+        write_counts_json(str(FIXTURE_DIR / f"{name}.counters.json"), counts)
+    TRACE_DIGESTS.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

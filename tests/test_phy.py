@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs.counters import count_work
 from repro.phy.channel import BroadcastChannel, ChannelStats, merge_stats
 from repro.phy.params import (
     OFDM_54MBPS,
@@ -88,6 +89,23 @@ class TestBroadcastChannel:
         channel = BroadcastChannel(PhyParams(timestamp_jitter_us=0.0), rng)
         assert channel.sample_timestamp_error() == 0.0
         assert np.all(channel.sample_timestamp_errors(5) == 0.0)
+
+    @pytest.mark.parametrize("jitter", [2.0, 0.0])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_batched_jitter_is_stream_identical(self, jitter, n):
+        # The single-hop runner draws each broadcast's jitter as one
+        # vector; it must equal n scalar draws and leave the same stream.
+        phy = PhyParams(timestamp_jitter_us=jitter)
+        scalar = BroadcastChannel(phy, np.random.default_rng(99))
+        batched = BroadcastChannel(phy, np.random.default_rng(99))
+        with count_work() as scalar_work:
+            one_by_one = [scalar.sample_timestamp_error() for _ in range(n)]
+        with count_work() as batched_work:
+            at_once = batched.sample_timestamp_errors(n).tolist()
+        assert at_once == one_by_one
+        assert scalar._rng.random() == batched._rng.random()
+        assert scalar_work.snapshot() == batched_work.snapshot()
+        assert batched_work.snapshot() == {"phy.ts_jitter_draw": n}
 
     def test_record_collision_counts_parties(self, rng):
         channel = BroadcastChannel(PhyParams(), rng)
