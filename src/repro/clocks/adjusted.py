@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 
 class MonotonicityError(ValueError):
     """Raised when an adjustment would create a backward or discontinuous leap."""
 
 
-@dataclass(frozen=True)
-class ClockSegment:
+class ClockSegment(NamedTuple):
     """One linear piece of an adjusted clock, active for ``t >= start``.
 
     Attributes
@@ -142,9 +140,7 @@ class AdjustedClock:
                 "discontinuous adjustment: segment values differ by "
                 f"{new_value - old_value:.6f}us at t={at_local_time}"
             )
-        self._segments.append(
-            ClockSegment(start=float(at_local_time), k=float(k), b=float(b))
-        )
+        self._segments.append(ClockSegment(float(at_local_time), float(k), float(b)))
         self._starts.append(float(at_local_time))
 
     def slew_to(

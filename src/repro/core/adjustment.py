@@ -24,12 +24,10 @@ float precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class AdjustmentSample:
+class AdjustmentSample(NamedTuple):
     """One authenticated reference observation.
 
     Attributes

@@ -21,21 +21,19 @@ pipeline, they can only try to get through it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.crypto.hashchain import DenseHashChain, HashChainRegistry
 from repro.crypto.mutesla import IntervalSchedule, MuTeslaReceiver, MuTeslaSender, SecuredPacket
-from repro.crypto.primitives import hash128_iter
+from repro.crypto.primitives import PrimitiveMemo, hash128_iter
 from repro.mac.beacon import SecureBeaconFrame
-from repro.obs.events import emit
+from repro.obs.events import emit, tracing_enabled
 from repro.phy.params import SSTSP_BEACON_BYTES
 
 
-@dataclass(frozen=True)
-class BeaconVerdict:
+class BeaconVerdict(NamedTuple):
     """Outcome of processing one secure beacon at a receiver.
 
     Attributes
@@ -54,6 +52,13 @@ class BeaconVerdict:
     accepted: bool
     reason: str
     authenticated_intervals: Tuple[int, ...] = ()
+
+
+# Verdicts without released intervals are immutable and shared.
+_OK = BeaconVerdict(True, "ok")
+_UNKNOWN_SENDER = BeaconVerdict(False, "unknown_sender")
+_UNSAFE_INTERVAL = BeaconVerdict(False, "unsafe_interval")
+_BAD_KEY = BeaconVerdict(False, "bad_key")
 
 
 class CryptoBackend(ABC):
@@ -92,6 +97,14 @@ class FullCryptoBackend(CryptoBackend):
     a Lamport one-time public key (the single trusted pre-distribution
     step) and *signs* its anchor; the registry verifies before accepting.
     The default keeps the paper's lighter assumption (a trusted registry).
+
+    Every receiver of a broadcast verifies the same disclosed key and
+    checks the same buffered tag, so the backend's receivers share one
+    :class:`~repro.crypto.primitives.PrimitiveMemo` keyed on the exact
+    input bytes: the hashing is done once per broadcast, while each
+    receiver still runs its own comparisons and counts its own hash
+    operations. The on-wire packet of the frame last processed is reused
+    for the next receiver of the same frame object.
     """
 
     def __init__(
@@ -112,6 +125,9 @@ class FullCryptoBackend(CryptoBackend):
         self._seeds: Dict[int, bytes] = {}
         self._senders: Dict[int, MuTeslaSender] = {}
         self._receivers: Dict[int, MuTeslaReceiver] = {}
+        self._memo = PrimitiveMemo()
+        # (frame, its on-wire packet) of the frame processed last.
+        self._parsed: Optional[Tuple[SecureBeaconFrame, SecuredPacket]] = None
 
     def register_node(self, node_id: int) -> None:
         """Create the node's chain commitment and publish its anchor."""
@@ -158,30 +174,39 @@ class FullCryptoBackend(CryptoBackend):
     ) -> BeaconVerdict:
         receiver = self._receivers.get(receiver_id)
         if receiver is None:
-            receiver = MuTeslaReceiver(self.schedule, owner=receiver_id)
+            receiver = MuTeslaReceiver(
+                self.schedule, owner=receiver_id, memo=self._memo
+            )
             self._receivers[receiver_id] = receiver
-        if not receiver.knows_sender(frame.sender):
-            published = self.registry.lookup(frame.sender)
+        sender = frame.sender
+        state = receiver.sender_stats(sender)
+        if state is None:
+            published = self.registry.lookup(sender)
             if published is None:
-                return BeaconVerdict(False, "unknown_sender")
-            receiver.register_sender(frame.sender, *published)
-        state = receiver.sender_stats(frame.sender)
-        before = (state.rejected_unsafe_interval, state.rejected_bad_key)
-        packet = SecuredPacket(
-            payload=_beacon_payload(frame.sender, frame.timestamp_us),
-            interval=frame.interval,
-            mac_tag=frame.mac_tag,
-            disclosed_key=frame.disclosed_key,
-        )
-        released = receiver.receive(frame.sender, packet, local_time_us)
-        after = (state.rejected_unsafe_interval, state.rejected_bad_key)
-        if after[0] > before[0]:
-            return BeaconVerdict(False, "unsafe_interval")
-        if after[1] > before[1]:
-            return BeaconVerdict(False, "bad_key")
-        return BeaconVerdict(
-            True, "ok", tuple(msg.interval for msg in released)
-        )
+                return _UNKNOWN_SENDER
+            receiver.register_sender(sender, *published)
+            state = receiver.sender_stats(sender)
+        unsafe = state.rejected_unsafe_interval
+        bad_key = state.rejected_bad_key
+        # Frames are immutable, so one frame object always parses to the
+        # same packet.
+        parsed = self._parsed
+        if parsed is None or parsed[0] is not frame:
+            packet = SecuredPacket(
+                _beacon_payload(sender, frame.timestamp_us),
+                frame.interval,
+                frame.mac_tag,
+                frame.disclosed_key,
+            )
+            parsed = self._parsed = (frame, packet)
+        released = receiver.receive(sender, parsed[1], local_time_us)
+        if state.rejected_unsafe_interval != unsafe:
+            return _UNSAFE_INTERVAL
+        if state.rejected_bad_key != bad_key:
+            return _BAD_KEY
+        if not released:
+            return _OK
+        return BeaconVerdict(True, "ok", tuple([msg.interval for msg in released]))
 
 
 class ModeledCryptoBackend(CryptoBackend):
@@ -234,7 +259,7 @@ class ModeledCryptoBackend(CryptoBackend):
         self, receiver_id: int, frame: SecureBeaconFrame, local_time_us: float
     ) -> BeaconVerdict:
         if frame.sender not in self._registered:
-            return BeaconVerdict(False, "unknown_sender")
+            return _UNKNOWN_SENDER
         j = frame.interval
         # Same emission points as MuTeslaReceiver.receive so a traced run
         # reads identically under either backend.
@@ -247,7 +272,7 @@ class ModeledCryptoBackend(CryptoBackend):
                 interval=j,
                 reason="unsafe_interval",
             )
-            return BeaconVerdict(False, "unsafe_interval")
+            return _UNSAFE_INTERVAL
         n = self.schedule.length
         if frame.disclosed_key != self._key_label(frame.sender, n - j + 1):
             emit(
@@ -258,23 +283,28 @@ class ModeledCryptoBackend(CryptoBackend):
                 interval=j,
                 reason="bad_key",
             )
-            return BeaconVerdict(False, "bad_key")
+            return _BAD_KEY
         pending = self._pending.setdefault((receiver_id, frame.sender), {})
+        tracing = tracing_enabled()
+        ready = [i for i in pending if i < j]
+        if len(ready) > 1:
+            ready.sort()
         released: List[int] = []
-        for interval in sorted(i for i in pending if i < j):
+        for interval in ready:
             buffered = pending.pop(interval)
             expected = self._tag_label(
                 buffered.sender, buffered.interval, buffered.timestamp_us
             )
             if buffered.mac_tag == expected:
                 released.append(interval)
-                emit(
-                    "mutesla_auth",
-                    t_us=local_time_us,
-                    node=receiver_id,
-                    sender=frame.sender,
-                    interval=interval,
-                )
+                if tracing:
+                    emit(
+                        "mutesla_auth",
+                        t_us=local_time_us,
+                        node=receiver_id,
+                        sender=frame.sender,
+                        interval=interval,
+                    )
             else:
                 emit(
                     "mutesla_reject",
@@ -285,15 +315,18 @@ class ModeledCryptoBackend(CryptoBackend):
                     reason="bad_mac",
                 )
         pending[j] = frame
-        emit(
-            "mutesla_defer",
-            t_us=local_time_us,
-            node=receiver_id,
-            sender=frame.sender,
-            interval=j,
-        )
+        if tracing:
+            emit(
+                "mutesla_defer",
+                t_us=local_time_us,
+                node=receiver_id,
+                sender=frame.sender,
+                interval=j,
+            )
         while len(pending) > self.MAX_PENDING:
             pending.pop(min(pending))
+        if not released:
+            return _OK
         return BeaconVerdict(True, "ok", tuple(released))
 
 

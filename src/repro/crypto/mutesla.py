@@ -18,12 +18,17 @@ the beacon expected at ``T_0 + j * BP`` is secured with the chain element
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.crypto.hashchain import HashChain, verify_element
-from repro.crypto.primitives import constant_time_eq, hash128_iter, hmac128
+from repro.crypto.primitives import (
+    PrimitiveMemo,
+    constant_time_eq,
+    hash128_iter,
+    hmac128,
+)
 from repro.obs.counters import count
-from repro.obs.events import emit
+from repro.obs.events import emit, tracing_enabled
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,7 @@ class IntervalSchedule:
         return 1 <= interval <= self.length
 
 
-@dataclass(frozen=True)
-class SecuredPacket:
+class SecuredPacket(NamedTuple):
     """``<payload, j, MAC_{K_j}(payload, j), K_{j-1}>`` on the wire."""
 
     payload: bytes
@@ -77,8 +81,7 @@ class SecuredPacket:
     disclosed_key: bytes
 
 
-@dataclass(frozen=True)
-class AuthenticatedMessage:
+class AuthenticatedMessage(NamedTuple):
     """A payload whose MAC verified after its key was disclosed."""
 
     payload: bytes
@@ -131,6 +134,12 @@ class MuTeslaReceiver:
 
     One receiver instance handles any number of senders, keyed by their
     published anchors (looked up once and pinned).
+
+    Receivers of one network may share a
+    :class:`~repro.crypto.primitives.PrimitiveMemo` so each broadcast's
+    key-chain hashing and HMAC is computed once. Each receiver still
+    compares against its own anchor, verified element and buffered tag,
+    and counts the hash operations it would have done on its own.
     """
 
     #: How many unauthenticated packets to buffer per sender. SSTSP needs
@@ -138,10 +147,17 @@ class MuTeslaReceiver:
     #: "the synchronization beacons received during last 2 BPs".
     MAX_PENDING: int = 2
 
-    def __init__(self, schedule: IntervalSchedule, owner: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        schedule: IntervalSchedule,
+        owner: Optional[int] = None,
+        memo: Optional[PrimitiveMemo] = None,
+    ) -> None:
         self.schedule = schedule
         self.owner = owner
         self._senders: Dict[int, _SenderState] = {}
+        self._hash_iter = hash128_iter if memo is None else memo.hash128_iter
+        self._hmac = hmac128 if memo is None else memo.hmac128
 
     def register_sender(self, sender: int, anchor: bytes, length: int) -> None:
         """Pin a sender's published anchor (from the trusted registry)."""
@@ -151,10 +167,6 @@ class MuTeslaReceiver:
                 raise ValueError(f"conflicting anchor for sender {sender}")
             return
         self._senders[sender] = _SenderState(anchor=bytes(anchor), length=length)
-
-    def knows_sender(self, sender: int) -> bool:
-        """Whether the sender's anchor is pinned."""
-        return sender in self._senders
 
     def sender_stats(self, sender: int) -> Optional[_SenderState]:
         """Verification counters for ``sender`` (None if unknown)."""
@@ -207,6 +219,7 @@ class MuTeslaReceiver:
             state.anchor,
             state.length,
             cache=state.verified,
+            hash_iter=self._hash_iter,
         )
         state.hash_operations += cost
         count("crypto.verify")
@@ -230,13 +243,21 @@ class MuTeslaReceiver:
         # (key_i = h^{(j-1)-i}(K_{j-1})), so a lost beacon does not strand
         # older buffered packets.
         released: List[AuthenticatedMessage] = []
-        for interval in sorted(i for i in state.pending if i < j):
-            buffered = state.pending.pop(interval)
-            key_i = hash128_iter(packet.disclosed_key, (j - 1) - interval)
-            state.hash_operations += (j - 1) - interval
-            count("crypto.hash_ops", (j - 1) - interval)
+        # Every accepted packet emits auth/defer events: build them only
+        # when a run is traced.
+        tracing = tracing_enabled()
+        pending = state.pending
+        ready = [i for i in pending if i < j]
+        if len(ready) > 1:
+            ready.sort()
+        for interval in ready:
+            buffered = pending.pop(interval)
+            steps = (j - 1) - interval
+            key_i = self._hash_iter(packet.disclosed_key, steps)
+            state.hash_operations += steps
+            count("crypto.hash_ops", steps)
             count("crypto.auth_check")
-            expected = hmac128(
+            expected = self._hmac(
                 key_i,
                 buffered.payload + b"|" + str(buffered.interval).encode(),
             )
@@ -245,13 +266,14 @@ class MuTeslaReceiver:
                 released.append(
                     AuthenticatedMessage(buffered.payload, buffered.interval, sender)
                 )
-                emit(
-                    "mutesla_auth",
-                    t_us=local_time_us,
-                    node=self.owner,
-                    sender=sender,
-                    interval=interval,
-                )
+                if tracing:
+                    emit(
+                        "mutesla_auth",
+                        t_us=local_time_us,
+                        node=self.owner,
+                        sender=sender,
+                        interval=interval,
+                    )
             else:
                 state.rejected_bad_mac += 1
                 emit(
@@ -263,15 +285,16 @@ class MuTeslaReceiver:
                     reason="bad_mac",
                 )
         # Buffer this packet until its own key is disclosed.
-        state.pending[j] = packet
+        pending[j] = packet
         count("crypto.defer")
-        emit(
-            "mutesla_defer",
-            t_us=local_time_us,
-            node=self.owner,
-            sender=sender,
-            interval=j,
-        )
-        while len(state.pending) > self.MAX_PENDING:
-            state.pending.pop(min(state.pending))
+        if tracing:
+            emit(
+                "mutesla_defer",
+                t_us=local_time_us,
+                node=self.owner,
+                sender=sender,
+                interval=j,
+            )
+        while len(pending) > self.MAX_PENDING:
+            pending.pop(min(pending))
         return released

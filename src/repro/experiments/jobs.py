@@ -20,10 +20,36 @@ from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS
 from repro.sweep.spec import JobSpec
 
 
+_SCENARIO_BUILDERS = {"paper": paper_spec, "quick": quick_spec}
+
+#: Attacker knobs of ``scenario_trace``: any of them needs the attack window.
+_ATTACK_PARAMS = ("attack_start_s", "attack_end_s", "attack_shave_us")
+
+
+def _require(kind: str, params: Dict[str, Any], *names: str) -> None:
+    """Raise ValueError naming ``kind`` and every param in ``names`` that
+    is missing or None."""
+    missing = [name for name in names if params.get(name) is None]
+    if missing:
+        raise ValueError(
+            f"{kind}: missing job param(s) "
+            + ", ".join(repr(name) for name in missing)
+        )
+
+
 def _scenario_from_params(params: Dict[str, Any]) -> ScenarioSpec:
-    """Rebuild the ScenarioSpec a job describes."""
+    """Rebuild the ScenarioSpec a ``scenario_trace`` job describes."""
+    _require("scenario_trace", params, "n", "seed")
+    scenario = params.get("scenario", "paper")
+    builder = _SCENARIO_BUILDERS.get(scenario)
+    if builder is None:
+        raise ValueError(
+            f"scenario_trace: unknown scenario {scenario!r} "
+            f"(one of {sorted(_SCENARIO_BUILDERS)})"
+        )
     attacker: Optional[AttackerSpec] = None
-    if params.get("attack_start_s") is not None:
+    if any(params.get(name) is not None for name in _ATTACK_PARAMS):
+        _require("scenario_trace", params, "attack_start_s", "attack_end_s")
         kwargs: Dict[str, Any] = {
             "start_s": params["attack_start_s"],
             "end_s": params["attack_end_s"],
@@ -31,7 +57,6 @@ def _scenario_from_params(params: Dict[str, Any]) -> ScenarioSpec:
         if params.get("attack_shave_us") is not None:
             kwargs["shave_per_period_us"] = params["attack_shave_us"]
         attacker = AttackerSpec(**kwargs)
-    builder = paper_spec if params.get("scenario", "paper") == "paper" else quick_spec
     kwargs = {
         "n": params["n"],
         "seed": params["seed"],
@@ -66,8 +91,13 @@ def run_scenario_trace(job: JobSpec) -> Dict[str, Any]:
     ``attack_end_s``, ``attack_shave_us``).
     """
     params = job.params_dict()
+    _require("scenario_trace", params, "protocol")
     protocol = params["protocol"]
+    if protocol not in ("tsf", "sstsp"):
+        raise ValueError(f"scenario_trace: unknown protocol {protocol!r}")
     lane = params.get("lane", "vec")
+    if lane not in ("vec", "oo"):
+        raise ValueError(f"scenario_trace: unknown lane {lane!r}")
     spec = _scenario_from_params(params)
     if protocol == "sstsp":
         config = sstsp_config_for(spec, params.get("m", 4))
@@ -79,8 +109,6 @@ def run_scenario_trace(job: JobSpec) -> Dict[str, Any]:
                 "trace": result.trace,
                 "reference_changes": result.trace.reference_changes(),
             }
-        if lane != "vec":
-            raise ValueError(f"unknown lane {lane!r}")
         from repro.fastlane import run_sstsp_vectorized
 
         result = run_sstsp_vectorized(spec, config=config)
@@ -88,15 +116,11 @@ def run_scenario_trace(job: JobSpec) -> Dict[str, Any]:
             "trace": result.trace,
             "reference_changes": result.reference_changes,
         }
-    if protocol != "tsf":
-        raise ValueError(f"unknown protocol {protocol!r}")
     if lane == "oo":
         from repro.network.ibss import build_network
 
         result = build_network("tsf", spec).run()
         return {"trace": result.trace, "reference_changes": None}
-    if lane != "vec":
-        raise ValueError(f"unknown lane {lane!r}")
     from repro.fastlane import run_tsf_vectorized
 
     return {"trace": run_tsf_vectorized(spec).trace, "reference_changes": None}

@@ -13,6 +13,7 @@ from repro.experiments.report import (
     format_table,
     trace_chart,
 )
+from repro.sweep.jobs import execute_job
 from repro.sweep.spec import JobSpec
 
 
@@ -174,3 +175,58 @@ class TestMultihopJobParams:
     def test_unknown_topology_kind(self):
         with pytest.raises(ValueError, match="unknown topology kind 'ring'"):
             job_multihop_run(JobSpec.make("multihop_run", {"topology": "ring"}))
+
+
+class TestScenarioTraceJobParams:
+    VALID = {
+        "protocol": "sstsp", "lane": "oo", "scenario": "quick", "n": 5,
+        "seed": 2, "duration_s": 2.0, "attack_start_s": 0.5,
+        "attack_end_s": 1.5,
+    }
+
+    @staticmethod
+    def _run(params):
+        return execute_job(JobSpec.make("scenario_trace", params))
+
+    @pytest.mark.parametrize("field", ["protocol", "n", "seed"])
+    def test_missing_field_names_it(self, field):
+        params = {k: v for k, v in self.VALID.items() if k != field}
+        with pytest.raises(ValueError) as exc:
+            self._run(params)
+        assert str(exc.value) == (
+            f"scenario_trace: missing job param(s) {field!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "present, missing",
+        [
+            ("attack_start_s", "'attack_end_s'"),
+            ("attack_end_s", "'attack_start_s'"),
+            ("attack_shave_us", "'attack_start_s', 'attack_end_s'"),
+        ],
+    )
+    def test_half_an_attack_window_names_the_rest(self, present, missing):
+        params = {k: v for k, v in self.VALID.items() if not k.startswith("attack")}
+        params[present] = 1.0
+        with pytest.raises(ValueError) as exc:
+            self._run(params)
+        assert str(exc.value) == f"scenario_trace: missing job param(s) {missing}"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scenario", "papr"), ("protocol", "ntp"), ("lane", "gpu")],
+    )
+    def test_unknown_value_names_field_and_value(self, field, value):
+        with pytest.raises(ValueError) as exc:
+            self._run(dict(self.VALID, **{field: value}))
+        assert str(exc.value).startswith(
+            f"scenario_trace: unknown {field} {value!r}"
+        )
+
+    def test_valid_spec_keeps_its_hash_and_runs(self):
+        spec = JobSpec.make("scenario_trace", self.VALID)
+        assert spec.spec_hash() == (
+            "9c77f4aac2ffd59c34abbb431d9ce9f2025c5144d7c88a40858596c2490180e4"
+        )
+        payload = execute_job(spec)
+        assert len(payload["trace"].times_us) == 20

@@ -9,8 +9,14 @@ arrays. A runner optimisation must reproduce both byte for byte: same
 RNG draws (``phy.ts_jitter_draw`` counts every jitter sample, batched or
 not), same events, same clock samples.
 
-Any case can be re-profiled from the command line and compared with
-``repro profile diff``::
+The ``sstsp-full-attack`` case runs the same attack scenario on the
+full-crypto backend (real hash chains and HMACs), built directly through
+``ibss.build_network`` because ``scenario_trace`` has no crypto param; it
+pins the per-station ``crypto.*`` counters, which count what each
+receiver would compute whether or not the backend shares the host work.
+
+Any ``scenario_trace`` case can be re-profiled from the command line and
+compared with ``repro profile diff``::
 
     python -m repro profile run scenario_trace --param protocol=tsf \\
         --param lane=oo --param scenario=quick --param n=20 \\
@@ -30,11 +36,14 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 import pytest
 
+from repro.experiments.scenarios import quick_spec
+from repro.network import ibss
+from repro.network.ibss import AttackerSpec
 from repro.obs.counters import count_work, write_counts_json
 from repro.sweep.jobs import execute_job
 from repro.sweep.spec import JobSpec
@@ -44,15 +53,29 @@ TRACE_DIGESTS = FIXTURE_DIR / "traces.json"
 
 _BASE = {"lane": "oo", "scenario": "quick", "n": 20, "seed": 5, "duration_s": 10.0}
 
-#: case name -> scenario_trace params
-CASES: Dict[str, Dict[str, object]] = {
-    "tsf": dict(_BASE, protocol="tsf"),
-    "sstsp": dict(_BASE, protocol="sstsp"),
+
+def _scenario_trace(**params: object) -> Callable[[], object]:
+    spec = JobSpec.make("scenario_trace", dict(_BASE, **params))
+    return lambda: execute_job(spec)["trace"]
+
+
+def _full_crypto_attack() -> object:
+    spec = quick_spec(
+        20, seed=5, duration_s=10.0, attacker=AttackerSpec(3.0, 7.0)
+    )
+    return ibss.build_network("sstsp", spec, crypto="full").run().trace
+
+
+#: case name -> zero-argument run returning the job's trace
+CASES: Dict[str, Callable[[], object]] = {
+    "tsf": _scenario_trace(protocol="tsf"),
+    "sstsp": _scenario_trace(protocol="sstsp"),
     # A guard-tuned insider mid-run: attacker receptions and an excluded
     # metric station go through the same fan-out.
-    "sstsp-attack": dict(
-        _BASE, protocol="sstsp", attack_start_s=3.0, attack_end_s=7.0
+    "sstsp-attack": _scenario_trace(
+        protocol="sstsp", attack_start_s=3.0, attack_end_s=7.0
     ),
+    "sstsp-full-attack": _full_crypto_attack,
 }
 
 
@@ -71,10 +94,9 @@ def _trace_sha(trace) -> str:
 
 def run_case(name: str):
     """Run one case under the work counters: ``(counts, trace_sha)``."""
-    spec = JobSpec.make("scenario_trace", CASES[name])
     with count_work() as work:
-        payload = execute_job(spec)
-    return work.snapshot(), _trace_sha(payload["trace"])
+        trace = CASES[name]()
+    return work.snapshot(), _trace_sha(trace)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -5,11 +5,45 @@ from hypothesis import strategies as st
 
 from repro.crypto.fractal import FractalTraversal
 from repro.crypto.hashchain import DenseHashChain, verify_element
-from repro.crypto.primitives import hash128_iter
+from repro.crypto.primitives import PrimitiveMemo, hash128_iter, hmac128
 from repro.mac.contention import resolve_contention
 
 seeds = st.binary(min_size=1, max_size=32)
 lengths = st.integers(min_value=1, max_value=256)
+
+
+class TestPrimitiveMemo:
+    """The memo is keyed on the full inputs: any differing byte, key or
+    step count is a different entry, and clearing never changes a result."""
+
+    calls = st.lists(
+        st.tuples(
+            st.sampled_from([b"k0" * 8, b"k1" * 8, b"k0" * 7 + b"k2"]),
+            st.sampled_from([b"m0", b"m1", b"m0|1"]),
+            st.integers(min_value=0, max_value=3),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+    @given(calls=calls)
+    @settings(max_examples=60)
+    def test_results_equal_the_pure_functions(self, calls):
+        memo = PrimitiveMemo()
+        for key, message, steps in calls:
+            assert memo.hash128_iter(key, steps) == hash128_iter(key, steps)
+            assert memo.hmac128(key, message) == hmac128(key, message)
+
+    def test_clearing_at_the_cap_keeps_results(self):
+        memo = PrimitiveMemo()
+        cap = PrimitiveMemo.MAX_ENTRIES
+        for i in range(3 * cap):
+            data = i.to_bytes(4, "big")
+            # revisit an older input after every new one
+            for d in (data, (i // 2).to_bytes(4, "big")):
+                assert memo.hash128_iter(d, 2) == hash128_iter(d, 2)
+                assert memo.hmac128(d, b"m") == hmac128(d, b"m")
+            assert len(memo) <= 2 * cap
 
 
 class TestChainProperties:

@@ -7,12 +7,17 @@ forgeries a receiver sees, two invariants must hold:
    was produced, unmodified, by the legitimate sender for that interval.
 2. *Freshness*: a packet is only ever accepted for buffering during its
    own interval.
+
+The full-crypto backend shares one hash/HMAC memo among its receivers;
+the last two tests check that sharing changes no decision and no work
+count, and that a forged key or tag never rides on a cached success.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backend import FullCryptoBackend, _beacon_payload
 from repro.crypto.hashchain import DenseHashChain
 from repro.crypto.mutesla import (
     IntervalSchedule,
@@ -20,6 +25,8 @@ from repro.crypto.mutesla import (
     MuTeslaSender,
     SecuredPacket,
 )
+from repro.mac.beacon import SecureBeaconFrame
+from repro.obs.events import observe_run
 
 BP = 100_000.0
 N = 64
@@ -111,3 +118,148 @@ def test_all_delivered_intervals_eventually_authenticate(drops, seed):
     released_intervals = {m.interval for m in released}
     for j in delivered[: -receiver.MAX_PENDING]:
         assert j in released_intervals
+
+
+def _flip(data: bytes, index: int) -> bytes:
+    """``data`` with one bit of byte ``index`` flipped."""
+    out = bytearray(data)
+    out[index % len(out)] ^= 0x01
+    return bytes(out)
+
+
+def _reference_verdict(receiver, sender, frame, local):
+    """What the backend's verdict must be, from a memo-less receiver."""
+    state = receiver.sender_stats(sender)
+    before = (state.rejected_unsafe_interval, state.rejected_bad_key)
+    packet = SecuredPacket(
+        _beacon_payload(sender, frame.timestamp_us),
+        frame.interval, frame.mac_tag, frame.disclosed_key,
+    )
+    released = receiver.receive(sender, packet, local)
+    if state.rejected_unsafe_interval > before[0]:
+        return (False, "unsafe_interval", ())
+    if state.rejected_bad_key > before[1]:
+        return (False, "bad_key", ())
+    return (True, "ok", tuple(m.interval for m in released))
+
+
+RECEIVERS = (10, 11, 12, 13)
+
+frame_actions = st.lists(
+    st.tuples(
+        st.sampled_from(["honest", "tamper_tag", "flip_key", "stale", "replay"]),
+        st.sampled_from([1, 2]),
+        # which receivers hear it (lost beacons per receiver)
+        st.lists(st.booleans(), min_size=len(RECEIVERS), max_size=len(RECEIVERS)),
+        st.integers(0, 15),
+    ),
+    min_size=4,
+    max_size=30,
+)
+
+
+@given(actions=frame_actions, seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_memoized_backend_matches_memo_less_receivers(actions, seed):
+    schedule = IntervalSchedule(0.0, BP, N)
+    backend = FullCryptoBackend(schedule, np.random.default_rng(seed))
+    for node in (1, 2):
+        backend.register_node(node)
+    reference = {}
+    for r in RECEIVERS:
+        reference[r] = MuTeslaReceiver(schedule, owner=r)
+        for node in (1, 2):
+            reference[r].register_sender(node, *backend.registry.lookup(node))
+
+    sent = []
+    for j, (action, sender, hears, byte) in enumerate(actions, start=1):
+        honest = backend.make_frame(sender, j, j * BP + 17.0)
+        frame, local = honest, j * BP
+        if action == "tamper_tag":
+            frame = SecureBeaconFrame(
+                sender, honest.timestamp_us, j,
+                _flip(honest.mac_tag, byte), honest.disclosed_key,
+            )
+        elif action == "flip_key":
+            frame = SecureBeaconFrame(
+                sender, honest.timestamp_us, j,
+                honest.mac_tag, _flip(honest.disclosed_key, byte),
+            )
+        elif action == "stale":
+            local = (j + 2) * BP
+        elif action == "replay" and sent:
+            frame = sent[byte % len(sent)]
+        sent.append(honest)
+        for r, heard in zip(RECEIVERS, hears):
+            if not heard:
+                continue
+            verdict = backend.process(r, frame, local)
+            expected = _reference_verdict(reference[r], frame.sender, frame, local)
+            assert tuple(verdict) == expected
+
+    for r in RECEIVERS:
+        for node in (1, 2):
+            mine = backend._receivers.get(r)
+            if mine is None or mine.sender_stats(node) is None:
+                assert reference[r].sender_stats(node).hash_operations == 0
+                continue
+            assert (
+                mine.sender_stats(node).hash_operations
+                == reference[r].sender_stats(node).hash_operations
+            )
+            assert mine.sender_stats(node).pending == (
+                reference[r].sender_stats(node).pending
+            )
+
+
+def test_warm_memo_never_admits_a_forged_key_or_tag():
+    """An honest frame warms the memo first; forgeries for the same
+    ``(sender, interval)`` must still fail at every receiver."""
+    schedule = IntervalSchedule(0.0, BP, N)
+    backend = FullCryptoBackend(schedule, np.random.default_rng(3))
+    backend.register_node(1)
+    warm, cold = (10, 11), (12, 13, 14)
+    everyone = warm + cold
+
+    def frame(j, tag_flip=None, key_flip=None):
+        honest = backend.make_frame(1, j, j * BP)
+        tag, key = honest.mac_tag, honest.disclosed_key
+        if tag_flip is not None:
+            tag = _flip(tag, tag_flip)
+        if key_flip is not None:
+            key = _flip(key, key_flip)
+        return SecureBeaconFrame(1, honest.timestamp_us, j, tag, key)
+
+    for r in everyone:
+        assert backend.process(r, frame(1), 1 * BP).accepted
+    # Interval 2: the honest frame warms the key-chain hash and the HMAC
+    # of buffered interval 1; a flipped disclosed key then fails everywhere.
+    for r in warm:
+        assert backend.process(r, frame(2), 2 * BP) == (True, "ok", (1,))
+    for r in everyone:
+        verdict = backend.process(r, frame(2, key_flip=5), 2 * BP)
+        assert tuple(verdict) == (False, "bad_key", ())
+    for r in cold:
+        assert backend.process(r, frame(2), 2 * BP) == (True, "ok", (1,))
+
+    # Interval 3: warm receivers buffer the honest frame, cold ones a copy
+    # with one flipped tag byte; the key is genuine, so both are buffered.
+    for r in warm:
+        assert backend.process(r, frame(3), 3 * BP).accepted
+    for r in cold:
+        assert backend.process(r, frame(3, tag_flip=9), 3 * BP).accepted
+    with observe_run() as observer:
+        # A flipped disclosure for the buffered tag: bad key everywhere.
+        for r in everyone:
+            verdict = backend.process(r, frame(4, key_flip=0), 4 * BP)
+            assert tuple(verdict) == (False, "bad_key", ())
+        # The genuine disclosure releases only the genuine tags.
+        for r in everyone:
+            verdict = backend.process(r, frame(4), 4 * BP)
+            released = (3,) if r in warm else ()
+            assert tuple(verdict) == (True, "ok", released)
+    bad_mac = sorted(
+        e["node"] for e in observer.events
+        if e["event"] == "mutesla_reject" and e["reason"] == "bad_mac"
+    )
+    assert bad_mac == list(cold)
