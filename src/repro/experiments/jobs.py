@@ -135,6 +135,7 @@ def run_table1_cell(job: JobSpec) -> Dict[str, Optional[float]]:
     from repro.fastlane import run_sstsp_vectorized
 
     params = job.params_dict()
+    _require("table1_cell", params, "m", "n", "seed", "duration_s", "initial_offset_us")
     spec = quick_spec(
         params["n"],
         seed=params["seed"],

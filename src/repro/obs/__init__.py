@@ -1,14 +1,14 @@
-"""Observability layer: event tracing, metrics, and profiling.
+"""Observability layer: event tracing, metrics, spans and work counts.
 
-Three concerns, three modules:
+Four modules, one install slot:
 
 * :mod:`repro.obs.events` — the structured event-tracing bus the kernel
-  emits protocol events onto (strict no-op when disabled);
-* :mod:`repro.obs.registry` — counters / gauges / histogram summaries,
+  emits protocol events onto, and the one observability slot every hook
+  reads (strict no-op when nothing is installed);
+* :mod:`repro.obs.registry` — counters and histogram summaries,
   per-run with per-sweep roll-up;
-* :mod:`repro.obs.profile` — opt-in wall-clock section timers and
-  hierarchical spans (chrome-trace export), the one module allowed to
-  read the host clock;
+* :mod:`repro.obs.profile` — opt-in hierarchical wall-clock spans
+  (chrome-trace export), the one module allowed to read the host clock;
 * :mod:`repro.obs.counters` — deterministic work counters: no clock, no
   randomness, byte-identical tallies on every machine (the bench gate's
   zero-tolerance work metrics).
@@ -20,9 +20,6 @@ from repro.obs.counters import (
     WorkCounters,
     count,
     count_work,
-    counting_enabled,
-    counts_to_metrics,
-    current_counters,
     diff_counts,
     merge_counts,
     work_lane,
@@ -31,23 +28,16 @@ from repro.obs.events import (
     EVENT_CATALOG,
     TRACE_SCHEMA_VERSION,
     RunObserver,
-    current_observer,
+    Sink,
     emit,
+    observe,
     observe_run,
     observe_value,
     read_events,
     tracing_enabled,
 )
 from repro.obs.events_schema import EVENT_SCHEMAS, EventSpec, validate_record
-from repro.obs.profile import (
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    SpanProfiler,
-    profile_spans,
-    span,
-    span_profiling_enabled,
-)
+from repro.obs.profile import SpanProfiler, profile_spans, span
 from repro.obs.registry import HistogramSummary, MetricsRegistry, merge_snapshots
 
 __all__ = [
@@ -57,8 +47,9 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "validate_record",
     "RunObserver",
-    "current_observer",
+    "Sink",
     "emit",
+    "observe",
     "observe_run",
     "observe_value",
     "read_events",
@@ -66,19 +57,12 @@ __all__ = [
     "HistogramSummary",
     "MetricsRegistry",
     "merge_snapshots",
-    "NULL_PROFILER",
-    "NullProfiler",
-    "Profiler",
     "SpanProfiler",
     "profile_spans",
     "span",
-    "span_profiling_enabled",
     "WorkCounters",
     "count",
     "count_work",
-    "counting_enabled",
-    "counts_to_metrics",
-    "current_counters",
     "diff_counts",
     "merge_counts",
     "work_lane",

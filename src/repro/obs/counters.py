@@ -11,17 +11,18 @@ That exactness is what lets the bench gate check work drift with zero
 tolerance (:mod:`repro.analysis.benchgate`) while wall time keeps its
 noise band.
 
-The design mirrors the event bus (:mod:`repro.obs.events`): kernel code
-calls :func:`count`, which costs one module-global load and a ``None``
-check when counting is off — no clock reads, no randomness, no state
-mutation — so a counted run is bit-identical to an uncounted one (pinned
-by ``tests/test_obs_counters.py`` in the ``TestTracingParity`` style).
+Kernel code calls :func:`count`, one of the hooks on the observability
+slot (:mod:`repro.obs.events`, re-exported here): it costs one
+module-global load and a ``None`` check when counting is off — no clock
+reads, no randomness, no state mutation — so a counted run is
+bit-identical to an uncounted one (pinned by
+``tests/test_obs_counters.py`` in the ``TestTracingParity`` style).
 
 Counters are keyed ``<lane>/<name>`` where the *lane* is pushed by the
 enclosing engine (``singlehop/sstsp``, ``multihop/coop``,
 ``fastlane/tsf``) via :func:`work_lane`, and the *name* identifies the
 instrumented site (``engine.heap_push``, ``phy.per_draw``,
-``crypto.hash_op`` …). Lanes nest; the innermost lane owns the work, so
+``crypto.hash_ops`` …). Lanes nest; the innermost lane owns the work, so
 the degenerate complete-graph delegation (multi-hop → single-hop lane)
 attributes its counts to the engine that actually ran.
 """
@@ -29,15 +30,18 @@ attributes its counts to the engine that actually ran.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Mapping, Tuple
+
+from repro.obs.events import count as count, observe, work_lane as work_lane
 
 
 class WorkCounters:
     """One run's deterministic work tally.
 
     Plain integer counters keyed by ``<lane>/<name>`` (or bare ``name``
-    outside any lane). Not thread-safe — one sink per run, like the
-    event bus.
+    outside any lane). Not thread-safe — one tally per run, like the
+    event trace.
     """
 
     __slots__ = ("_counts", "_lanes")
@@ -79,34 +83,9 @@ class WorkCounters:
         return total
 
 
-#: The installed sink; None disables counting (the strict-no-op state).
-_COUNTERS: Optional[WorkCounters] = None
-
-
-def count(name: str, by: int = 1) -> None:
-    """Count ``by`` units of work at site ``name`` (no-op when off).
-
-    The disabled cost is one module-global load and a ``None`` check —
-    the same contract as :func:`repro.obs.events.emit` — so hot kernel
-    paths stay permanently instrumented.
-    """
-    sink = _COUNTERS
-    if sink is not None:
-        sink.add(name, by)
-
-
-def counting_enabled() -> bool:
-    """Whether a sink is installed (hot loops may check once)."""
-    return _COUNTERS is not None
-
-
-def current_counters() -> Optional[WorkCounters]:
-    """The installed sink, or None."""
-    return _COUNTERS
-
-
-class count_work:
-    """Context manager installing a :class:`WorkCounters` sink.
+@contextmanager
+def count_work() -> Iterator[WorkCounters]:
+    """Install fresh :class:`WorkCounters` on the observability slot.
 
     ::
 
@@ -114,58 +93,17 @@ class count_work:
             runner.run()
         work.snapshot()  # {"singlehop/sstsp/engine.heap_push": 1234, ...}
 
-    The previous sink (normally None) is restored on exit, exceptions
-    included.
+    The enclosing trace and spans stay installed; the previous slot is
+    restored on exit, exceptions included.
     """
-
-    def __init__(self) -> None:
-        self.counters = WorkCounters()
-        self._previous: Optional[WorkCounters] = None
-
-    def __enter__(self) -> WorkCounters:
-        global _COUNTERS
-        self._previous = _COUNTERS
-        _COUNTERS = self.counters
-        return self.counters
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _COUNTERS
-        _COUNTERS = self._previous
-
-
-class work_lane:
-    """Context manager attributing enclosed work to ``lane``.
-
-    A strict no-op when counting is off. The sink is captured on entry
-    so an exit always pops the lane it pushed, even if the sink changes
-    mid-scope.
-    """
-
-    __slots__ = ("_lane", "_sink")
-
-    def __init__(self, lane: str) -> None:
-        self._lane = lane
-        self._sink: Optional[WorkCounters] = None
-
-    def __enter__(self) -> "work_lane":
-        self._sink = _COUNTERS
-        if self._sink is not None:
-            self._sink.push_lane(self._lane)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._sink is not None:
-            self._sink.pop_lane()
-            self._sink = None
+    work = WorkCounters()
+    with observe(work=work):
+        yield work
 
 
 # ---------------------------------------------------------------------------
 # Snapshot utilities (merging, diffing, serialization)
 # ---------------------------------------------------------------------------
-
-#: Counter-key prefix under which work counters land in a
-#: :meth:`repro.obs.registry.MetricsRegistry.snapshot`-shaped payload.
-WORK_METRIC_PREFIX = "work."
 
 
 def merge_counts(total: Dict[str, int], part: Mapping[str, int]) -> Dict[str, int]:
@@ -173,18 +111,6 @@ def merge_counts(total: Dict[str, int], part: Mapping[str, int]) -> Dict[str, in
     for key in sorted(part):
         total[key] = total.get(key, 0) + part[key]
     return total
-
-
-def counts_to_metrics(counts: Mapping[str, int]) -> Dict[str, int]:
-    """Work counters as registry-style counter keys (``work.<key>``).
-
-    The sweep orchestrator folds these into each job's metrics snapshot
-    so :func:`repro.obs.registry.merge_snapshots` rolls work up into the
-    ``sweep_end`` aggregate alongside the event counters.
-    """
-    return {
-        f"{WORK_METRIC_PREFIX}{key}": counts[key] for key in sorted(counts)
-    }
 
 
 def diff_counts(

@@ -1,4 +1,4 @@
-"""The structured event-tracing bus.
+"""The structured event-tracing bus and the one observability slot.
 
 Protocol-level *events* — who won beacon contention, which beacons the
 guard rejected, when uTESLA deferred vs. authenticated, when the
@@ -9,12 +9,23 @@ is the bus those events flow over: instrumented kernel code calls
 recorded (in memory, to JSONL, or both) and its counter incremented in
 the observer's :class:`~repro.obs.registry.MetricsRegistry`.
 
-The bus is a **strict no-op when disabled**: :func:`emit` costs one
-module-global load and a ``None`` check, draws no randomness, reads no
-clock and mutates no simulation state, so enabling tracing cannot change
-any result — the tier-1 parity suites assert exactly that
-(``tests/test_differential_parity.py``). This is the property that lets
-every lane stay instrumented permanently.
+Tracing, work counting (:mod:`repro.obs.counters`) and spans
+(:mod:`repro.obs.profile`) share one module-global slot, :data:`_SINK`,
+holding a :class:`Sink` of the three facets. Every kernel hook reads it:
+:func:`emit`, :func:`observe_value`, :func:`tracing_enabled`,
+:func:`count`, :func:`work_lane` and :func:`span` (the last three are
+re-exported by the modules named above, where call sites import them).
+:func:`observe` is the one install path; :func:`observe_run`,
+``count_work`` and ``profile_spans`` each install one facet through it
+and inherit the other two.
+
+Every hook is a **strict no-op when disabled**: with nothing installed
+it costs one module-global load and a ``None`` check, draws no
+randomness, reads no clock and mutates no simulation state, so enabling
+an instrument cannot change any result — the tier-1 parity suites
+assert exactly that (``tests/test_differential_parity.py``,
+``tests/test_obs_counters.py``). This is the property that lets every
+lane stay instrumented permanently.
 
 Event records are JSON objects with a stable schema
 (:data:`TRACE_SCHEMA_VERSION`); see ``docs/observability.md`` for the
@@ -28,7 +39,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, IO, Iterator, List, Optional
+from contextlib import contextmanager, nullcontext
+from typing import (
+    TYPE_CHECKING, Any, ContextManager, Dict, IO, Iterator, List, NamedTuple, Optional,
+)
 
 from repro.obs.events_schema import (
     EVENT_SCHEMAS,
@@ -36,6 +50,10 @@ from repro.obs.events_schema import (
     validate_record,
 )
 from repro.obs.registry import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.obs.counters import WorkCounters
+    from repro.obs.profile import SpanProfiler
 
 #: The event catalog: event name -> owning subsystem. *Derived* from
 #: :data:`repro.obs.events_schema.EVENT_SCHEMAS` — the machine-readable
@@ -103,12 +121,6 @@ class RunObserver:
         self._write(record)
         self.registry.inc(f"events.{event}", node=node)
 
-    def observe_value(
-        self, name: str, value: float, node: Optional[int] = None
-    ) -> None:
-        """Histogram observation forwarded to the registry."""
-        self.registry.observe(name, value, node=node)
-
     def _write(self, record: Dict[str, Any]) -> None:
         if self._fh is not None:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -128,15 +140,33 @@ class RunObserver:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "RunObserver":
-        return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+class Sink(NamedTuple):
+    """What the observability slot holds: one scope's event trace, work
+    counts and spans. Each facet is optional; a hook whose facet is None
+    does nothing."""
+
+    trace: Optional[RunObserver] = None
+    work: Optional[WorkCounters] = None
+    spans: Optional[SpanProfiler] = None
+
+    def metrics(self) -> Dict[str, Any]:
+        """The traced run's metrics snapshot: the trace's ``events.*``
+        counters and histograms, plus every work count as a
+        ``work.<lane>/<site>`` counter (the payload of a sweep's
+        ``job_obs`` record)."""
+        snapshot = self.trace.registry.snapshot()
+        if self.work is not None:
+            for key, value in self.work.snapshot().items():
+                snapshot["counters"][f"work.{key}"] = value
+        return snapshot
 
 
-#: The currently installed observer; None disables the bus.
-_OBSERVER: Optional[RunObserver] = None
+#: The one observability slot; None turns every hook into a no-op.
+_SINK: Optional[Sink] = None
+
+#: What :func:`span` returns when no span profiler is installed.
+_NO_SPAN = nullcontext()
 
 
 def emit(
@@ -151,59 +181,117 @@ def emit(
     read from (true / adjusted / hardware) is fixed per event kind and
     documented in the catalog. ``node`` is the acting station, if any.
     """
-    observer = _OBSERVER
-    if observer is not None:
-        observer.record(event, t_us, node, fields)
+    sink = _SINK
+    if sink is not None and sink.trace is not None:
+        sink.trace.record(event, t_us, node, fields)
 
 
 def observe_value(name: str, value: float, node: Optional[int] = None) -> None:
     """Record a histogram observation (no-op when tracing is off)."""
-    observer = _OBSERVER
-    if observer is not None:
-        observer.observe_value(name, value, node=node)
+    sink = _SINK
+    if sink is not None and sink.trace is not None:
+        sink.trace.registry.observe(name, value, node=node)
 
 
 def tracing_enabled() -> bool:
-    """Whether an observer is installed (hot loops may check once)."""
-    return _OBSERVER is not None
+    """Whether a trace is installed (hot loops may check once)."""
+    sink = _SINK
+    return sink is not None and sink.trace is not None
 
 
-def current_observer() -> Optional[RunObserver]:
-    """The installed observer, or None."""
-    return _OBSERVER
+def count(name: str, by: int = 1) -> None:
+    """Count ``by`` units of work at site ``name`` (no-op when off)."""
+    sink = _SINK
+    if sink is not None and sink.work is not None:
+        sink.work.add(name, by)
 
 
-class observe_run:
-    """Context manager installing a :class:`RunObserver` on the bus.
+def span(name: str) -> ContextManager[Any]:
+    """A ``name`` span on the installed span profiler (a free no-op
+    context when none is installed). Callers hold the span, never a
+    clock: only :mod:`repro.obs.profile` reads ``time.perf_counter``."""
+    sink = _SINK
+    if sink is not None and sink.spans is not None:
+        return sink.spans.span(name)
+    return _NO_SPAN
+
+
+class work_lane:
+    """Context manager attributing enclosed work to ``lane``.
+
+    A strict no-op when counting is off. The work counters are captured
+    on entry so an exit always pops the lane it pushed, even if the slot
+    changes mid-scope.
+    """
+
+    __slots__ = ("_lane", "_work")
+
+    def __init__(self, lane: str) -> None:
+        self._lane = lane
+        self._work: Optional[WorkCounters] = None
+
+    def __enter__(self) -> "work_lane":
+        sink = _SINK
+        self._work = sink.work if sink is not None else None
+        if self._work is not None:
+            self._work.push_lane(self._lane)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._work is not None:
+            self._work.pop_lane()
+            self._work = None
+
+
+@contextmanager
+def observe(
+    trace: Optional[RunObserver] = None,
+    work: Optional[WorkCounters] = None,
+    spans: Optional[SpanProfiler] = None,
+) -> Iterator[Sink]:
+    """Install facets on the slot for the enclosed block.
+
+    A facet left None is inherited from the enclosing scope, so scopes
+    nest: spans outside counts or counts outside spans. On exit the
+    previous slot is restored and a trace installed here is closed,
+    exceptions included. :func:`observe_run`,
+    :func:`~repro.obs.counters.count_work` and
+    :func:`~repro.obs.profile.profile_spans` are this with one facet.
+    """
+    global _SINK
+    previous = _SINK
+    outer = previous if previous is not None else Sink()
+    installed = Sink(
+        trace if trace is not None else outer.trace,
+        work if work is not None else outer.work,
+        spans if spans is not None else outer.spans,
+    )
+    _SINK = installed
+    try:
+        yield installed
+    finally:
+        _SINK = previous
+        if trace is not None:
+            trace.close()
+
+
+@contextmanager
+def observe_run(
+    path: Optional[str] = None, keep_events: Optional[bool] = None
+) -> Iterator[RunObserver]:
+    """Install a :class:`RunObserver` as the event trace.
 
     ::
 
         with observe_run("run.jsonl") as obs:
             runner.run()
-        print(obs.registry.counter_total("events.guard_reject"))
+        print(obs.event_count, obs.registry.snapshot()["counters"])
 
-    The previous observer (normally None) is restored on exit and the
-    JSONL file is closed, including on exceptions. Implemented as a
-    class rather than ``@contextmanager`` so the observer is also
-    reachable as ``observe_run(...).observer`` in tests.
+    Work counts and spans of the enclosing scope stay installed.
     """
-
-    def __init__(
-        self, path: Optional[str] = None, keep_events: Optional[bool] = None
-    ) -> None:
-        self.observer = RunObserver(path=path, keep_events=keep_events)
-        self._previous: Optional[RunObserver] = None
-
-    def __enter__(self) -> RunObserver:
-        global _OBSERVER
-        self._previous = _OBSERVER
-        _OBSERVER = self.observer
-        return self.observer
-
-    def __exit__(self, *exc_info: Any) -> None:
-        global _OBSERVER
-        _OBSERVER = self._previous
-        self.observer.close()
+    observer = RunObserver(path=path, keep_events=keep_events)
+    with observe(trace=observer):
+        yield observer
 
 
 def read_events(path: str, validate: bool = False) -> Iterator[Dict[str, Any]]:

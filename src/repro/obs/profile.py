@@ -1,4 +1,4 @@
-"""Opt-in wall-clock section profiling for the orchestration layer.
+"""Opt-in wall-clock spans: the one module that reads the host clock.
 
 Everything below the orchestrator takes time from the simulation engine
 — reprolint's D002 rule enforces that a host-clock read anywhere in the
@@ -12,108 +12,31 @@ allowlisted for D002 alongside ``sweep/orchestrator.py`` (see
 :class:`repro.lint.rules.LintConfig.wallclock_allow`), and the contract
 that keeps the carve-out safe is:
 
-* a :class:`Profiler` may be *driven* from anywhere, but only this
+* a :class:`SpanProfiler` may be *driven* from anywhere, but only this
   module ever calls ``time.perf_counter`` — instrumented code holds a
-  section handle, never a clock;
+  span handle, never a clock;
 * profiling never feeds back into simulation decisions: a
-  :class:`Profiler` accumulates durations for *reporting* (the sweep
-  summary line, the run-log ``profile`` record) and nothing in the
-  result path reads them;
-* everything defaults to :data:`NULL_PROFILER`, whose sections cost two
-  attribute lookups and read no clock, so profiling is pay-for-use.
+  :class:`SpanProfiler` accumulates durations for *reporting* (span
+  trees, Chrome traces, the sweep's ``--profile`` summary) and nothing
+  in the result path reads them;
+* the kernel-side :func:`span` hook reads the observability slot
+  (:mod:`repro.obs.events`) and, with no profiler installed there,
+  returns a shared no-op context that reads no clock.
 
-Phase names are free-form; the orchestrator uses ``cache`` (result
-cache lookups and write-backs), ``engine`` (job execution, which for
-secure-beacon scenarios is dominated by the crypto backend) and ``log``
-(run-log writes).
+``run_sweep --profile`` times its ``cache`` (result cache lookups and
+write-backs), ``engine`` (job execution) and ``log`` (run-log writes)
+phases as spans on a profiler it holds itself, without installing it,
+so the runners' own spans stay off.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-
-class _Section:
-    """One timed section; used as a context manager."""
-
-    __slots__ = ("_profiler", "_name", "_start")
-
-    def __init__(self, profiler: "Profiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._profiler.add(self._name, time.perf_counter() - self._start)
-
-
-class _NullSection:
-    """A section that reads no clock and records nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        pass
-
-
-_NULL_SECTION = _NullSection()
-
-
-class Profiler:
-    """Accumulates wall-clock seconds per named phase.
-
-    ::
-
-        profiler = Profiler()
-        with profiler.section("cache"):
-            ...
-        profiler.totals()  # {"cache": 0.0123}
-    """
-
-    enabled: bool = True
-
-    def __init__(self) -> None:
-        self._seconds: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-
-    def section(self, name: str) -> _Section:
-        """A context manager timing one ``name`` phase entry."""
-        return _Section(self, name)
-
-    def add(self, name: str, seconds: float) -> None:
-        """Record ``seconds`` spent in phase ``name``."""
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + 1
-
-    def totals(self) -> Dict[str, float]:
-        """Seconds per phase, sorted by phase name."""
-        return {name: round(self._seconds[name], 6) for name in sorted(self._seconds)}
-
-    def counts(self) -> Dict[str, int]:
-        """Section entries per phase, sorted by phase name."""
-        return {name: self._counts[name] for name in sorted(self._counts)}
-
-    def format_summary(self, wall_s: Optional[float] = None) -> str:
-        """One human-readable line: ``phase 1.2s (60%), ...``."""
-        totals = self.totals()
-        if not totals:
-            return "no profiled sections"
-        parts: List[str] = []
-        for name, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
-            if wall_s is not None and wall_s > 0.0:
-                parts.append(f"{name} {seconds:.2f}s ({100.0 * seconds / wall_s:.0f}%)")
-            else:
-                parts.append(f"{name} {seconds:.2f}s")
-        return ", ".join(parts)
+from repro.obs.events import observe, span as span
 
 
 class _SpanSection:
@@ -133,30 +56,25 @@ class _SpanSection:
         self._profiler.exit_span()
 
 
-class SpanProfiler(Profiler):
-    """Hierarchical spans with parent/child self-time attribution.
+class SpanProfiler:
+    """Hierarchical wall-clock spans with parent/child self-time attribution.
 
-    Extends the flat phase accumulator with a span *stack*: nested
-    :meth:`span` sections aggregate per **path** (``engine`` →
+    Nested :meth:`span` sections aggregate per **path** (``engine`` →
     ``multihop.period`` → ``multihop.receptions``), each node carrying
     call count, total time and *self* time (total minus child spans), so
     a hot leaf is visible even when its parent dominates the totals.
     Completed spans are also kept as a timeline for the Chrome
     trace-event exporter (:meth:`chrome_trace`), loadable in Perfetto,
-    chrome://tracing and speedscope.
+    chrome://tracing and speedscope. The flat per-name views
+    (:meth:`totals`, :meth:`counts`, :meth:`format_summary`) sum the
+    nodes by span name.
 
     ``clock`` defaults to ``time.perf_counter`` — this module's D002
     carve-out — and is injectable so tests can drive spans with a fake
     clock and assert exact attributions.
-
-    :meth:`section` delegates to :meth:`span` and every closed span also
-    feeds the flat :meth:`Profiler.add` accumulator under its leaf name,
-    so orchestrator-level consumers (``totals()``/``format_summary``)
-    keep working unchanged on a span profiler.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        super().__init__()
         self._clock: Callable[[], float] = (
             clock if clock is not None else time.perf_counter
         )
@@ -171,10 +89,6 @@ class SpanProfiler(Profiler):
     def span(self, name: str) -> _SpanSection:
         """A context manager opening one nested ``name`` span."""
         return _SpanSection(self, name)
-
-    def section(self, name: str) -> _SpanSection:  # type: ignore[override]
-        """Sections on a span profiler are spans (nesting-aware)."""
-        return self.span(name)
 
     def enter_span(self, name: str) -> None:
         """Open a span (prefer the :meth:`span` context manager)."""
@@ -200,9 +114,36 @@ class SpanProfiler(Profiler):
             self._stack[-1][2] += dur_s
         origin = self._origin if self._origin is not None else start
         self._spans.append((path, start - origin, dur_s))
-        self.add(name, dur_s)
 
     # -- reporting -----------------------------------------------------
+
+    def _by_name(self, field: int) -> Dict[str, Any]:
+        """One node field summed over every path ending in each name."""
+        sums: Dict[str, Any] = {}
+        for path in sorted(self._nodes):
+            sums[path[-1]] = sums.get(path[-1], 0) + self._nodes[path][field]
+        return {name: sums[name] for name in sorted(sums)}
+
+    def totals(self) -> Dict[str, float]:
+        """Seconds per span name, sorted by name."""
+        return {name: round(seconds, 6) for name, seconds in self._by_name(1).items()}
+
+    def counts(self) -> Dict[str, int]:
+        """Closed spans per span name, sorted by name."""
+        return self._by_name(0)
+
+    def format_summary(self, wall_s: Optional[float] = None) -> str:
+        """One human-readable line: ``name 1.2s (60%), ...``."""
+        totals = self.totals()
+        if not totals:
+            return "no profiled sections"
+        parts: List[str] = []
+        for name, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
+            if wall_s is not None and wall_s > 0.0:
+                parts.append(f"{name} {seconds:.2f}s ({100.0 * seconds / wall_s:.0f}%)")
+            else:
+                parts.append(f"{name} {seconds:.2f}s")
+        return ", ".join(parts)
 
     def span_tree(self) -> List[Dict[str, Any]]:
         """The aggregated span forest, children key-sorted.
@@ -278,31 +219,10 @@ class SpanProfiler(Profiler):
         return path
 
 
-#: The installed span profiler driving :func:`span`; None disables it.
-_SPAN_PROFILER: Optional[SpanProfiler] = None
-
-
-def span(name: str) -> "_SpanSection | _NullSection":
-    """A span on the installed profiler (free no-op section when off).
-
-    The kernel-side hook: runners open phase spans with ``with
-    span("multihop.receptions"):`` while never touching a clock
-    themselves — only this module reads ``time.perf_counter``, keeping
-    the reprolint D002 carve-out set unchanged.
-    """
-    profiler = _SPAN_PROFILER
-    if profiler is not None:
-        return profiler.span(name)
-    return _NULL_SECTION
-
-
-def span_profiling_enabled() -> bool:
-    """Whether a span profiler is installed."""
-    return _SPAN_PROFILER is not None
-
-
-class profile_spans:
-    """Context manager installing a :class:`SpanProfiler` for :func:`span`.
+@contextmanager
+def profile_spans(profiler: Optional[SpanProfiler] = None) -> Iterator[SpanProfiler]:
+    """Install a :class:`SpanProfiler` on the observability slot, so the
+    :func:`span` hooks record on it.
 
     ::
 
@@ -310,37 +230,10 @@ class profile_spans:
             run_multihop(spec)
         profiler.write_chrome_trace("trace.json")
 
-    The previous profiler (normally None) is restored on exit,
-    exceptions included. Pass an existing profiler to also capture
-    orchestration-side sections on the same timeline.
+    Pass an existing profiler to also capture caller-side spans on the
+    same timeline. The enclosing trace and work counts stay installed;
+    the previous slot is restored on exit, exceptions included.
     """
-
-    def __init__(self, profiler: Optional[SpanProfiler] = None) -> None:
-        self.profiler = profiler if profiler is not None else SpanProfiler()
-        self._previous: Optional[SpanProfiler] = None
-
-    def __enter__(self) -> SpanProfiler:
-        global _SPAN_PROFILER
-        self._previous = _SPAN_PROFILER
-        _SPAN_PROFILER = self.profiler
-        return self.profiler
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _SPAN_PROFILER
-        _SPAN_PROFILER = self._previous
-
-
-class NullProfiler(Profiler):
-    """The disabled profiler: sections read no clock, totals are empty."""
-
-    enabled = False
-
-    def section(self, name: str) -> _NullSection:  # type: ignore[override]
-        return _NULL_SECTION
-
-    def add(self, name: str, seconds: float) -> None:
-        pass
-
-
-#: Shared disabled instance (stateless, safe to reuse everywhere).
-NULL_PROFILER = NullProfiler()
+    spans = profiler if profiler is not None else SpanProfiler()
+    with observe(spans=spans):
+        yield spans

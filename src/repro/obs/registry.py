@@ -1,12 +1,15 @@
-"""The metrics registry: counters, gauges and histogram summaries.
+"""The metrics registry: counters and histogram summaries.
 
 One :class:`MetricsRegistry` accumulates the quantitative side of a run
 — how many beacons aired, how many receptions the guard rejected, how
 far the guard margin sat from the threshold — keyed by metric name plus
 an optional node label. Events flowing through the tracing bus
 (:mod:`repro.obs.events`) increment their event counters automatically;
-instrumented code can additionally record gauges and histogram
-observations directly.
+instrumented code can additionally record histogram observations with
+:func:`repro.obs.events.observe_value`. Snapshots keep an empty
+``gauges`` section so their bytes match logs written when the registry
+still had gauges; merging and ``repro analyze`` read gauges from those
+older logs.
 
 Design constraints, in order:
 
@@ -15,7 +18,7 @@ Design constraints, in order:
   runs of the same seed produce byte-identical snapshots;
 * **mergeability** — the sweep orchestrator rolls per-job snapshots up
   into one per-sweep aggregate (counters and histogram summaries add,
-  gauges keep the last write), so ``repro sweep`` artifacts carry
+  gauges of older logs keep the last write), so ``repro sweep`` artifacts carry
   beacon/rejection/re-election totals alongside the CSVs;
 * **cheapness** — a histogram is a running summary (count/sum/min/max),
   not a bucketed distribution: O(1) memory per metric.
@@ -66,11 +69,10 @@ class HistogramSummary:
 
 
 class MetricsRegistry:
-    """Per-run metric accumulation (counters / gauges / histograms)."""
+    """Per-run metric accumulation (counters / histograms)."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, HistogramSummary] = {}
 
     # ------------------------------------------------------------------
@@ -81,10 +83,6 @@ class MetricsRegistry:
         """Increment counter ``name`` (optionally per-node) by ``by``."""
         key = _key(name, node)
         self._counters[key] = self._counters.get(key, 0) + by
-
-    def set_gauge(self, name: str, value: float, node: Optional[int] = None) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        self._gauges[_key(name, node)] = value
 
     def observe(self, name: str, value: float, node: Optional[int] = None) -> None:
         """Add one observation to histogram ``name``."""
@@ -98,27 +96,14 @@ class MetricsRegistry:
     # Reading
     # ------------------------------------------------------------------
 
-    def counter(self, name: str, node: Optional[int] = None) -> int:
-        """Current value of a counter (0 if never incremented)."""
-        return self._counters.get(_key(name, node), 0)
-
-    def counter_total(self, name: str) -> int:
-        """Sum of a counter over every node label (plus the unlabelled)."""
-        prefix = f"{name}|node="
-        return sum(
-            value
-            for key, value in self._counters.items()
-            if key == name or key.startswith(prefix)
-        )
-
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self._counters) + len(self._histograms)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able, deterministically ordered state of the registry."""
         return {
             "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
+            "gauges": {},
             "histograms": {
                 k: self._histograms[k].to_dict()
                 for k in sorted(self._histograms)

@@ -38,9 +38,12 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
+    ContextManager,
     Deque,
     Dict,
     Iterator,
@@ -51,9 +54,9 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.counters import count_work, counts_to_metrics
-from repro.obs.events import observe_run
-from repro.obs.profile import NULL_PROFILER, Profiler
+from repro.obs.counters import WorkCounters
+from repro.obs.events import RunObserver, observe
+from repro.obs.profile import SpanProfiler
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.sweep.failpolicy import (
@@ -93,7 +96,7 @@ class SweepOptions:
         ran); use ``--no-cache`` or a fresh cache to trace everything.
     profile:
         Attribute sweep wall time to phases (cache / engine / log) with
-        wall-clock section timers; totals go to the run log and, with
+        wall-clock spans; totals go to the run log and, with
         ``progress``, to stderr.
     policy:
         The :class:`~repro.sweep.failpolicy.FailurePolicy` governing
@@ -388,18 +391,13 @@ def _execute_observed(
     is always the successful attempt's — byte-identical to a first-try
     success."""
     path = _job_trace_path(trace_dir, spec)
-    with observe_run(path, keep_events=False) as observer:
-        with count_work() as work:
-            value = execute_job(spec, attempt=attempt, inject=inject)
-    metrics = observer.registry.snapshot()
-    # Work counters ride in the metrics snapshot under ``work.``-prefixed
-    # counter keys, so merge_snapshots rolls them into the sweep_end
-    # aggregate alongside the event counters with no schema change.
-    metrics["counters"].update(counts_to_metrics(work.snapshot()))
+    observer = RunObserver(path, keep_events=False)
+    with observe(trace=observer, work=WorkCounters()) as sink:
+        value = execute_job(spec, attempt=attempt, inject=inject)
     payload = {
         "trace_path": path,
         "events": observer.event_count,
-        "metrics": metrics,
+        "metrics": sink.metrics(),
     }
     return value, payload
 
@@ -481,7 +479,13 @@ def run_sweep(
     trace_dir = options.trace_dir
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-    profiler = Profiler() if options.profile else NULL_PROFILER
+    # --profile times the sweep's own phases on a profiler held here; it
+    # is not installed on the slot, so the runners' spans stay off.
+    profiler = SpanProfiler() if options.profile else None
+
+    def phase(name: str) -> ContextManager[Any]:
+        return profiler.span(name) if profiler is not None else nullcontext()
+
     log_path = options.log_path
     if log_path is None and options.progress and specs:
         log_path = _default_log_path(name)
@@ -527,7 +531,7 @@ def run_sweep(
 
         def log_job(index: int, source: str, wall_s: float) -> None:
             spec = specs[index]
-            with profiler.section("log"):
+            with phase("log"):
                 log.write({
                     "event": "job",
                     "sweep": name,
@@ -544,7 +548,7 @@ def run_sweep(
             aggregate (counters/histograms add, gauges last-write)."""
             merge_snapshots(metrics_total, payload["metrics"])
             spec = specs[index]
-            with profiler.section("log"):
+            with phase("log"):
                 log.write({
                     "event": "job_obs",
                     "sweep": name,
@@ -560,7 +564,7 @@ def run_sweep(
         for index, spec in enumerate(specs):
             if cache is not None:
                 t0 = time.perf_counter()
-                with profiler.section("cache"):
+                with phase("cache"):
                     hit, value = cache.get(spec)
                 if hit:
                     values[index] = value
@@ -590,7 +594,7 @@ def run_sweep(
             miss_walls.append(wall_s)
             done += 1
             if cache is not None:
-                with profiler.section("cache"):
+                with phase("cache"):
                     cache.put(specs[index], value)
             if manifest is not None:
                 manifest.mark(specs[index], "completed", attempts=attempts)
@@ -625,7 +629,7 @@ def run_sweep(
             done += 1
             if manifest is not None:
                 manifest.mark(spec, "quarantined", attempts=attempts, reason=reason)
-            with profiler.section("log"):
+            with phase("log"):
                 record = {"event": "job_quarantined", "sweep": name}
                 record.update(failure.to_dict())
                 log.write(record)
@@ -651,7 +655,7 @@ def run_sweep(
                 stats.retries += 1
                 registry.inc("sweep.job_retry")
                 backoff_s = policy.backoff_s(spec, attempt + 1)
-                with profiler.section("log"):
+                with phase("log"):
                     log.write({
                         "event": "job_retry",
                         "sweep": name,
@@ -677,12 +681,12 @@ def run_sweep(
         try:
             if options.workers == 1 or len(pending) <= 1:
                 _run_serial(
-                    specs, pending, policy, trace_dir, profiler, guard,
+                    specs, pending, policy, trace_dir, phase, guard,
                     finish, on_failure, log_job_obs,
                 )
             else:
                 crashes = _run_parallel(
-                    specs, pending, options, policy, trace_dir, profiler,
+                    specs, pending, options, policy, trace_dir, phase,
                     guard, finish, on_failure, log_job_obs, log, name,
                     registry,
                 )
@@ -713,7 +717,7 @@ def run_sweep(
             }
             if trace_dir is not None or metrics_total:
                 end_record["metrics"] = metrics_total
-            if profiler.enabled:
+            if profiler is not None:
                 end_record["profile"] = profiler.totals()
             log.write(end_record)
             if manifest is not None and manifest_path is not None:
@@ -747,7 +751,7 @@ def run_sweep(
                     f"{failure.attempts} attempts)",
                     file=err,
                 )
-        if profiler.enabled:
+        if profiler is not None:
             print(
                 f"[sweep {name}] profile: "
                 f"{profiler.format_summary(stats.wall_s)}",
@@ -761,7 +765,7 @@ def _run_serial(
     pending: List[int],
     policy: FailurePolicy,
     trace_dir: Optional[str],
-    profiler: Any,
+    phase: Callable[[str], ContextManager[Any]],
     guard: _InterruptGuard,
     finish: Any,
     on_failure: Any,
@@ -775,7 +779,7 @@ def _run_serial(
         while True:
             attempt += 1
             try:
-                with profiler.section("engine"):
+                with phase("engine"):
                     value, payload, wall_s = _attempt_job(
                         specs[index], attempt, policy, trace_dir
                     )
@@ -795,7 +799,7 @@ def _run_parallel(
     options: SweepOptions,
     policy: FailurePolicy,
     trace_dir: Optional[str],
-    profiler: Any,
+    phase: Callable[[str], ContextManager[Any]],
     guard: _InterruptGuard,
     finish: Any,
     on_failure: Any,
@@ -855,7 +859,7 @@ def _run_parallel(
                         _attempt_job, specs[index], attempt, policy, trace_dir
                     )
                     outstanding[future] = (index, attempt)
-                with profiler.section("engine"):
+                with phase("engine"):
                     finished, _ = wait(
                         list(outstanding), timeout=0.2,
                         return_when=FIRST_COMPLETED,

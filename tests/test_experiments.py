@@ -177,6 +177,33 @@ class TestMultihopJobParams:
             job_multihop_run(JobSpec.make("multihop_run", {"topology": "ring"}))
 
 
+class TestTable1CellJobParams:
+    VALID = {"m": 4, "n": 10, "seed": 3, "duration_s": 3.0, "initial_offset_us": 0.0}
+
+    @pytest.mark.parametrize("field", sorted(VALID))
+    def test_missing_field_names_it(self, field):
+        params = {k: v for k, v in self.VALID.items() if k != field}
+        with pytest.raises(ValueError) as exc:
+            execute_job(JobSpec.make("table1_cell", params))
+        assert str(exc.value) == f"table1_cell: missing job param(s) {field!r}"
+
+    def test_missing_fields_are_all_named(self):
+        with pytest.raises(ValueError) as exc:
+            execute_job(JobSpec.make("table1_cell", {"m": 4}))
+        assert str(exc.value) == (
+            "table1_cell: missing job param(s) "
+            "'n', 'seed', 'duration_s', 'initial_offset_us'"
+        )
+
+    def test_valid_spec_keeps_its_hash_and_runs(self):
+        spec = JobSpec.make("table1_cell", self.VALID, root_seed=3)
+        assert spec.spec_hash() == (
+            "bedd92a0c7ccce44d30625216a91e3710720299cf31be92f50e7fd59850ad421"
+        )
+        payload = execute_job(spec)
+        assert set(payload) == {"latency_us", "error_us"}
+
+
 class TestScenarioTraceJobParams:
     VALID = {
         "protocol": "sstsp", "lane": "oo", "scenario": "quick", "n": 5,

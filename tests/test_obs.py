@@ -20,15 +20,14 @@ import pytest
 
 import repro
 from repro.network.ibss import ScenarioSpec, build_sstsp_network
+from repro.sweep import JobSpec, SweepOptions, run_sweep
 from repro.obs import (
     EVENT_CATALOG,
     TRACE_SCHEMA_VERSION,
     HistogramSummary,
     MetricsRegistry,
-    NULL_PROFILER,
-    Profiler,
     RunObserver,
-    current_observer,
+    SpanProfiler,
     emit,
     merge_snapshots,
     observe_run,
@@ -50,22 +49,16 @@ class TestMetricsRegistry:
         reg.inc("beacons")
         reg.inc("beacons", by=2)
         reg.inc("beacons", node=3)
-        assert reg.counter("beacons") == 3
-        assert reg.counter("beacons", node=3) == 1
-        assert reg.counter_total("beacons") == 4
-        assert reg.counter("never") == 0
-
-    def test_counter_total_does_not_mix_prefixes(self):
-        reg = MetricsRegistry()
-        reg.inc("events.beacon_tx", node=1)
-        reg.inc("events.beacon_tx_retry", node=1)
-        assert reg.counter_total("events.beacon_tx") == 1
+        assert reg.snapshot()["counters"] == {"beacons": 3, "beacons|node=3": 1}
 
     def test_gauges_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("ref", 3.0)
-        reg.set_gauge("ref", 5.0)
-        assert reg.snapshot()["gauges"] == {"ref": 5.0}
+        # Registries record no gauges; run logs written before still
+        # carry them, and merging keeps the later write.
+        assert MetricsRegistry().snapshot()["gauges"] == {}
+        total: dict = {}
+        merge_snapshots(total, {"gauges": {"ref": 3.0}})
+        merge_snapshots(total, {"gauges": {"ref": 5.0}})
+        assert total["gauges"] == {"ref": 5.0}
 
     def test_histogram_summary(self):
         summary = HistogramSummary()
@@ -83,19 +76,18 @@ class TestMetricsRegistry:
 
     def test_len_counts_all_kinds(self):
         reg = MetricsRegistry()
-        reg.inc("c"), reg.set_gauge("g", 1.0), reg.observe("h", 1.0)
-        assert len(reg) == 3
+        reg.inc("c"), reg.observe("h", 1.0)
+        assert len(reg) == 2
 
     def test_merge_snapshots(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.inc("n", by=2), b.inc("n", by=3), b.inc("only_b")
-        a.set_gauge("g", 1.0), b.set_gauge("g", 9.0)
         a.observe("h", 1.0), b.observe("h", 5.0)
         total: dict = {}
         merge_snapshots(total, a.snapshot())
         merge_snapshots(total, b.snapshot())
         assert total["counters"] == {"n": 5, "only_b": 1}
-        assert total["gauges"] == {"g": 9.0}
+        assert total["gauges"] == {}
         assert total["histograms"]["h"] == {
             "count": 2, "sum": 6.0, "min": 1.0, "max": 5.0,
         }
@@ -104,14 +96,12 @@ class TestMetricsRegistry:
 class TestEventBus:
     def test_disabled_bus_is_noop(self):
         assert not tracing_enabled()
-        assert current_observer() is None
         emit("beacon_tx", t_us=1.0, node=0)  # must not raise, record nothing
         observe_value("x", 1.0)
 
     def test_observer_records_and_counts(self):
         with observe_run() as obs:
             assert tracing_enabled()
-            assert current_observer() is obs
             emit("guard_reject", t_us=10.0, node=2, diff_us=99.0)
             emit("coarse_done", node=2, samples=4)  # no t_us
             observe_value("guard.reject_excess_us", 7.0, node=2)
@@ -120,7 +110,9 @@ class TestEventBus:
         assert [e["event"] for e in obs.events] == ["guard_reject", "coarse_done"]
         assert obs.events[0]["seq"] == 1 and obs.events[1]["seq"] == 2
         assert "t_us" not in obs.events[1]
-        assert obs.registry.counter("events.guard_reject", node=2) == 1
+        assert obs.registry.snapshot()["counters"] == {
+            "events.coarse_done|node=2": 1, "events.guard_reject|node=2": 1,
+        }
         hist = obs.registry.snapshot()["histograms"]
         assert hist["guard.reject_excess_us|node=2"]["count"] == 1
 
@@ -140,7 +132,6 @@ class TestEventBus:
             emit("beacon_tx", t_us=1.0, node=0)
             with observe_run() as inner:
                 emit("beacon_rx", t_us=2.0, node=1)
-            assert current_observer() is outer
             emit("beacon_tx", t_us=3.0, node=0)
         assert [e["event"] for e in outer.events] == ["beacon_tx", "beacon_tx"]
         assert [e["event"] for e in inner.events] == ["beacon_rx"]
@@ -192,12 +183,12 @@ class TestEventBus:
 
 class TestProfiler:
     def test_sections_accumulate(self):
-        profiler = Profiler()
-        with profiler.section("cache"):
+        profiler = SpanProfiler()
+        with profiler.span("cache"):
             pass
-        with profiler.section("cache"):
+        with profiler.span("cache"):
             pass
-        with profiler.section("engine"):
+        with profiler.span("engine"):
             pass
         assert profiler.counts() == {"cache": 2, "engine": 1}
         totals = profiler.totals()
@@ -205,12 +196,32 @@ class TestProfiler:
         assert all(v >= 0.0 for v in totals.values())
         assert "cache" in profiler.format_summary()
 
-    def test_null_profiler_records_nothing(self):
-        with NULL_PROFILER.section("anything"):
-            pass
-        assert NULL_PROFILER.totals() == {}
-        assert not NULL_PROFILER.enabled
-        assert NULL_PROFILER.format_summary() == "no profiled sections"
+    def test_fresh_profiler_records_nothing(self):
+        profiler = SpanProfiler()
+        assert profiler.totals() == {}
+        assert profiler.counts() == {}
+        assert profiler.format_summary() == "no profiled sections"
+
+    def test_sweep_profile_times_its_phases_without_installing(self, tmp_path):
+        """``--profile`` times cache/engine/log on its own profiler; the
+        runners' spans (``singlehop.period`` …) stay off."""
+        spec = JobSpec.make(
+            "scenario_trace",
+            {"protocol": "sstsp", "lane": "oo", "scenario": "quick", "n": 5,
+             "seed": 2, "duration_s": 2.0},
+        )
+        log_path = tmp_path / "sweep.jsonl"
+        run_sweep(
+            "profiled",
+            [spec],
+            SweepOptions(
+                cache_dir=str(tmp_path / "cache"), log_path=str(log_path),
+                profile=True,
+            ),
+        )
+        end = json.loads(log_path.read_text().splitlines()[-1])
+        assert end["event"] == "sweep_end"
+        assert set(end["profile"]) == {"cache", "engine", "log"}
 
 
 class TestSchemaStability:

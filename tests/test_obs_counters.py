@@ -16,24 +16,23 @@ clock, and the Chrome trace-event export is schema-valid.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+from contextlib import ExitStack
 
 import numpy as np
+import pytest
 
 from repro.fastlane import run_sstsp_vectorized
 from repro.multihop.runner import MultiHopSpec, run_multihop
 from repro.multihop.topology import Topology
 from repro.network.ibss import ScenarioSpec, build_network
-from repro.obs import observe_run
+from repro.obs import emit, events, observe_run
 from repro.obs.counters import (
-    WORK_METRIC_PREFIX,
     WorkCounters,
     count,
     count_work,
-    counting_enabled,
-    counts_to_metrics,
-    current_counters,
     diff_counts,
     format_report,
     load_counts_json,
@@ -41,13 +40,7 @@ from repro.obs.counters import (
     work_lane,
     write_counts_json,
 )
-from repro.obs.profile import (
-    Profiler,
-    SpanProfiler,
-    profile_spans,
-    span,
-    span_profiling_enabled,
-)
+from repro.obs.profile import SpanProfiler, profile_spans, span
 from repro.obs.profilecli import main as profile_main
 from repro.sweep import JobSpec, SweepOptions, run_sweep
 
@@ -75,20 +68,19 @@ def _assert_bit_identical(a, b):
 
 class TestWorkCountersApi:
     def test_disabled_count_is_a_noop(self):
-        assert not counting_enabled()
-        assert current_counters() is None
+        assert events._SINK is None
         count("engine.heap_push")  # must not raise, must not record
         count("engine.heap_push", 100)
-        assert not counting_enabled()
+        assert events._SINK is None
 
     def test_count_work_installs_and_restores_the_sink(self):
         with count_work() as work:
-            assert counting_enabled()
-            assert current_counters() is work
+            assert events._SINK.work is work
             count("a")
             count("a", 2)
             count("b", 5)
-        assert not counting_enabled()
+        assert events._SINK is None
+        count("a")
         assert work.snapshot() == {"a": 3, "b": 5}
 
     def test_lanes_nest_and_the_innermost_owns_the_work(self):
@@ -110,15 +102,11 @@ class TestWorkCountersApi:
     def test_work_lane_without_a_sink_is_a_noop(self):
         with work_lane("fastlane/sstsp"):
             count("phy.per_draw")
-        assert not counting_enabled()
+        assert events._SINK is None
 
     def test_merge_diff_metrics_and_report(self):
         total = merge_counts({"a": 1}, {"a": 2, "b": 3})
         assert total == {"a": 3, "b": 3}
-        assert counts_to_metrics({"b": 3, "a": 1}) == {
-            f"{WORK_METRIC_PREFIX}a": 1,
-            f"{WORK_METRIC_PREFIX}b": 3,
-        }
         # absent keys diff as zero, identical tallies diff as empty
         assert diff_counts({"a": 1}, {"a": 1}) == []
         assert diff_counts({"a": 1, "b": 2}, {"a": 3}) == [
@@ -141,9 +129,31 @@ class TestWorkCountersApi:
         assert load_counts_json(one) == {"a": 1, "b": 2}
 
 
+#: lane -> zero-argument run of that lane's pinned spec.
+LANES = {
+    "oo": lambda: build_network("sstsp", SPEC).run(),
+    "vec": lambda: run_sstsp_vectorized(SPEC),
+    "multihop": lambda: run_multihop(MH_SPEC),
+}
+
+
+@pytest.fixture(scope="module")
+def lane_baselines():
+    """Per lane: the bare run and the counting-only tally."""
+    baselines = {}
+    for lane, run in LANES.items():
+        with count_work() as work:
+            run()
+        baselines[lane] = (run(), work.snapshot())
+    return baselines
+
+
 class TestCountingParity:
     """Counted runs are bit-identical to uncounted ones on every lane,
-    and the tally itself is deterministic."""
+    and the tally itself is deterministic. The matrix case extends this
+    to every on/off combination of tracing, counting and spans: each
+    leaves every lane bit-identical, and the tally does not depend on
+    which other instruments are on."""
 
     def test_oo_lane_bit_identical_with_counting(self):
         plain = build_network("sstsp", SPEC).run()
@@ -196,6 +206,85 @@ class TestCountingParity:
             )
         assert snapshots[0] == snapshots[1]
 
+    @pytest.mark.parametrize("lane", sorted(LANES))
+    @pytest.mark.parametrize(
+        "tracing, counting, spans",
+        list(itertools.product((False, True), repeat=3)),
+        ids=lambda on: "on" if on else "off",
+    )
+    def test_every_instrument_combination_is_bit_identical(
+        self, lane, tracing, counting, spans, lane_baselines
+    ):
+        plain, tally = lane_baselines[lane]
+        with ExitStack() as stack:
+            obs = stack.enter_context(observe_run()) if tracing else None
+            work = stack.enter_context(count_work()) if counting else None
+            profiler = stack.enter_context(profile_spans()) if spans else None
+            result = LANES[lane]()
+        assert events._SINK is None
+        _assert_bit_identical(plain.trace, result.trace)
+        if lane == "multihop":
+            assert plain.per_hop_error_us == result.per_hop_error_us
+        if obs is not None:
+            assert obs.event_count > 0
+        if work is not None:
+            assert work.snapshot() == tally
+        if profiler is not None and lane != "vec":
+            assert profiler.counts(), "runner opened no spans"
+
+
+class TestSlotNesting:
+    """Scopes swap only their own facet, inherit the others, and restore
+    the previous slot in either nesting order, exceptions included."""
+
+    ORDERS = {"spans_outside": (profile_spans, count_work),
+              "counts_outside": (count_work, profile_spans)}
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_nesting_restores_the_previous_slot(self, order):
+        outer_cm, inner_cm = self.ORDERS[order]
+        with observe_run() as obs:
+            top = events._SINK
+            with outer_cm():
+                middle = events._SINK
+                with inner_cm():
+                    inner = events._SINK
+                    assert inner.trace is obs
+                    assert inner.work is not None and inner.spans is not None
+                    with span("phase"):
+                        count("site")
+                        emit("coarse_retry", node=0, samples=1, survivors=0)
+                assert events._SINK is middle
+            assert events._SINK is top
+        assert events._SINK is None
+        assert obs.event_count == 1
+        assert inner.work.snapshot() == {"site": 1}
+        assert inner.spans.counts() == {"phase": 1}
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_exception_restores_the_previous_slot(self, order):
+        outer_cm, inner_cm = self.ORDERS[order]
+        with pytest.raises(RuntimeError):
+            with outer_cm(), inner_cm():
+                raise RuntimeError("boom")
+        assert events._SINK is None
+
+    def test_manual_enter_exit_with_an_exception(self):
+        """The entry points driven by hand, spans then counts, exited in
+        reverse with the exception's info."""
+        spans, counts = profile_spans(), count_work()
+        spans.__enter__()
+        work = counts.__enter__()
+        count("site")
+        try:
+            raise RuntimeError("boom")
+        except RuntimeError as exc:
+            exc_info = (type(exc), exc, exc.__traceback__)
+        for context in (counts, spans):
+            assert not context.__exit__(*exc_info)
+        assert events._SINK is None
+        assert work.snapshot() == {"site": 1}
+
 
 class TestSweepWorkMetrics:
     """The orchestrator folds per-job work counters into the observed
@@ -222,7 +311,7 @@ class TestSweepWorkMetrics:
         return {
             key: value
             for key, value in end["metrics"]["counters"].items()
-            if key.startswith(WORK_METRIC_PREFIX)
+            if key.startswith("work.")
         }
 
     def test_work_rolls_up_identically_across_worker_counts(self, tmp_path):
@@ -241,7 +330,7 @@ class TestSweepWorkMetrics:
             tallies[workers] = self._sweep_end_work(log_path)
         assert tallies[1], "sweep_end carries no work counters"
         assert any(
-            key.startswith(f"{WORK_METRIC_PREFIX}fastlane/sstsp/")
+            key.startswith("work.fastlane/sstsp/")
             for key in tallies[1]
         )
         assert tallies[1] == tallies[4]
@@ -278,7 +367,7 @@ class TestSpanProfiler:
             "name": "inner", "count": 1, "total_s": 2.0, "self_s": 2.0,
             "children": [],
         }
-        # the flat Profiler view keeps working on a span profiler
+        # the per-name views sum the span nodes
         assert profiler.totals() == {"inner": 2.0, "outer": 5.0}
         assert profiler.counts() == {"inner": 1, "outer": 2}
         assert "outer" in profiler.format_tree()
@@ -317,14 +406,14 @@ class TestSpanProfiler:
         assert payload["traceEvents"][0]["name"] == "a"
 
     def test_free_span_is_a_noop_until_installed(self):
-        assert not span_profiling_enabled()
+        assert events._SINK is None
         with span("anything"):
             pass  # no profiler installed: must not record or raise
         with profile_spans() as profiler:
-            assert span_profiling_enabled()
+            assert events._SINK.spans is profiler
             with span("phase"):
                 pass
-        assert not span_profiling_enabled()
+        assert events._SINK is None
         assert profiler.counts() == {"phase": 1}
 
     def test_runner_spans_reach_the_installed_profiler(self):
@@ -339,9 +428,11 @@ class TestSpanProfiler:
         assert "multihop.period/multihop.receptions" in sorted(paths)
 
     def test_format_summary_handles_zero_and_absent_wall(self):
-        profiler = Profiler()
+        clock = _FakeClock()
+        profiler = SpanProfiler(clock=clock)
         assert profiler.format_summary() == "no profiled sections"
-        profiler.add("engine", 1.5)
+        with profiler.span("engine"):
+            clock.now = 1.5
         assert profiler.format_summary() == "engine 1.50s"
         # wall_s=0.0 is a real value (a sub-resolution sweep), not
         # "absent": it must neither divide by zero nor show percentages
