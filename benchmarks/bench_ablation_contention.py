@@ -25,8 +25,8 @@ def _simulate(n_nodes: int, skew_spread_us: float, rng: np.random.Generator):
     for _ in range(N_WINDOWS):
         slots = draw_slots(list(range(n_nodes)), w=30, rng=rng)
         skews = rng.uniform(-skew_spread_us, skew_spread_us, size=n_nodes)
-        candidates = [(i, s * 9.0 + skews[i]) for i, s in slots.items()]
-        if resolve_contention(candidates, 63.0, 9.0).winner is not None:
+        times = [s * 9.0 + skews[i] for i, s in slots.items()]
+        if resolve_contention(list(slots), times, 63.0, 9.0).first_success is not None:
             cascade_wins += 1
         if resolve_slotted(slots)[0] is not None:
             slotted_wins += 1
@@ -65,6 +65,6 @@ def test_cascade_throughput(benchmark):
     rng = np.random.default_rng(3)
     slots = draw_slots(list(range(500)), w=30, rng=rng)
     skews = rng.uniform(-200, 200, size=500)
-    candidates = [(i, s * 9.0 + skews[i]) for i, s in slots.items()]
-    result = benchmark(lambda: resolve_contention(candidates, 63.0, 9.0))
-    assert result.transmissions or result.cancelled
+    times = [s * 9.0 + skews[i] for i, s in slots.items()]
+    result = benchmark(lambda: resolve_contention(list(slots), times, 63.0, 9.0))
+    assert result.transmissions

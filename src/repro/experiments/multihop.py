@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from repro.sweep import (
     run_sweep,
     sweep_options_from_args,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - imported lazily at run time
+    from repro.multihop.runner import MultiHopSpec
 
 #: The default scenario grid: one row per topology shape the multi-hop
 #: tests and benchmarks exercise. ``duration_s`` values keep a cold serial
@@ -118,21 +121,30 @@ def _build_topology(params: Mapping[str, Any], job: JobSpec):
     )
 
 
-def job_multihop_run(job: JobSpec) -> Dict[str, Any]:
-    """Execute one multi-hop scenario; returns a flat, picklable payload."""
-    from repro.multihop.runner import MultiHopSpec, run_multihop
+def build_multihop_spec(job: JobSpec) -> Tuple[Dict[str, Any], "MultiHopSpec"]:
+    """The job's params and the :class:`MultiHopSpec` they describe: the
+    topology from :func:`_build_topology`, the ``_SPEC_PASSTHROUGH``
+    fields verbatim."""
+    from repro.multihop.runner import MultiHopSpec
 
     params = job.params_dict()
     topology = _build_topology(params, job)
     overrides = {
         key: params[key] for key in _SPEC_PASSTHROUGH if key in params
     }
-    spec = MultiHopSpec(topology=topology, **overrides)
+    return params, MultiHopSpec(topology=topology, **overrides)
+
+
+def job_multihop_run(job: JobSpec) -> Dict[str, Any]:
+    """Execute one multi-hop scenario; returns a flat, picklable payload."""
+    from repro.multihop.runner import run_multihop
+
+    params, spec = build_multihop_spec(job)
     result = run_multihop(spec)
     trace = result.trace
     return {
         "name": params.get("name", job.kind),
-        "nodes": topology.n,
+        "nodes": spec.topology.n,
         "root": result.root,
         "root_changes": result.root_changes,
         "beacons_sent": result.beacons_sent,

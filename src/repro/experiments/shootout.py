@@ -80,22 +80,19 @@ def convergence_time_s(
 def job_shootout_run(job: JobSpec) -> Dict[str, Any]:
     """Execute one (protocol, scenario, replica) cell.
 
-    Mirrors :func:`repro.experiments.multihop.job_multihop_run` (the
-    ``protocol`` param rides through ``_SPEC_PASSTHROUGH`` into
-    ``MultiHopSpec``) but keeps the result object in hand so the overhead
+    Builds its spec with
+    :func:`repro.experiments.multihop.build_multihop_spec`, as
+    ``job_multihop_run`` does (the ``protocol`` param rides through
+    ``_SPEC_PASSTHROUGH`` into ``MultiHopSpec``), but keeps the result object in hand so the overhead
     and convergence columns come from the same run — nothing re-executes.
     """
-    from repro.multihop.runner import MultiHopSpec, run_multihop
+    from repro.multihop.runner import run_multihop
     from repro.protocols.multihop_base import resolve_multihop_protocol
 
-    from repro.experiments.multihop import _SPEC_PASSTHROUGH, _build_topology
+    from repro.experiments.multihop import build_multihop_spec
 
-    params = job.params_dict()
-    topology = _build_topology(params, job)
-    overrides = {
-        key: params[key] for key in _SPEC_PASSTHROUGH if key in params
-    }
-    spec = MultiHopSpec(topology=topology, **overrides)
+    params, spec = build_multihop_spec(job)
+    topology = spec.topology
     result = run_multihop(spec)
     trace = result.trace
     protocol_cls = resolve_multihop_protocol(spec.protocol)

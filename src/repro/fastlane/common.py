@@ -8,6 +8,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.clocks.population import ClockPopulation
+from repro.mac.contention import resolve_contention
 from repro.network.churn import ChurnApplier, ChurnSchedule
 from repro.network.ibss import ScenarioSpec
 from repro.sim.rng import RngRegistry
@@ -116,50 +117,17 @@ class ChurnDriver:
         )
 
 
-def unique_min_slot_winner(
-    slots: np.ndarray, contenders: np.ndarray
-) -> Tuple[Optional[int], bool]:
-    """Vectorised "unique minimum slot wins" rule.
-
-    Parameters
-    ----------
-    slots:
-        Slot draw per node (only entries where ``contenders`` is True are
-        meaningful).
-    contenders:
-        Boolean mask of contending nodes.
-
-    Returns
-    -------
-    (winner, collided):
-        Winner index or None; whether the minimum slot was contested.
-
-    Notes
-    -----
-    This rule is kept for ablation (``bench_ablation_contention``): with
-    exact slot ties it under-estimates beacon successes badly at large N
-    (every election collides forever), which is why the engines use
-    :func:`resolve_window` - the carrier-sense cascade over skew-exact
-    times - by default.
-    """
-    idx = np.flatnonzero(contenders)
-    if idx.size == 0:
-        return None, False
-    contender_slots = slots[idx]
-    min_slot = contender_slots.min()
-    holders = idx[contender_slots == min_slot]
-    if holders.size == 1:
-        return int(holders[0]), False
-    return None, True
-
-
 def resolve_window(
     ids: np.ndarray,
     times: np.ndarray,
     airtime_us: float,
     cca_us: float,
 ) -> Tuple[Optional[int], Optional[float], int]:
-    """Run the reference-lane contention cascade over vectorised candidates.
+    """Run the shared contention cascade over vectorised candidates.
+
+    A thin adapter: the arrays go straight to
+    :func:`repro.mac.contention.resolve_contention`, the one cascade both
+    lanes share, and the window ends at its first success.
 
     Parameters
     ----------
@@ -176,13 +144,9 @@ def resolve_window(
         transmission (deferrals may shift it), and the number of collided
         transmissions in the window.
     """
-    from repro.mac.contention import resolve_contention
-
     if ids.size == 0:
         return None, None, 0
-    result = resolve_contention(
-        list(zip(ids.tolist(), times.tolist())), airtime_us, cca_us
-    )
+    result = resolve_contention(ids, times, airtime_us, cca_us)
     success = result.first_success
     if success is None:
         return None, None, result.collisions

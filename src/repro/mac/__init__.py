@@ -5,7 +5,7 @@ Target Beacon Transmission Time every competing station draws a uniform
 slot delay in ``[0, w]`` slot times, transmits when its timer expires
 unless it received a beacon first, and defers while the medium is busy.
 :mod:`repro.mac.contention` resolves one window's worth of candidate
-transmissions into successes, collisions and cancellations on the real
+transmissions into collisions and the first success on the real
 (clock-skew-aware) time axis.
 """
 

@@ -1,13 +1,14 @@
 """Beacon-window contention resolution.
 
 One beacon window is resolved on the real time axis: every candidate
-``(station, scheduled_tx_time)`` - the time its backoff timer expires as
-measured in *true* time, so clock skew between stations is honoured - is
-processed in time order under three rules:
+station, with its scheduled transmission time - the time its backoff
+timer expires as measured in *true* time, so clock skew between stations
+is honoured - is walked in time order under three rules:
 
 1. **Cancel on reception** (802.11 TSF rule): a station whose timer expires
    at or after the end of an earlier *successful* transmission cancels its
-   pending beacon.
+   pending beacon. The window is therefore over at the first success, and
+   the walk stops there.
 2. **Carrier sense**: a station whose timer expires while the medium is
    busy, but more than ``cca_us`` after the busy transmission started,
    defers to the end of the busy period.
@@ -19,24 +20,22 @@ This cascade allows several transmissions per window (collision, then a
 retry group, then possibly a late success), matching the behaviour TSF
 scalability studies model, and degenerates to the classic
 "unique-minimum-slot wins" rule when all stations share one perfect clock.
-A slot-granular shortcut of that rule (:func:`resolve_slotted`) is provided
-for the vectorised fast lane.
+Both lanes call the one cascade: the OO runner directly, the vectorised
+fast lane through :func:`repro.fastlane.common.resolve_window`. The
+slot-granular rule itself (:func:`resolve_slotted`) is kept for the
+contention ablation.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.counters import count
 from repro.obs.events import emit
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -55,25 +54,16 @@ class Transmission:
 
 @dataclass
 class ContentionResult:
-    """Outcome of one beacon window."""
+    """Outcome of one beacon window: its transmissions, in start order,
+    up to and including the first success."""
 
     transmissions: List[Transmission] = field(default_factory=list)
-    cancelled: List[int] = field(default_factory=list)
-
-    @property
-    def winner(self) -> Optional[int]:
-        """Station whose beacon was successfully transmitted first, if any."""
-        for tx in self.transmissions:
-            if tx.success:
-                return tx.members[0]
-        return None
 
     @property
     def first_success(self) -> Optional[Transmission]:
-        """The first successful transmission, if any."""
-        for tx in self.transmissions:
-            if tx.success:
-                return tx
+        """The first successful transmission, if any (always the last one)."""
+        if self.transmissions and self.transmissions[-1].success:
+            return self.transmissions[-1]
         return None
 
     @property
@@ -83,7 +73,8 @@ class ContentionResult:
 
 
 def resolve_contention(
-    candidates: Sequence[Tuple[int, float]],
+    ids: Sequence[int],
+    times: Sequence[float],
     airtime_us: float,
     cca_us: float,
 ) -> ContentionResult:
@@ -91,9 +82,10 @@ def resolve_contention(
 
     Parameters
     ----------
-    candidates:
-        ``(station, scheduled_tx_true_time_us)`` pairs; a station appears at
-        most once.
+    ids, times:
+        Parallel sequences (lists or arrays): candidate stations and their
+        scheduled transmission true times in us. A station appears at most
+        once; equal times keep input order.
     airtime_us:
         Time one beacon occupies the medium.
     cca_us:
@@ -108,71 +100,67 @@ def resolve_contention(
     """
     if airtime_us <= 0 or cca_us <= 0:
         raise ValueError("airtime_us and cca_us must be > 0")
-    seen = set()
-    for station, _ in candidates:
-        if station in seen:
-            raise ValueError(f"station {station} listed twice in contention")
-        seen.add(station)
-
-    counter = itertools.count()
-    heap: List[Tuple[float, int, int]] = []
-    for station, t in candidates:
-        heapq.heappush(heap, (float(t), next(counter), station))
-    count("mac.contention_round")
-    count("mac.contention_candidates", len(candidates))
-
-    result = ContentionResult()
-    cur_start: Optional[float] = None
-    cur_end = 0.0
-    cur_members: List[int] = []
-    success_done_at: Optional[float] = None
-
-    def close_group() -> None:
-        nonlocal cur_start, cur_members, success_done_at
-        if cur_start is None:
-            return
-        tx = Transmission(cur_start, cur_end, tuple(cur_members))
-        result.transmissions.append(tx)
-        if tx.success and success_done_at is None:
-            success_done_at = tx.end_us
-        cur_start = None
-        cur_members = []
-
-    while heap:
-        t, _, station = heapq.heappop(heap)
-        if cur_start is not None and t >= cur_end:
-            close_group()
-        if success_done_at is not None and t >= success_done_at:
-            result.cancelled.append(station)
-            continue
-        if cur_start is None:
-            cur_start = t
-            cur_end = t + airtime_us
-            cur_members = [station]
-        elif t - cur_start < cca_us:
-            cur_members.append(station)  # inside vulnerability window: collision
-        else:
-            # Medium sensed busy: defer to the end of the busy period.
-            heapq.heappush(heap, (cur_end, next(counter), station))
-    close_group()
-    first = result.first_success
-    if first is not None:
-        emit(
-            "contention_win",
-            t_us=first.start_us,
-            node=first.members[0],
-            contenders=len(candidates),
-            collisions=result.collisions,
+    if len(ids) != len(times):
+        raise ValueError(
+            f"ids has {len(ids)} entries but times has {len(times)}"
         )
+    time_arr = np.asarray(times, dtype=float)
+    order = np.argsort(time_arr, kind="stable")
+    id_list = np.asarray(ids)[order].tolist()
+    time_list = time_arr[order].tolist()
+    n = len(id_list)
+    if len(set(id_list)) != n:
+        seen = set()
+        for station in id_list:
+            if station in seen:
+                raise ValueError(f"station {station} listed twice in contention")
+            seen.add(station)
+    count("mac.contention_round")
+    count("mac.contention_candidates", n)
+
+    # Walk the sorted candidates; ``deferred`` holds the stations that
+    # sensed the current transmission and wait for its end, when they all
+    # start together (after any candidate timed exactly at that end).
+    result = ContentionResult()
+    deferred: List[int] = []
+    end = 0.0
+    i = 0
+    while i < n or deferred:
+        start = end if deferred else time_list[i]
+        end = start + airtime_us
+        members = []
+        while i < n and time_list[i] <= start:
+            members.append(id_list[i])
+            i += 1
+        members += deferred
+        deferred = []
+        while i < n and time_list[i] < end:
+            if time_list[i] - start < cca_us:
+                members.append(id_list[i])  # inside vulnerability window: collision
+            else:
+                deferred.append(id_list[i])  # medium sensed busy
+            i += 1
+        tx = Transmission(start, end, tuple(members))
+        result.transmissions.append(tx)
+        if tx.success:
+            # Every later candidate hears this beacon and cancels.
+            emit(
+                "contention_win",
+                t_us=start,
+                node=members[0],
+                contenders=n,
+                collisions=result.collisions,
+            )
+            break
     return result
 
 
 def partition_domains(
-    candidates: Sequence[T],
+    ids: Sequence[int],
+    times: Sequence[float],
     member_ids: Sequence[int],
     groups: Optional[Dict[int, int]],
-    candidate_id: Callable[[T], int] = lambda c: c[0],  # type: ignore[index]
-) -> List[Tuple[List[T], List[int]]]:
+) -> List[Tuple[List[int], List[float], List[int]]]:
     """Split one beacon window into independent hearing domains.
 
     ``groups`` maps node id -> partition group (a network-partition
@@ -180,19 +168,19 @@ def partition_domains(
     in a single domain. Nodes missing from ``groups`` are isolated from
     every listed group (they match no group id), mirroring how a
     physical partition silences stragglers. Returns
-    ``(domain_candidates, domain_member_ids)`` pairs in sorted group
-    order; each domain runs its own contention cascade, which is how
-    two references can coexist until the network heals.
+    ``(domain_ids, domain_times, domain_member_ids)`` triples in sorted
+    group order; each domain runs its own contention cascade, which is
+    how two references can coexist until the network heals.
     """
     if groups is None:
-        return [(list(candidates), list(member_ids))]
-    domains: List[Tuple[List[T], List[int]]] = []
+        return [(list(ids), list(times), list(member_ids))]
+    domains: List[Tuple[List[int], List[float], List[int]]] = []
     for group in sorted(set(groups.values())):
         members = [nid for nid in member_ids if groups.get(nid) == group]
-        domain_candidates = [
-            c for c in candidates if groups.get(candidate_id(c)) == group
-        ]
-        domains.append((domain_candidates, members))
+        inside = [k for k, nid in enumerate(ids) if groups.get(nid) == group]
+        domains.append(
+            ([ids[k] for k in inside], [times[k] for k in inside], members)
+        )
     return domains
 
 
@@ -201,10 +189,9 @@ class NeighborhoodResult:
     """Outcome of spatial carrier sensing over one beacon window."""
 
     #: ``(station, start_time)`` of every transmission that went on air,
-    #: in start-time order.
+    #: in start-time order; every other candidate sensed the medium busy
+    #: and cancelled.
     kept: List[Tuple[int, float]] = field(default_factory=list)
-    #: Stations that sensed the medium busy and cancelled.
-    cancelled: List[int] = field(default_factory=list)
 
 
 def resolve_neighborhood(
@@ -240,7 +227,6 @@ def resolve_neighborhood(
     busy_until: Dict[int, float] = {}
     for station, start in sorted(candidates, key=lambda c: c[1]):
         if busy_until.get(station, -math.inf) > start:
-            result.cancelled.append(station)
             continue
         result.kept.append((station, start))
         emit(
@@ -280,9 +266,8 @@ def resolve_slotted(slots: Dict[int, int]) -> Tuple[Optional[int], bool]:
 
     Returns ``(winner, collided)``: ``winner`` is the station holding the
     unique smallest slot or None; ``collided`` is True when two or more
-    stations shared the smallest slot (no beacon that window). This is the
-    approximation the vectorised fast lane uses; the cascade above is the
-    reference behaviour.
+    stations shared the smallest slot (no beacon that window). Only the
+    contention ablation uses it; both lanes run the cascade above.
     """
     if not slots:
         return None, False

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
 
 from repro.analysis.metrics import TraceRecorder, SyncTrace
-from repro.mac.contention import ContentionResult, partition_domains, resolve_contention
+from repro.mac.contention import partition_domains, resolve_contention
 from repro.obs.counters import work_lane
 from repro.obs.events import emit, tracing_enabled
 from repro.obs.profile import span
@@ -213,17 +213,19 @@ class NetworkRunner:
             if type(protocol).on_period_time is not _NO_PERIOD_TIME:
                 protocol.on_period_time(period, node.hw.read(now))
 
-        candidates = []
+        cand_ids = []
+        cand_times = []
         for node in active:
             intent = node.protocol.begin_period(period)
             if intent is None:
                 continue
-            candidates.append((node.node_id, node.scheduled_true_time(intent)))
+            cand_ids.append(node.node_id)
+            cand_times.append(node.scheduled_true_time(intent))
 
         # A partition splits carrier sensing as well as delivery: each
         # group resolves its own beacon window.
         domains = partition_domains(
-            candidates, [node.node_id for node in active], partition
+            cand_ids, cand_times, [node.node_id for node in active], partition
         )
 
         airtime = self.params.beacon_airtime_slots * self.phy.slot_time_us
@@ -231,16 +233,14 @@ class NetworkRunner:
         received_ids = set()
         winner_ids = set()
         success_starts = []
-        for group_candidates, members in domains:
-            if group_candidates:
-                self._windows += 1
-                with span("singlehop.contention"):
-                    result = resolve_contention(
-                        group_candidates, airtime, self.phy.cca_us
-                    )
-            else:
-                result = ContentionResult()
-
+        for group_ids, group_times, members in domains:
+            if not group_ids:
+                continue
+            self._windows += 1
+            with span("singlehop.contention"):
+                result = resolve_contention(
+                    group_ids, group_times, airtime, self.phy.cca_us
+                )
             for tx in result.transmissions:
                 transmitted_ids.update(tx.members)
                 if not tx.success:

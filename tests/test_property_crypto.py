@@ -92,41 +92,48 @@ class TestContentionProperties:
         unique=True,
     )
 
+    @staticmethod
+    def resolve(times, airtime=36.0):
+        return resolve_contention(
+            list(range(len(times))), times, airtime_us=airtime, cca_us=9.0
+        )
+
     @given(times=times)
     @settings(max_examples=100)
     def test_at_most_one_success(self, times):
-        candidates = [(i, t) for i, t in enumerate(times)]
-        result = resolve_contention(candidates, airtime_us=36.0, cca_us=9.0)
+        result = self.resolve(times)
         successes = [tx for tx in result.transmissions if tx.success]
         assert len(successes) <= 1
 
     @given(times=times)
     @settings(max_examples=100)
     def test_every_candidate_accounted_once(self, times):
-        candidates = [(i, t) for i, t in enumerate(times)]
-        result = resolve_contention(candidates, airtime_us=36.0, cca_us=9.0)
+        result = self.resolve(times)
         transmitted = [m for tx in result.transmissions for m in tx.members]
-        accounted = sorted(transmitted + result.cancelled)
-        assert accounted == sorted(i for i, _ in candidates)
+        # transmitted members are distinct candidates
+        assert len(transmitted) == len(set(transmitted))
+        assert set(transmitted) <= set(range(len(times)))
+        # with no success, every candidate transmitted
+        if result.first_success is None:
+            assert sorted(transmitted) == list(range(len(times)))
 
     @given(times=times)
     @settings(max_examples=100)
     def test_nobody_cancelled_before_first_success(self, times):
-        candidates = [(i, t) for i, t in enumerate(times)]
-        result = resolve_contention(candidates, airtime_us=36.0, cca_us=9.0)
+        result = self.resolve(times)
         success = result.first_success
-        by_id = dict(candidates)
+        transmitted = {m for tx in result.transmissions for m in tx.members}
+        untransmitted = [i for i in range(len(times)) if i not in transmitted]
         if success is None:
-            assert result.cancelled == []
+            assert untransmitted == []
         else:
-            for station in result.cancelled:
-                assert by_id[station] >= success.start_us
+            for station in untransmitted:
+                assert times[station] >= success.start_us
 
     @given(times=times, airtime=st.floats(min_value=1.0, max_value=100.0))
     @settings(max_examples=100)
     def test_transmissions_never_overlap(self, times, airtime):
-        candidates = [(i, t) for i, t in enumerate(times)]
-        result = resolve_contention(candidates, airtime_us=airtime, cca_us=9.0)
+        result = self.resolve(times, airtime)
         spans = sorted(
             (tx.start_us, tx.end_us) for tx in result.transmissions
         )
@@ -137,5 +144,5 @@ class TestContentionProperties:
         lone=st.floats(min_value=0.0, max_value=1000.0),
     )
     def test_single_candidate_always_wins(self, lone):
-        result = resolve_contention([(7, lone)], 36.0, 9.0)
-        assert result.winner == 7
+        result = resolve_contention([7], [lone], 36.0, 9.0)
+        assert result.first_success.members == (7,)
