@@ -24,7 +24,7 @@ sync re-acquisition does) is immediately visible through the chain.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.clocks.adjusted import AdjustedClock
 from repro.clocks.oscillator import HardwareClock
@@ -67,6 +67,27 @@ class ClockChain:
         count("clock.true_at_adjusted")
         hw_value = (value - self.adjusted.b) / self.adjusted.k
         return self.hw.true_time_at(hw_value)
+
+
+def adjusted_at_all(chains: Sequence[ClockChain], true_time: float) -> List[float]:
+    """:meth:`ClockChain.adjusted_at` of every chain at one true time.
+
+    Each value is ``k * (initial_offset + rate * true_time) + b`` over the
+    chain's live oscillator and active segment, the same operations in
+    the same order as the single read, so the results are bit-identical;
+    ``clock.adjusted_at`` is counted once per chain.
+    """
+    if not chains:
+        return []
+    count("clock.adjusted_at", len(chains))
+    values = []
+    for chain in chains:
+        hw = chain.hw
+        adjusted = chain.adjusted
+        values.append(
+            adjusted.k * (hw.initial_offset + hw.rate * true_time) + adjusted.b
+        )
+    return values
 
 
 def invert_affine_fixed_point(

@@ -627,7 +627,8 @@ class RngAcrossSeam(Rule):
 
     The multi-hop seam contract (PR 8) is that protocol state is
     RNG-free: all stochastic inputs arrive through
-    ``MultiHopContext.slot_rng`` / ``sample_timestamp_error``, keyed by
+    ``MultiHopContext.slot_rng`` / ``sample_timestamp_error`` /
+    ``sample_timestamp_errors``, keyed by
     (period, slot, node), so per-node draw streams are independent of
     protocol implementation and beacon arrival order. A protocol that
     accepts or stores a generator re-couples its draws to call order.
@@ -639,7 +640,7 @@ class RngAcrossSeam(Rule):
         "Multi-hop protocol state holding its own generator couples draw "
         "streams to message-processing order, breaking cross-protocol parity "
         "of environment noise; draw through ctx.slot_rng / "
-        "ctx.sample_timestamp_error instead."
+        "ctx.sample_timestamp_error / ctx.sample_timestamp_errors instead."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -663,7 +664,7 @@ class RngAcrossSeam(Rule):
                             arg,
                             f"parameter '{arg.arg}' passes an RNG across the "
                             "protocol-driver seam — draw through ctx.slot_rng "
-                            "/ ctx.sample_timestamp_error instead",
+                            "/ ctx.sample_timestamp_error(s) instead",
                         )
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (

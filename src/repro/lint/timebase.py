@@ -56,6 +56,7 @@ CALL_RETURN_UNITS: Dict[str, str] = {
     "synchronized_time": "us",
     "scheduled_true_time": "us",
     "sample_timestamp_error": "us",
+    "sample_timestamp_errors": "us",
     "invert_affine_fixed_point": "us",
 }
 

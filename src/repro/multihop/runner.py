@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.analysis.metrics import SyncTrace, TraceRecorder
 from repro.clocks.adjusted import AdjustedClock
-from repro.clocks.chain import ClockChain
+from repro.clocks.chain import ClockChain, adjusted_at_all
 from repro.clocks.population import ClockPopulation
 from repro.core.config import SstspConfig
 from repro.mac.contention import resolve_neighborhood
@@ -67,7 +67,7 @@ from repro.network.ibss import ScenarioSpec
 from repro.network.node import Node
 from repro.network.runner import NetworkRunner, RunnerParams
 from repro.obs.counters import work_lane
-from repro.obs.events import emit
+from repro.obs.events import emit, tracing_enabled
 from repro.obs.profile import span
 from repro.phy.channel import SpatialBroadcastChannel
 from repro.phy.params import PhyParams
@@ -137,11 +137,40 @@ class MultiHopSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= self.root < self.topology.n:
-            raise ValueError("root must be a topology node")
+            raise ValueError(
+                f"root must be a topology node in [0, {self.topology.n}), "
+                f"got {self.root} (topology n={self.topology.n})"
+            )
+        if self.beacon_period_us <= 0:
+            raise ValueError(
+                f"beacon_period_us must be > 0, got {self.beacon_period_us}"
+            )
+        if self.periods < 1:
+            raise ValueError(
+                f"duration_s must cover at least one beacon period, got "
+                f"{self.duration_s} s ({self.periods} periods of "
+                f"{self.beacon_period_us} us)"
+            )
         if not 0.0 < self.relay_probability <= 1.0:
-            raise ValueError("relay_probability must be in (0, 1]")
+            raise ValueError(
+                f"relay_probability must be in (0, 1], got {self.relay_probability}"
+            )
         if self.hop_stride_slots < 1:
-            raise ValueError("hop_stride_slots must be >= 1")
+            raise ValueError(
+                f"hop_stride_slots must be >= 1, got {self.hop_stride_slots}"
+            )
+        for name in ("m", "l", "resync_after_periods"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.guard_fine_us <= 0:
+            raise ValueError(f"guard_fine_us must be > 0, got {self.guard_fine_us}")
+        if self.guard_per_hop_us < 0:
+            raise ValueError(
+                f"guard_per_hop_us must be >= 0, got {self.guard_per_hop_us}"
+            )
+        if not 0.0 < self.k_clamp < 1.0:
+            raise ValueError(f"k_clamp must be in (0, 1), got {self.k_clamp}")
         # Resolving also validates the protocol name.
         protocol_cls = resolve_multihop_protocol(self.protocol)
         if self.beacon_airtime_slots is None:
@@ -151,7 +180,9 @@ class MultiHopSpec:
         if self.hop_stride_slots <= self.airtime_slots:
             raise ValueError(
                 "hop_stride_slots must exceed beacon_airtime_slots: adjacent "
-                "hop segments would overlap on the air"
+                f"hop segments would overlap on the air (got "
+                f"hop_stride_slots={self.hop_stride_slots}, "
+                f"beacon_airtime_slots={self.airtime_slots})"
             )
         if self.loss_model not in _LOSS_MODELS:
             raise ValueError(f"unknown loss model {self.loss_model!r}")
@@ -265,9 +296,8 @@ class MultiHopRunner:
                 spec.airtime_slots * spec.slot_time_us
                 + spec.propagation_delay_us
             ),
-            sample_timestamp_error=self.channel.sample_timestamp_error,
-            state_of=self._state,
-            is_present=lambda node_id: self._by_id[node_id].present,
+            channel=self.channel,
+            nodes=self.nodes,
         )
         self.root = spec.root
         self._state(self.root).hop = 0
@@ -303,9 +333,6 @@ class MultiHopRunner:
 
     def _state(self, node_id: int) -> MultiHopProtocol:
         return self._by_id[node_id].protocol
-
-    def _adjusted_at(self, node_id: int, true_time: float) -> float:
-        return self._state(node_id).chain.adjusted_at(true_time)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -502,9 +529,8 @@ class MultiHopRunner:
         spec = self.spec
         nominal = period * spec.beacon_period_us
         out: List[MultiHopFrame] = []
-        self.ctx.root = self.root
-        self.ctx.orphan_election = (
-            self.root < 0 or not self._by_id[self.root].present
+        self.ctx.new_period(
+            self.root, self.root < 0 or not self._by_id[self.root].present
         )
         for i in range(self.n):
             node = self._by_id[i]
@@ -547,15 +573,16 @@ class MultiHopRunner:
         )
         self.beacons_sent += len(result.kept)
         kept = [by_sender[sender] for sender, _start in result.kept]
-        for tx in kept:
-            emit(
-                "beacon_tx",
-                t_us=tx.tx_true,
-                node=tx.sender,
-                period=tx.interval,
-                hop=tx.hop,
-                proto=self.protocol_name,
-            )
+        if tracing_enabled():
+            for tx in kept:
+                emit(
+                    "beacon_tx",
+                    t_us=tx.tx_true,
+                    node=tx.sender,
+                    period=tx.interval,
+                    hop=tx.hop,
+                    proto=self.protocol_name,
+                )
         return kept
 
     def _resolve_receptions(
@@ -601,16 +628,18 @@ class MultiHopRunner:
         tracking. The accept/reject decision itself is the protocol's."""
         accepted: Set[int] = set()
         latency = self.ctx.rx_latency_us
+        tracing = tracing_enabled()
         for receiver, decoded in receptions.items():
-            for tx in decoded:
-                emit(
-                    "beacon_rx",
-                    t_us=tx.tx_true + latency,
-                    node=receiver,
-                    src=tx.sender,
-                    period=period,
-                    proto=self.protocol_name,
-                )
+            if tracing:
+                for tx in decoded:
+                    emit(
+                        "beacon_rx",
+                        t_us=tx.tx_true + latency,
+                        node=receiver,
+                        src=tx.sender,
+                        period=period,
+                        proto=self.protocol_name,
+                    )
             if receiver == self.root:
                 accepted.add(receiver)
                 continue
@@ -655,27 +684,29 @@ class MultiHopRunner:
     def _sample_metrics(self, period: int) -> None:
         spec = self.spec
         sample_time = (period + 0.9) * spec.beacon_period_us
-        values = []
-        present_synced = []
-        for i in range(self.n):
-            node = self._by_id[i]
-            if node.present and node.protocol.is_synchronized():
-                values.append(self._adjusted_at(i, sample_time))
-                present_synced.append(i)
+        synced = [
+            node.protocol
+            for node in self.nodes
+            if node.present and node.protocol.is_synchronized()
+        ]
+        chains = [state.chain for state in synced]
+        # per-hop error vs the root (second half of the run only); the
+        # root's reading rides along as one extra chain in the same pass
+        per_hop = self.root >= 0 and period > spec.periods // 2
+        if per_hop:
+            chains.append(self._state(self.root).chain)
+        values = adjusted_at_all(chains, sample_time)
+        root_value = values.pop() if per_hop else 0.0
         self.recorder.record(
             sample_time, values, self.root if self.root >= 0 else -1
         )
-        # per-hop error vs the root (second half of the run only)
-        if self.root >= 0 and period > spec.periods // 2:
-            root_value = self._adjusted_at(self.root, sample_time)
+        if per_hop:
             hops = self.spec.topology.hop_distances(self.root)
-            for i, value in zip(present_synced, values):
-                hop = hops.get(i)
-                if hop is None or hop == 0:
-                    continue
-                self._per_hop_errors.setdefault(hop, []).append(
-                    abs(value - root_value)
-                )
+            errors = self._per_hop_errors
+            for state, value in zip(synced, values):
+                hop = hops.get(state.node_id)
+                if hop:  # unreachable (None) and the root (0) carry no error
+                    errors.setdefault(hop, []).append(abs(value - root_value))
 
 
 def run_multihop(spec: MultiHopSpec) -> MultiHopResult:

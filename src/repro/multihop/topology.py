@@ -8,7 +8,7 @@ regular grids, and worst-case chains.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -25,6 +25,9 @@ class Topology:
         self._neighbors: List[Tuple[int, ...]] = [
             tuple(sorted(graph.neighbors(i))) for i in range(len(expected))
         ]
+        self._hop_cache: Dict[int, Dict[int, int]] = {}
+        self._two_hop_cache: Dict[int, Tuple[int, ...]] = {}
+        self._two_hop_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Builders
@@ -124,16 +127,20 @@ class Topology:
         return nx.diameter(self._graph)
 
     def hop_distances(self, root: int) -> Dict[int, int]:
-        """BFS hop distance from ``root`` to every reachable station."""
-        return dict(nx.single_source_shortest_path_length(self._graph, root))
+        """BFS hop distance from ``root`` to every reachable station.
+
+        The search runs once per root (the graph is immutable); every
+        call returns a fresh copy the caller may mutate."""
+        cached = self._hop_cache.get(root)
+        if cached is None:
+            cached = dict(nx.single_source_shortest_path_length(self._graph, root))
+            self._hop_cache[root] = cached
+        return dict(cached)
 
     def two_hop_neighbors(self, node: int) -> Tuple[int, ...]:
         """Stations within two hops (excluding ``node``): the interference
         domain for hidden-terminal scheduling. Cached per topology."""
-        cache = getattr(self, "_two_hop_cache", None)
-        if cache is None:
-            cache = {}
-            self._two_hop_cache = cache  # type: ignore[attr-defined]
+        cache = self._two_hop_cache
         cached = cache.get(node)
         if cached is None:
             reach = set(self._neighbors[node])
@@ -143,6 +150,23 @@ class Topology:
             cached = tuple(sorted(reach))
             cache[node] = cached
         return cached
+
+    def two_hop_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every station's :meth:`two_hop_neighbors` as one CSR pair
+        ``(indptr, indices)``: station ``i``'s list is
+        ``indices[indptr[i]:indptr[i + 1]]``. Built once per topology;
+        treat the arrays as read-only."""
+        if self._two_hop_csr is None:
+            lists = [self.two_hop_neighbors(i) for i in range(self.n)]
+            indptr = np.zeros(self.n + 1, dtype=np.intp)
+            np.cumsum([len(each) for each in lists], out=indptr[1:])
+            indices = np.fromiter(
+                (j for each in lists for j in each),
+                dtype=np.intp,
+                count=int(indptr[-1]),
+            )
+            self._two_hop_csr = (indptr, indices)
+        return self._two_hop_csr
 
     def edges(self) -> Iterable[Tuple[int, int]]:
         """Iterate over the radio links."""

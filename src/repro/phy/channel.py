@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -192,13 +193,16 @@ class BroadcastChannel:
         """Receive-side timestamping error for one reception.
 
         Uniform in ``+- timestamp_jitter_us``; this is the source of the
-        paper's ``epsilon`` bound on ``|ts_ref - t_ref|``.
+        paper's ``epsilon`` bound on ``|ts_ref - t_ref|``. Computed as
+        numpy's ``uniform(-j, j)`` computes it (``low + (high - low) *
+        next_double``) from one ``random()`` draw, which gives the same
+        value and generator state without ``uniform``'s call overhead.
         """
         count("phy.ts_jitter_draw")
         j = self.phy.timestamp_jitter_us
         if j == 0.0:
             return 0.0
-        return float(self._rng.uniform(-j, j))
+        return -j + (j + j) * self._rng.random()
 
     def sample_timestamp_errors(self, n: int) -> np.ndarray:
         """Receive-side timestamping errors for ``n`` receptions at once.
@@ -255,8 +259,8 @@ class SpatialBroadcastChannel(BroadcastChannel):
     ) -> None:
         super().__init__(phy, rng)
         self.topology = topology
-        self._neighbor_sets: Dict[int, FrozenSet[int]] = {
-            node: frozenset(topology.neighbors(node)) for node in range(topology.n)
+        self._neighbors: Dict[int, Tuple[int, ...]] = {
+            node: topology.neighbors(node) for node in range(topology.n)
         }
         self._link_per: Dict[Tuple[int, int], float] = {}
         self._scoped_jams: List[Tuple[float, float, FrozenSet[int]]] = []
@@ -314,9 +318,10 @@ class SpatialBroadcastChannel(BroadcastChannel):
         transmissions:
             ``(sender, start_true_time)`` of every frame that went on air
             (the MAC's :func:`repro.mac.contention.resolve_neighborhood`
-            output), in start-time order.
+            output). Whole-frame loss draws follow this order; receiver
+            grouping sorts by start time (stably) itself.
         receivers:
-            Stations listening this window (callers pass them in
+            Distinct stations listening this window (callers pass them in
             ascending id order — the draw order contract).
         airtime_us:
             Frame airtime (defines receiver-side overlap).
@@ -333,16 +338,32 @@ class SpatialBroadcastChannel(BroadcastChannel):
         frame); ``per_transmission`` / Gilbert-Elliott models and the
         fault-injection override draw one whole-frame fate per
         transmission, exactly like :meth:`BroadcastChannel.broadcast`.
+
+        Delivery runs from the sender side: the transmissions are sorted
+        by start time once and each is fanned out over its sender's
+        neighbours, which (the graph being undirected) yields every
+        receiver's audible frames in the same stable time order as
+        filtering per receiver and sorting. Every lone frame that needs a
+        coin (per-receiver loss or a per-link override) is recorded in
+        receiver-then-time order and all coins come from one
+        ``rng.random(k)`` call, which returns the values ``k`` scalar
+        draws in that order would — the stream the receiver-major loop
+        consumed. ``tests/test_delivery_oracle.py`` keeps that loop as
+        the reference and checks the two agree draw for draw. Each
+        ``phy.*`` work-counter site is counted once per window, with the
+        window's total; jam windows are only consulted when one exists.
         """
         if airtime_us <= 0:
             raise ValueError("airtime_us must be > 0")
         count("phy.window")
-        self.stats.transmissions += len(transmissions)
-        self.stats.bytes_on_air += size_bytes * len(transmissions)
+        stats = self.stats
+        stats.transmissions += len(transmissions)
+        stats.bytes_on_air += size_bytes * len(transmissions)
 
-        # Whole-frame fates (one draw per transmission, in time order)
-        # when the loss model or a fault override calls for them.
+        # Whole-frame fates (one draw per transmission, in the given
+        # order) when the loss model or a fault override calls for them.
         frame_delivered: Optional[Dict[int, bool]] = None
+        frame_draws = 0
         if self._per_override is not None or self.phy.loss_model != "per_receiver":
             frame_delivered = {}
             for sender, _start in transmissions:
@@ -355,22 +376,39 @@ class SpatialBroadcastChannel(BroadcastChannel):
                 if per <= 0.0:
                     frame_delivered[sender] = True
                 else:
-                    count("phy.per_draw")
+                    frame_draws += 1
                     frame_delivered[sender] = bool(self._rng.random() >= per)
 
+        # Sender-side fan-out into per-receiver lists, in time order.
+        heard_by: Dict[int, List[Tuple[int, float]]] = {r: [] for r in receivers}
+        neighbors = self._neighbors
+        for frame in sorted(transmissions, key=itemgetter(1)):
+            sender = frame[0]
+            for receiver in neighbors.get(sender, ()):
+                heard = heard_by.get(receiver)
+                if heard is not None and (
+                    audible is None or audible(receiver, sender)
+                ):
+                    heard.append(frame)
+
         delivery = WindowDelivery()
+        receptions = delivery.receptions
+        jams = bool(self._jam_starts or self._scoped_jams)
+        link_per = self._link_per
         static_per = self.phy.packet_error_rate
+        # A lone frame that needs a coin is decoded provisionally; its
+        # loss threshold and (receiver, decoded list, position) are kept
+        # in receiver-then-time order and settled after the one draw.
+        thresholds: List[float] = []
+        coins: List[Tuple[int, List[int], int]] = []
+        attempts = 0
+        collisions = 0
+        jammed = 0
+        frame_drops = 0
         for receiver in receivers:
-            hears = self._neighbor_sets.get(receiver, frozenset())
-            heard = [
-                (sender, start)
-                for sender, start in transmissions
-                if sender in hears
-                and (audible is None or audible(receiver, sender))
-            ]
+            heard = heard_by[receiver]
             if not heard:
                 continue
-            heard.sort(key=lambda item: item[1])
             decoded: List[int] = []
             index = 0
             while index < len(heard):
@@ -379,39 +417,56 @@ class SpatialBroadcastChannel(BroadcastChannel):
                 while j < len(heard) and heard[j][1] < group_end:
                     group_end = max(group_end, heard[j][1] + airtime_us)
                     j += 1
-                group = heard[index:j]
+                if j - index > 1:
+                    collisions += 1
+                    index = j
+                    continue
+                sender, start = heard[index]
                 index = j
-                if len(group) > 1:
-                    count("phy.collision_group")
-                    delivery.collisions += 1
-                    self.stats.collisions += 1
+                attempts += 1
+                if jams and self._jammed_for(receiver, start):
+                    jammed += 1
                     continue
-                sender, start = group[0]
-                count("phy.delivery_attempt")
-                if self._jammed_for(receiver, start):
-                    self.stats.jammed_drops += 1
-                    continue
-                link = self._link_per.get((sender, receiver))
+                link = link_per.get((sender, receiver)) if link_per else None
                 if link is not None:
-                    if link <= 0.0:
-                        ok = True
-                    else:
-                        count("phy.per_draw")
-                        ok = bool(self._rng.random() >= link)
+                    per = link
                 elif frame_delivered is not None:
-                    ok = frame_delivered[sender]
-                elif static_per <= 0.0:
-                    ok = True
+                    if frame_delivered[sender]:
+                        decoded.append(sender)
+                    else:
+                        frame_drops += 1
+                    continue
                 else:
-                    count("phy.per_draw")
-                    ok = bool(self._rng.random() >= static_per)
-                if ok:
-                    self.stats.deliveries += 1
-                    decoded.append(sender)
-                else:
-                    self.stats.per_drops += 1
+                    per = static_per
+                if per > 0.0:
+                    thresholds.append(per)
+                    coins.append((receiver, decoded, len(decoded)))
+                decoded.append(sender)
             if decoded:
-                delivery.receptions[receiver] = decoded
+                receptions[receiver] = decoded
+
+        if frame_draws or thresholds:
+            count("phy.per_draw", frame_draws + len(thresholds))
+        lost: List[int] = []
+        if thresholds:
+            draws = self._rng.random(len(thresholds))
+            lost = np.flatnonzero(draws < np.asarray(thresholds)).tolist()
+            # Undo the provisional decodes that lost their coin, last
+            # first so earlier positions in the same list stay valid.
+            for k in reversed(lost):
+                receiver, decoded, position = coins[k]
+                del decoded[position]
+                if not decoded:
+                    del receptions[receiver]
+        if collisions:
+            count("phy.collision_group", collisions)
+            delivery.collisions = collisions
+            stats.collisions += collisions
+        if attempts:
+            count("phy.delivery_attempt", attempts)
+        stats.jammed_drops += jammed
+        stats.per_drops += frame_drops + len(lost)
+        stats.deliveries += attempts - jammed - frame_drops - len(lost)
         return delivery
 
 

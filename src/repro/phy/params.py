@@ -97,8 +97,10 @@ class PhyParams:
             raise ValueError("beacon_airtime_slots must be > 0")
         if not 0.0 <= self.packet_error_rate <= 1.0:
             raise ValueError("packet_error_rate must be in [0, 1]")
-        if self.propagation_delay_us < 0 or self.timestamp_jitter_us < 0:
-            raise ValueError("delays must be >= 0")
+        for name in ("propagation_delay_us", "timestamp_jitter_us"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.cca_us <= 0:
             raise ValueError("cca_us must be > 0")
         if self.loss_model not in (

@@ -25,7 +25,9 @@ order each beacon period, for nodes in ascending id order:
 3. :meth:`MultiHopProtocol.on_receptions` — handle every frame that
    decoded at this station this period; return whether one was
    *accepted* (the input to silence tracking). Timestamp-estimate
-   jitter is drawn via :meth:`MultiHopContext.sample_timestamp_error`.
+   jitter is drawn via :attr:`MultiHopContext.sample_timestamp_error`,
+   or for a whole reception set at once via
+   :attr:`MultiHopContext.sample_timestamp_errors`.
 4. :meth:`MultiHopProtocol.end_period` — silence bookkeeping.
 5. :meth:`MultiHopProtocol.wants_root_takeover` /
    :meth:`MultiHopProtocol.on_elected_root` — the orphan-election
@@ -72,7 +74,9 @@ from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS, SSTSP_BEACON_BYTES
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.multihop.runner import MultiHopSpec
     from repro.multihop.topology import Topology
+    from repro.network.node import Node
     from repro.network.runner import NetworkRunner
+    from repro.phy.channel import BroadcastChannel
 
 
 @dataclass
@@ -104,8 +108,19 @@ class MultiHopFrame:
 class MultiHopContext:
     """The harness services a protocol hook may touch.
 
-    One instance per run; the harness refreshes :attr:`root` and
-    :attr:`orphan_election` at the top of every period.
+    One instance per run. The harness calls :meth:`new_period` at the
+    top of every period, which refreshes :attr:`root` and
+    :attr:`orphan_election` and drops the same-hop snapshot.
+
+    Timestamp jitter comes from the channel's stream, shared with every
+    other lane: :attr:`sample_timestamp_error` (one draw) and
+    :attr:`sample_timestamp_errors` (``n`` draws at once, stream-identical
+    to ``n`` single draws) are the channel's own bound methods.
+
+    Neighbour introspection reads the runner's node list (indexed by
+    station id) directly: :meth:`state_of` for one station's protocol
+    state, :meth:`same_hop_count` for the relay-rotation count, which is
+    computed for every station at once on its first call in a period.
     """
 
     __slots__ = (
@@ -115,9 +130,10 @@ class MultiHopContext:
         "rx_latency_us",
         "root",
         "orphan_election",
-        "_sample_timestamp_error",
-        "_state_of",
-        "_is_present",
+        "sample_timestamp_error",
+        "sample_timestamp_errors",
+        "_nodes",
+        "_same_hop",
     )
 
     def __init__(
@@ -125,9 +141,8 @@ class MultiHopContext:
         spec: "MultiHopSpec",
         slot_rng: np.random.Generator,
         rx_latency_us: float,
-        sample_timestamp_error: Callable[[], float],
-        state_of: Callable[[int], "MultiHopProtocol"],
-        is_present: Callable[[int], bool],
+        channel: "BroadcastChannel",
+        nodes: Sequence["Node"],
     ) -> None:
         self.spec = spec
         self.topology: "Topology" = spec.topology
@@ -142,23 +157,63 @@ class MultiHopContext:
         self.root = spec.root
         #: True while the network has no live root. Refreshed per period.
         self.orphan_election = False
-        self._sample_timestamp_error = sample_timestamp_error
-        self._state_of = state_of
-        self._is_present = is_present
+        #: One draw of per-reception timestamp-estimate jitter (µs).
+        self.sample_timestamp_error: Callable[[], float] = (
+            channel.sample_timestamp_error
+        )
+        #: ``n`` jitter draws at once, as an array (µs).
+        self.sample_timestamp_errors: Callable[[int], np.ndarray] = (
+            channel.sample_timestamp_errors
+        )
+        self._nodes = nodes
+        self._same_hop: Optional[List[int]] = None
 
-    def sample_timestamp_error(self) -> float:
-        """One draw of per-reception timestamp-estimate jitter (the
-        channel's stream — shared with every other lane)."""
-        return self._sample_timestamp_error()
+    def new_period(self, root: int, orphan_election: bool) -> None:
+        """Start a period: set the root view, drop the same-hop snapshot."""
+        self.root = root
+        self.orphan_election = orphan_election
+        self._same_hop = None
 
     def state_of(self, node_id: int) -> "MultiHopProtocol":
         """Another station's protocol state (neighbour introspection —
-        e.g. same-hop rotation counts). Read-only by convention."""
-        return self._state_of(node_id)
+        e.g. relay-phase coloring). Read-only by convention."""
+        return self._nodes[node_id].protocol
 
-    def is_present(self, node_id: int) -> bool:
-        """Whether a station is currently in the network."""
-        return self._is_present(node_id)
+    def same_hop_count(self, node_id: int) -> int:
+        """Present stations within two hops of ``node_id`` that share its
+        hop distance (0 while ``node_id`` is absent or unsynchronized).
+
+        The first call in a period snapshots every station's hop (absent
+        or unsynchronized stations read -1) and counts matches for all
+        stations at once over :meth:`Topology.two_hop_csr`. The snapshot
+        holds for the rest of the period: no hop moves while TX intents
+        are drawn, which is when relay rotation asks.
+        """
+        counts = self._same_hop
+        if counts is None:
+            counts = self._same_hop = self._count_same_hop()
+        return counts[node_id]
+
+    def _count_same_hop(self) -> List[int]:
+        hops = np.fromiter(
+            (
+                -1 if not node.present or node.protocol.hop is None
+                else node.protocol.hop
+                for node in self._nodes
+            ),
+            dtype=np.intp,
+            count=len(self._nodes),
+        )
+        indptr, indices = self.topology.two_hop_csr()
+        owner = np.repeat(hops, np.diff(indptr))
+        matches = (hops[indices] == owner).astype(np.intp)
+        # Station i's count is the sum over its CSR segment (a cumulative
+        # sum differenced at the segment bounds: empty segments give 0).
+        totals = np.zeros(len(indices) + 1, dtype=np.intp)
+        np.cumsum(matches, out=totals[1:])
+        counts = totals[indptr[1:]] - totals[indptr[:-1]]
+        counts[hops < 0] = 0
+        return counts.tolist()
 
 
 class MultiHopProtocol(ABC):

@@ -127,9 +127,9 @@ class CoopAverageProtocol(MultiHopProtocol):
         hw_sum = 0.0
         est_sum = 0.0
         offset_sum = 0.0
-        for tx in decoded:
+        jitters = ctx.sample_timestamp_errors(len(decoded)).tolist()
+        for tx, jitter in zip(decoded, jitters):
             arrival = tx.tx_true + ctx.rx_latency_us
-            jitter = ctx.sample_timestamp_error()
             hw = self.chain.hw.read(arrival) - tx.delay_us
             est = tx.timestamp + ctx.rx_latency_us + jitter
             hw_sum += hw

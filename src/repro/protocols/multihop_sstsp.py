@@ -162,11 +162,7 @@ class SstspRelayProtocol(MultiHopProtocol):
         spec = self.spec
         if spec.relay_probability < 1.0:
             return ctx.slot_rng.random() < spec.relay_probability
-        same_hop = sum(
-            1
-            for other in spec.topology.two_hop_neighbors(self.node_id)
-            if ctx.is_present(other) and ctx.state_of(other).hop == self.hop
-        )
+        same_hop = ctx.same_hop_count(self.node_id)
         if same_hop == 0:
             return True
         cycle = min(4, 1 + same_hop)

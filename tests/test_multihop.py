@@ -1,10 +1,13 @@
 """Tests for the multi-hop extension (topology + runner)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.multihop import MultiHopRunner, MultiHopSpec, Topology
 from repro.multihop.runner import run_multihop
+from repro.phy.params import PhyParams
 from repro.sim.units import S
 
 
@@ -70,6 +73,50 @@ class TestSpecValidation:
     def test_relay_probability_bounds(self):
         with pytest.raises(ValueError):
             MultiHopSpec(topology=Topology.chain(3), relay_probability=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("beacon_period_us", 0.0, "beacon_period_us must be > 0, got 0.0"),
+            ("beacon_period_us", -5.0, "beacon_period_us must be > 0, got -5.0"),
+            ("duration_s", 0.01, "duration_s must cover at least one beacon"),
+            ("m", 0, "m must be >= 1, got 0"),
+            ("l", 0, "l must be >= 1, got 0"),
+            ("guard_fine_us", 0.0, "guard_fine_us must be > 0, got 0.0"),
+            ("guard_per_hop_us", -1.0, "guard_per_hop_us must be >= 0, got -1.0"),
+            ("k_clamp", 0.0, "k_clamp must be in (0, 1), got 0.0"),
+            ("k_clamp", 1.0, "k_clamp must be in (0, 1), got 1.0"),
+            ("resync_after_periods", 0, "resync_after_periods must be >= 1, got 0"),
+            ("root", 3, "got 3 (topology n=3)"),
+            ("relay_probability", 1.5, "relay_probability must be in (0, 1], got 1.5"),
+        ],
+    )
+    def test_bad_field_is_named(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultiHopSpec(topology=Topology.chain(3), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("propagation_delay_us", -1.0), ("timestamp_jitter_us", -0.5)]
+    )
+    def test_negative_delay_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got {value}"):
+            PhyParams(**{field: value})
+        spec = MultiHopSpec(topology=Topology.chain(3), **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got {value}"):
+            MultiHopRunner(spec)
+
+    def test_boundary_values_still_accepted(self):
+        spec = MultiHopSpec(
+            topology=Topology.chain(3),
+            duration_s=0.1,
+            m=1,
+            l=1,
+            guard_per_hop_us=0.0,
+            resync_after_periods=1,
+            propagation_delay_us=0.0,
+            timestamp_jitter_us=0.0,
+        )
+        assert spec.periods == 1
 
 
 class TestMultiHopSync:

@@ -107,6 +107,21 @@ class TestBroadcastChannel:
         assert scalar_work.snapshot() == batched_work.snapshot()
         assert batched_work.snapshot() == {"phy.ts_jitter_draw": n}
 
+    @pytest.mark.parametrize("jitter", [2.0, 0.3, 1e-3, 7.77, 0.0])
+    def test_scalar_jitter_is_numpy_uniform(self, jitter):
+        # The scalar draw computes uniform(-j, j) from one random() call;
+        # it must match numpy's own uniform bit for bit and leave the
+        # generator where uniform leaves it.
+        channel = BroadcastChannel(
+            PhyParams(timestamp_jitter_us=jitter), np.random.default_rng(5)
+        )
+        reference = np.random.default_rng(5)
+        for _ in range(500):
+            got = channel.sample_timestamp_error()
+            want = float(reference.uniform(-jitter, jitter)) if jitter else 0.0
+            assert got.hex() == want.hex()
+        assert channel._rng.bit_generator.state == reference.bit_generator.state
+
     def test_record_collision_counts_parties(self, rng):
         channel = BroadcastChannel(PhyParams(), rng)
         channel.record_collision(3)
