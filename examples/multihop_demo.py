@@ -14,6 +14,7 @@ Run:  python examples/multihop_demo.py
 import numpy as np
 
 from repro.multihop import MultiHopRunner, MultiHopSpec, Topology
+from repro.network.churn import ChurnEvent
 from repro.sim.units import S
 
 
@@ -56,7 +57,7 @@ def main() -> None:
     # root failover
     spec = MultiHopSpec(topology=Topology.grid(4, 4), seed=9, duration_s=40.0)
     runner = MultiHopRunner(spec)
-    runner.leave_at[200] = [spec.root]  # root leaves at t = 20 s
+    runner.churn.add(ChurnEvent(200, "leave", (spec.root,)))  # t = 20 s
     result = runner.run()
     trace = result.trace
     before = float(trace.window(15 * S, 20 * S).max_diff_us.max())

@@ -11,8 +11,9 @@ backends implement that pipeline:
 * :class:`ModeledCryptoBackend` - the same decision procedure over
   structurally faithful placeholder material (position-labelled keys,
   recomputable tags) at a fraction of the cost. Large-N sweeps use this;
-  ``tests/test_backend_equivalence.py`` locks the two backends to byte-
-  for-byte identical verdict sequences on shared scenarios.
+  ``tests/test_core_backend.py::test_backend_equivalence_randomised``
+  locks the two backends to byte-for-byte identical verdict sequences on
+  shared scenarios.
 
 Either way the *protocol* code is identical: attackers cannot skip the
 pipeline, they can only try to get through it.

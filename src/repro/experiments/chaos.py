@@ -44,6 +44,7 @@ from repro.experiments.report import format_table
 from repro.experiments.scenarios import PAPER_PHY
 from repro.faults import FaultInjector, FaultPlan, random_plan
 from repro.network.ibss import ScenarioSpec, build_sstsp_network
+from repro.network.lane import Lane
 from repro.network.runner import NetworkRunner
 from repro.sim.units import S
 from repro.sweep import (
@@ -174,11 +175,12 @@ def build_chaos_runner(
 
 def _check_invariants(
     outcome: PlanOutcome,
-    runner: NetworkRunner,
+    runner: Lane,
     trace,
     limits: ChaosLimits,
 ) -> None:
-    """Populate ``outcome.failures`` from a finished run."""
+    """Populate ``outcome.failures`` from a finished run (reads only the
+    :class:`~repro.network.lane.Lane` surface)."""
     injector = runner.injector
     # 1. bounded error over the final evaluation stretch: the max obeys
     # the loss-aware Lemma 2 bound, the median the steady-state one.
@@ -224,7 +226,7 @@ def _check_invariants(
     if len(trace) > 1 and not np.all(np.diff(trace.times_us) > 0):
         outcome.failures.append("trace times not strictly increasing")
     # 4b. per-node adjusted clocks never leap or run backward
-    horizon_true = runner.params.periods * runner.params.beacon_period_us
+    horizon_true = runner.periods * runner.beacon_period_us
     for node in runner.nodes:
         clock = getattr(node.protocol, "clock", None)
         if clock is None:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.clocks.population import ClockPopulation
 from repro.mac.contention import resolve_contention
-from repro.network.churn import ChurnApplier, ChurnSchedule
 from repro.network.ibss import ScenarioSpec
 from repro.sim.rng import RngRegistry
 
@@ -64,57 +63,11 @@ class VectorState:
         """Hardware clock of every node at one instant."""
         return self.population.read_all(true_time, out=out)
 
-
-class ChurnDriver:
-    """Applies a :class:`ChurnSchedule` to a boolean presence mask.
-
-    A thin vector-lane adapter over the shared :class:`ChurnApplier`
-    (same marker FIFO and double-booking rules as the reference lane);
-    out-of-range node ids are dropped.
-    """
-
-    def __init__(self, schedule: Optional[ChurnSchedule]) -> None:
-        self._applier = ChurnApplier(schedule)
-        self.events: List[str] = []
-
-    @property
-    def _marker_left(self) -> List[int]:
-        return self._applier.marker_left
-
-    def apply(
-        self,
-        period: int,
-        present: np.ndarray,
-        current_reference,
-        on_leave=None,
-        on_return=None,
-    ) -> None:
-        """Apply the events due at ``period`` to the presence mask."""
-
-        def is_present(node_id: int) -> Optional[bool]:
-            if not 0 <= node_id < present.shape[0]:
-                return None
-            return bool(present[node_id])
-
-        def leave(node_id: int) -> None:
-            present[node_id] = False
-            self.events.append(f"p{period}: node {node_id} left")
-            if on_leave is not None:
-                on_leave(node_id)
-
-        def ret(node_id: int) -> None:
-            present[node_id] = True
-            self.events.append(f"p{period}: node {node_id} returned")
-            if on_return is not None:
-                on_return(node_id)
-
-        self._applier.apply(
-            period,
-            current_reference=current_reference,
-            is_present=is_present,
-            leave=leave,
-            ret=ret,
-        )
+    def is_present(self, node_id: int) -> Optional[bool]:
+        """Presence of ``node_id`` for churn (None outside the population)."""
+        if not 0 <= node_id < self.present.shape[0]:
+            return None
+        return bool(self.present[node_id])
 
 
 def resolve_window(

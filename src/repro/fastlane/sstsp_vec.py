@@ -23,9 +23,9 @@ import numpy as np
 
 from repro.analysis.metrics import SyncTrace, TraceRecorder
 from repro.core.config import SstspConfig
-from repro.fastlane.common import ChurnDriver, VectorState, resolve_window
-from repro.network.churn import ChurnSchedule
-from repro.network.ibss import ScenarioSpec
+from repro.fastlane.common import VectorState, resolve_window
+from repro.network.churn import ChurnApplier, churn_line
+from repro.network.ibss import ScenarioSpec, _churn_for
 from repro.obs.counters import count, work_lane
 from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS
 from repro.security.attacks import AttackWindow
@@ -103,14 +103,8 @@ class _VectorSstsp:
 
         self.slots_rng = self.state.rngs.get("slots")
         self.channel_rng = self.state.rngs.get("channel")
-        self.churn = ChurnDriver(
-            ChurnSchedule.paper_default(
-                list(range(spec.n)), spec.periods, self.state.rngs.get("churn"),
-                spec.beacon_period_us,
-            )
-            if spec.churn == "paper"
-            else None
-        )
+        self.churn = ChurnApplier(_churn_for(spec, self.state.rngs, spec.n))
+        self.events: List[str] = []
         self.metric_mask = np.ones(n, dtype=bool)
         if self.attacker_idx is not None:
             self.metric_mask[self.attacker_idx] = False
@@ -148,14 +142,17 @@ class _VectorSstsp:
         spec = self.spec
         bp = cfg.beacon_period_us
         for period in range(1, spec.periods + 1):
-            self.churn.apply(
-                period,
-                self.state.present,
-                self._churn_reference,
-                on_leave=self._on_leave,
-                on_return=self._on_return,
-            )
             present = self.state.present
+            for action, node in self.churn.due(
+                period, self._churn_reference, self.state.is_present
+            ):
+                leaving = action == "leave"
+                present[node] = not leaving
+                self.events.append(churn_line(period, action, node))
+                if leaving:
+                    self._on_leave(node)
+                else:
+                    self._on_return(node)
             if self.ref is not None and not present[self.ref]:
                 self.ref = None
 
@@ -196,7 +193,7 @@ class _VectorSstsp:
             successful_beacons=self.successes,
             reference_changes=self.reference_changes,
             recoveries=self.recoveries,
-            events=self.churn.events,
+            events=self.events,
         )
 
     # -- helpers ----------------------------------------------------------

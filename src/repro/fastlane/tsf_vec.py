@@ -27,9 +27,9 @@ from typing import List
 import numpy as np
 
 from repro.analysis.metrics import SyncTrace, TraceRecorder
-from repro.fastlane.common import ChurnDriver, VectorState, resolve_window
-from repro.network.churn import ChurnSchedule
-from repro.network.ibss import ScenarioSpec
+from repro.fastlane.common import VectorState, resolve_window
+from repro.network.churn import ChurnApplier, churn_line
+from repro.network.ibss import ScenarioSpec, _churn_for
 from repro.obs.counters import count, work_lane
 from repro.phy.params import TSF_BEACON_AIRTIME_SLOTS
 from repro.security.attacks import AttackWindow
@@ -83,13 +83,8 @@ def _run_tsf_vectorized(
     adj = np.zeros(n)
     slots_rng = state.rngs.get("slots")
     channel_rng = state.rngs.get("channel")
-    churn = ChurnDriver(
-        ChurnSchedule.paper_default(
-            list(range(spec.n)), spec.periods, state.rngs.get("churn"), bp
-        )
-        if spec.churn == "paper"
-        else None
-    )
+    churn = ChurnApplier(_churn_for(spec, state.rngs, spec.n))
+    events: List[str] = []
 
     recorder = TraceRecorder(keep_values=keep_values)
     metric_mask = np.ones(n, dtype=bool)
@@ -101,8 +96,10 @@ def _run_tsf_vectorized(
     hw_buf = np.empty(n)
 
     for period in range(1, spec.periods + 1):
-        churn.apply(period, state.present, lambda: -1)
         present = state.present
+        for action, node_id in churn.due(period, _no_reference, state.is_present):
+            present[node_id] = action == "return"
+            events.append(churn_line(period, action, node_id))
 
         attack_active = window is not None and window.active(period)
         # Scheduled transmission instants on the true-time axis: the node's
@@ -170,5 +167,10 @@ def _run_tsf_vectorized(
         trace=recorder.finalize(),
         successful_beacons=successes,
         collisions=collisions,
-        events=churn.events,
+        events=events,
     )
+
+
+def _no_reference() -> int:
+    """TSF has no reference role: reference-marker churn is a no-op."""
+    return -1

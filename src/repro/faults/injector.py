@@ -1,7 +1,9 @@
 """Applies a :class:`~repro.faults.spec.FaultPlan` to a live network.
 
-The :class:`~repro.network.runner.NetworkRunner` consults an attached
-injector at two well-defined points of every beacon period:
+The injector binds to the public :class:`~repro.network.lane.Lane`
+surface both OO runners share (``nodes``, ``node(id)``, ``channel``,
+``beacon_period_us``, ``events``, ``current_reference()``), and the
+runner consults it at two well-defined points of every beacon period:
 
 * :meth:`FaultInjector.on_period_start` — right after churn, before any
   protocol hook runs: crash/restart toggles, clock mutations, ramp
@@ -32,13 +34,13 @@ from repro.network.churn import REFERENCE_MARKER
 from repro.obs.events import emit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.network.runner import NetworkRunner
+    from repro.network.lane import Lane
 
 logger = logging.getLogger(__name__)
 
 
 class FaultInjector:
-    """Replays one fault plan against the runner it is bound to.
+    """Replays one fault plan against the lane it is bound to.
 
     Parameters
     ----------
@@ -58,7 +60,7 @@ class FaultInjector:
         self.plan = plan
         self.log: List[str] = []
         self.reference_crashes: List[Tuple[int, int]] = []
-        self._runner: Optional["NetworkRunner"] = None
+        self._lane: Optional["Lane"] = None
         self._starts: Dict[int, List[FaultSpec]] = {}
         for spec in plan:
             self._starts.setdefault(spec.start_period, []).append(spec)
@@ -77,17 +79,17 @@ class FaultInjector:
     # Wiring
     # ------------------------------------------------------------------
 
-    def bind(self, runner: "NetworkRunner") -> None:
-        """Attach to the runner whose nodes/channel the faults mutate."""
-        self._runner = runner
+    def bind(self, lane: "Lane") -> None:
+        """Attach to the lane whose nodes/channel the faults mutate."""
+        self._lane = lane
 
     def _note(self, period: int, message: str) -> None:
         line = f"p{period}: fault {message}"
         self.log.append(line)
         t_us: Optional[float] = None
-        if self._runner is not None:
-            self._runner._events.append(line)
-            t_us = period * self._runner.params.beacon_period_us
+        if self._lane is not None:
+            self._lane.events.append(line)
+            t_us = period * self._lane.beacon_period_us
         emit("fault_applied", t_us=t_us, period=period, detail=message)
         logger.info("fault injection: %s", line)
 
@@ -95,7 +97,7 @@ class FaultInjector:
         """Resolve :data:`REFERENCE_MARKER` to the current reference."""
         if node_id != REFERENCE_MARKER:
             return node_id
-        ref = self._runner.current_reference()
+        ref = self._lane.current_reference()
         return ref if ref >= 0 else None
 
     # ------------------------------------------------------------------
@@ -121,8 +123,8 @@ class FaultInjector:
 
     def on_period_start(self, period: int) -> None:
         """Apply every fault scheduled for ``period`` plus ramp increments."""
-        if self._runner is None:
-            raise RuntimeError("injector is not bound to a runner")
+        if self._lane is None:
+            raise RuntimeError("injector is not bound to a lane")
         for node_id in self._restarts.pop(period, ()):
             self._restart(period, node_id)
         for spec in self._starts.get(period, ()):
@@ -140,7 +142,7 @@ class FaultInjector:
             for token in expired:
                 del self._loss_burst_ends[token]
             if expired and not self._loss_burst_ends:
-                self._runner.channel.set_per_override(None)
+                self._lane.channel.set_per_override(None)
                 self._note(period, "loss_burst cleared")
         if self._partition is not None and self._partition[1] - 1 == period:
             self._partition = None
@@ -159,7 +161,7 @@ class FaultInjector:
         if resolved is None:
             self._note(period, f"{spec.kind} skipped (no reference to target)")
             return None, None
-        node = self._runner._by_id.get(resolved)
+        node = self._lane.node(resolved)
         if node is None:
             self._note(period, f"{spec.kind} skipped (unknown node {resolved})")
             return None, None
@@ -197,7 +199,7 @@ class FaultInjector:
             if node is not None:
                 self._note(period, f"crash skipped (node {resolved} absent)")
             return
-        was_reference = resolved == self._runner.current_reference()
+        was_reference = resolved == self._lane.current_reference()
         # A hard crash: presence drops with no graceful on_leave; the
         # protocol object keeps its (now stale) state until the reboot.
         node.present = False
@@ -218,7 +220,7 @@ class FaultInjector:
         )
 
     def _restart(self, period: int, node_id: int) -> None:
-        node = self._runner._by_id.get(node_id)
+        node = self._lane.node(node_id)
         if node is None or node.present:
             return
         node.present = True
@@ -235,14 +237,14 @@ class FaultInjector:
         )
 
     def _apply_jam(self, period: int, spec: FaultSpec) -> None:
-        bp = self._runner.params.beacon_period_us
+        bp = self._lane.beacon_period_us
         start_us = spec.start_period * bp
         end_us = spec.end_period * bp
-        self._runner.channel.add_jam_window(start_us, end_us)
+        self._lane.channel.add_jam_window(start_us, end_us)
         self._note(period, f"jam for {spec.duration_periods} BPs")
 
     def _apply_loss_burst(self, period: int, spec: FaultSpec) -> None:
-        self._runner.channel.set_per_override(spec.magnitude)
+        self._lane.channel.set_per_override(spec.magnitude)
         self._loss_burst_ends[id(spec)] = spec.end_period
         self._note(
             period,
@@ -251,7 +253,7 @@ class FaultInjector:
         )
 
     def _apply_partition(self, period: int, spec: FaultSpec) -> None:
-        ids = sorted(node.node_id for node in self._runner.nodes)
+        ids = sorted(node.node_id for node in self._lane.nodes)
         cut = max(1, min(len(ids) - 1, round(spec.magnitude * len(ids))))
         groups = {nid: (0 if i < cut else 1) for i, nid in enumerate(ids)}
         self._partition = (groups, spec.end_period)
@@ -267,7 +269,7 @@ class FaultInjector:
             if period >= end:
                 done.append(node_id)
                 continue
-            node = self._runner._by_id.get(node_id)
+            node = self._lane.node(node_id)
             if node is not None:
                 self._step_rate(period, node, per_period)
         for node_id in done:
@@ -276,7 +278,7 @@ class FaultInjector:
     def _step_rate(self, period: int, node, ppm: float) -> None:
         """Change ``node``'s oscillator rate by ``ppm``, continuous in
         value at the current period boundary."""
-        now = period * self._runner.params.beacon_period_us
+        now = period * self._lane.beacon_period_us
         hw = node.hw
         value = hw.read(now)
         hw.rate = hw.rate * (1.0 + ppm * 1e-6)

@@ -18,13 +18,13 @@ kernel concerns:
   Gilbert-Elliott), jam windows, loss-burst overrides and per-link
   error overrides. Beacon size and airtime come from the *protocol's*
   frame declaration, not from any hardcoded constant;
-* **churn** — ``leave_at`` / ``return_at`` and an optional
-  :class:`~repro.network.churn.ChurnSchedule` (reference markers
-  included) apply through the shared
-  :class:`~repro.network.churn.ChurnApplier`;
+* **churn** — ``runner.churn`` (seeded from ``MultiHopSpec.churn``,
+  reference markers included) applies through the
+  :class:`~repro.network.lane.Lane` surface shared with the single-hop
+  runner; a departing root orphans the tree;
 * **faults** — a :class:`~repro.faults.injector.FaultInjector` attaches
-  exactly as on the single-hop runner (period hooks, stalls,
-  partitions, crashes, clock mutations);
+  to that same surface (period hooks, stalls, partitions, crashes,
+  clock mutations);
 * **metrics** — samples are recorded with the shared
   :class:`~repro.analysis.metrics.TraceRecorder`.
 
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -62,10 +62,11 @@ from repro.clocks.population import ClockPopulation
 from repro.core.config import SstspConfig
 from repro.mac.contention import resolve_neighborhood
 from repro.multihop.topology import Topology
-from repro.network.churn import ChurnApplier, ChurnEvent, ChurnSchedule
+from repro.network.churn import ChurnSchedule
 from repro.network.ibss import ScenarioSpec
+from repro.network.lane import Lane
 from repro.network.node import Node
-from repro.network.runner import NetworkRunner, RunnerParams
+from repro.network.runner import NetworkRunner
 from repro.obs.counters import work_lane
 from repro.obs.events import emit, tracing_enabled
 from repro.obs.profile import span
@@ -79,9 +80,6 @@ from repro.protocols.multihop_base import (
 )
 from repro.sim.rng import RngRegistry
 from repro.sim.units import S
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.injector import FaultInjector
 
 _LOSS_MODELS = ("per_receiver", "per_transmission", "gilbert_elliott")
 
@@ -131,8 +129,8 @@ class MultiHopSpec:
     k_clamp: float = 5e-3
     #: Shared channel loss model (see :class:`repro.phy.params.PhyParams`).
     loss_model: str = "per_receiver"
-    #: Optional churn schedule, merged with ``leave_at`` / ``return_at``
-    #: (reference markers resolve to the current root).
+    #: Optional churn schedule; the runner's ``churn`` starts as a copy
+    #: of it (reference markers resolve to the current root).
     churn: Optional[ChurnSchedule] = None
 
     def __post_init__(self) -> None:
@@ -247,8 +245,10 @@ def degenerate_scenario(spec: MultiHopSpec) -> Tuple[ScenarioSpec, SstspConfig]:
     return SstspRelayProtocol.single_hop_lane(spec)
 
 
-class MultiHopRunner:
+class MultiHopRunner(Lane):
     """Drives one multi-hop network on the shared kernel."""
+
+    channel: SpatialBroadcastChannel
 
     def __init__(self, spec: MultiHopSpec) -> None:
         self.spec = spec
@@ -271,24 +271,25 @@ class MultiHopRunner:
             packet_error_rate=spec.packet_error_rate,
             loss_model=spec.loss_model,
         )
-        self.channel: SpatialBroadcastChannel = SpatialBroadcastChannel(
+        channel = SpatialBroadcastChannel(
             self.phy, self.rngs.get("channel"), spec.topology
-        )
-        self.params = RunnerParams(
-            beacon_period_us=spec.beacon_period_us,
-            periods=spec.periods,
-            beacon_airtime_slots=spec.airtime_slots,
         )
         chains = [
             ClockChain(population.clock(i)) for i in range(self.n)
         ]
         stations = self._protocol_cls.build(spec, chains)
-        self.nodes: List[Node] = []
+        nodes: List[Node] = []
         for i in range(self.n):
             node = RelayNode(i, chains[i].hw)
             node.protocol = stations[i]
-            self.nodes.append(node)
-        self._by_id: Dict[int, Node] = {node.node_id: node for node in self.nodes}
+            nodes.append(node)
+        super().__init__(
+            nodes,
+            channel,
+            spec.beacon_period_us,
+            spec.periods,
+            ChurnSchedule(spec.churn or ()),
+        )
         self.ctx = MultiHopContext(
             spec,
             self._slot_rng,
@@ -307,22 +308,10 @@ class MultiHopRunner:
         self.collisions = 0
         self.recorder = TraceRecorder()
         self._per_hop_errors: Dict[int, List[float]] = {}
-        #: scheduled departures: period -> list of nodes (tests/examples use
-        #: this to exercise root failover)
-        self.leave_at: Dict[int, List[int]] = {}
-        self.return_at: Dict[int, List[int]] = {}
-        self._events: List[str] = []
-        self.injector: Optional["FaultInjector"] = None
-        self._churn_applier: Optional[ChurnApplier] = None
 
     # ------------------------------------------------------------------
-    # Kernel surface (shared with NetworkRunner)
+    # Lane hooks
     # ------------------------------------------------------------------
-
-    def attach_injector(self, injector: "FaultInjector") -> None:
-        """Bind a fault injector; its hooks run every period from now on."""
-        injector.bind(self)
-        self.injector = injector
 
     def current_reference(self) -> int:
         """The current root (-1 while orphaned) - the reference role of
@@ -330,6 +319,10 @@ class MultiHopRunner:
         if self.root >= 0 and self._by_id[self.root].present:
             return self.root
         return -1
+
+    def _on_left(self, node_id: int) -> None:
+        if node_id == self.root:
+            self.root = -1  # orphaned; first-hop children will elect
 
     def _state(self, node_id: int) -> MultiHopProtocol:
         return self._by_id[node_id].protocol
@@ -345,7 +338,6 @@ class MultiHopRunner:
             inner = self._protocol_cls.degenerate_runner(spec)
             if inner is not None:
                 return self._run_degenerate(inner)
-        self._churn_applier = ChurnApplier(self._merged_churn())
         with work_lane(f"multihop/{self.protocol_name}"):
             for period in range(1, spec.periods + 1):
                 self._run_period(period)
@@ -369,14 +361,8 @@ class MultiHopRunner:
     def _run_period(self, period: int) -> None:
         with span("multihop.period"):
             with span("multihop.churn"):
-                self._apply_churn(period)
-            if self.injector is not None:
-                self.injector.on_period_start(period)
-                stalled = self.injector.stalled_ids(period)
-                partition = self.injector.partition_groups(period)
-            else:
-                stalled: frozenset = frozenset()
-                partition = None
+                self.apply_churn(period)
+            stalled, partition = self._period_faults(period)
             # A crashed root orphans the tree exactly like a departed one.
             if self.root >= 0 and not self._by_id[self.root].present:
                 self.root = -1
@@ -408,19 +394,14 @@ class MultiHopRunner:
         # from it after the run.
         inner.params = replace(inner.params, keep_values=True)
         inner.recorder = TraceRecorder(keep_values=True)
-        merged = self._merged_churn()
-        if len(merged):
-            inner.set_churn(merged)
+        if len(self.churn):
+            inner.churn = self.churn
         if self.injector is not None:
             inner.attach_injector(self.injector)
         result = inner.run()
-        # Re-expose the inner kernel surface so post-run inspection
-        # (chaos invariants, fault logs) sees the network that actually ran.
-        self.nodes = inner.nodes
-        self._by_id = inner._by_id
-        self.channel = inner.channel  # type: ignore[assignment]
-        self.params = inner.params
-        self._events = inner._events
+        # Post-run inspection (chaos invariants, fault logs) sees the
+        # network that actually ran.
+        self._adopt(inner)
 
         trace = result.trace
         ref_ids = trace.reference_ids
@@ -468,52 +449,6 @@ class MultiHopRunner:
             root_changes=self.root_changes,
             beacons_sent=self.beacons_sent,
             collisions_at_receivers=self.collisions,
-        )
-
-    # ------------------------------------------------------------------
-    # Churn
-    # ------------------------------------------------------------------
-
-    def _merged_churn(self) -> ChurnSchedule:
-        """The spec's schedule plus the runner's leave_at/return_at dicts."""
-        schedule = self.spec.churn or ChurnSchedule()
-        extra = ChurnSchedule()
-        for period in sorted(self.leave_at):
-            extra.add(ChurnEvent(period, "leave", tuple(self.leave_at[period])))
-        for period in sorted(self.return_at):
-            extra.add(ChurnEvent(period, "return", tuple(self.return_at[period])))
-        return schedule.merged_with(extra)
-
-    def _apply_churn(self, period: int) -> None:
-        def is_present(node_id: int) -> Optional[bool]:
-            node = self._by_id.get(node_id)
-            return None if node is None else node.present
-
-        t_us = period * self.spec.beacon_period_us
-
-        def leave(node_id: int) -> None:
-            node = self._by_id[node_id]
-            node.present = False
-            node.protocol.on_leave(period)
-            self._events.append(f"p{period}: node {node_id} left")
-            emit("churn_leave", t_us=t_us, node=node_id, period=period)
-            if node_id == self.root:
-                self.root = -1  # orphaned; first-hop children will elect
-
-        def ret(node_id: int) -> None:
-            node = self._by_id[node_id]
-            node.present = True
-            node.protocol.on_return(period)
-            self._events.append(f"p{period}: node {node_id} returned")
-            emit("churn_return", t_us=t_us, node=node_id, period=period)
-
-        assert self._churn_applier is not None
-        self._churn_applier.apply(
-            period,
-            current_reference=self.current_reference,
-            is_present=is_present,
-            leave=leave,
-            ret=ret,
         )
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,18 +58,10 @@ class ChurnSchedule:
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_period.values())
 
-    def merged_with(self, other: "ChurnSchedule") -> "ChurnSchedule":
-        """A new schedule containing this schedule's events plus ``other``'s.
-
-        Within a period, this schedule's events come first (insertion
-        order is preserved on both sides).
-        """
-        merged = ChurnSchedule()
-        for schedule in (self, other):
-            for period in schedule.periods():
-                for event in schedule.events_for(period):
-                    merged.add(event)
-        return merged
+    def __iter__(self) -> Iterator[ChurnEvent]:
+        """Every event, in period order (insertion order within a period)."""
+        for period in self.periods():
+            yield from self._by_period[period]
 
     @classmethod
     def paper_default(
@@ -139,12 +131,18 @@ class ChurnSchedule:
         return schedule
 
 
+def churn_line(period: int, action: str, node_id: int) -> str:
+    """The event-log line of one applied churn change (every lane's format)."""
+    verb = "left" if action == "leave" else "returned"
+    return f"p{period}: node {node_id} {verb}"
+
+
 class ChurnApplier:
     """Stateful churn semantics shared by every lane.
 
-    All three engines (reference, vectorised, multihop) used to carry
-    their own copy of the same three rules; this class is the single
-    implementation:
+    The single implementation of the three membership rules that the
+    OO runners (:class:`~repro.network.lane.Lane`) and both vector
+    engines apply:
 
     * a ``leave`` only fires for a node that is present, a ``return``
       only for one that is absent (double-booked events are dropped);
@@ -155,9 +153,9 @@ class ChurnApplier:
       attacker masquerading as reference) is dropped without consuming
       the FIFO.
 
-    The applier owns only membership bookkeeping; what "leaving" does to
-    a node (presence flags, protocol callbacks, event logs) is supplied
-    by the caller.
+    The applier owns only membership bookkeeping: :meth:`due` yields the
+    changes, and what "leaving" does to a node (presence flags, protocol
+    callbacks, event logs) is up to the lane iterating it.
     """
 
     def __init__(self, schedule: Optional[ChurnSchedule]) -> None:
@@ -191,24 +189,24 @@ class ChurnApplier:
             return self._marker_left.pop(0)
         return None
 
-    def apply(
+    def due(
         self,
         period: int,
         current_reference: Callable[[], Optional[int]],
         is_present: Callable[[int], Optional[bool]],
-        leave: Callable[[int], None],
-        ret: Callable[[int], None],
         exclude: Optional[Callable[[int], bool]] = None,
-    ) -> None:
-        """Apply the events due at ``period``.
+    ) -> Iterator[Tuple[str, int]]:
+        """Yield the ``(action, node_id)`` changes due at ``period``.
 
-        ``is_present`` returns None for unknown node ids (the event is
-        dropped); ``leave`` / ``ret`` perform the engine-specific state
-        change for ids that pass the presence gate.
+        Lazy on purpose: the caller applies each change before asking for
+        the next, so presence and the reference are read after every
+        applied change. ``is_present`` returns None for unknown node ids
+        (the event is dropped).
         """
         if self.schedule is None:
             return
         for event in self.schedule.events_for(period):
+            leaving = event.action == "leave"
             for node_id in event.node_ids:
                 resolved = self.resolve_marker(
                     node_id, event.action, current_reference, exclude
@@ -216,9 +214,6 @@ class ChurnApplier:
                 if resolved is None:
                     continue
                 present = is_present(resolved)
-                if present is None:
-                    continue
-                if event.action == "leave" and present:
-                    leave(resolved)
-                elif event.action == "return" and not present:
-                    ret(resolved)
+                # Only a present node leaves, only an absent one returns.
+                if present is not None and present == leaving:
+                    yield event.action, resolved

@@ -85,9 +85,15 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("a network needs at least 2 nodes")
+            raise ValueError(
+                f"n must be >= 2 (a network needs two stations), got {self.n}"
+            )
         if self.duration_s <= 0:
-            raise ValueError("duration_s must be > 0")
+            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        if self.churn not in (None, "paper"):
+            raise ValueError(
+                f"churn must be None or 'paper', got {self.churn!r}"
+            )
 
     @property
     def periods(self) -> int:
@@ -132,11 +138,13 @@ def _sample_clocks(spec: ScenarioSpec, rngs: RngRegistry, count: int):
     return [population.clock(i) for i in range(count)]
 
 
-def _churn_for(spec: ScenarioSpec, rngs: RngRegistry, node_count: int):
+def _churn_for(
+    spec: ScenarioSpec, rngs: RngRegistry, node_count: int
+) -> Optional[ChurnSchedule]:
+    """The spec's churn preset as a schedule over stations
+    ``0..node_count-1``, drawn from the ``churn`` stream (every lane)."""
     if spec.churn is None:
         return None
-    if spec.churn != "paper":
-        raise ValueError(f"unknown churn preset {spec.churn!r}")
     return ChurnSchedule.paper_default(
         node_ids=list(range(node_count)),
         total_periods=spec.periods,

@@ -24,9 +24,8 @@ other event sources (tests inject their own) interleave correctly.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,15 +37,14 @@ from repro.mac.contention import partition_domains, resolve_contention
 from repro.obs.counters import work_lane
 from repro.obs.events import emit, tracing_enabled
 from repro.obs.profile import span
-from repro.network.churn import ChurnApplier, ChurnSchedule
+from repro.network.churn import ChurnSchedule
+from repro.network.lane import Lane
 from repro.network.node import Node
 from repro.phy.channel import BroadcastChannel
 from repro.phy.params import PhyParams
 from repro.protocols.base import RxContext, SyncProtocol
 from repro.sim.engine import Simulator
 from repro.sim.units import S
-
-logger = logging.getLogger(__name__)
 
 #: The base class's no-op period-time hook (see ``_period_body``).
 _NO_PERIOD_TIME = SyncProtocol.on_period_time
@@ -101,7 +99,7 @@ class RunResult:
     events: List[str] = field(default_factory=list)
 
 
-class NetworkRunner:
+class NetworkRunner(Lane):
     """Drives one IBSS for a configured number of beacon periods."""
 
     def __init__(
@@ -113,40 +111,18 @@ class NetworkRunner:
         churn: Optional[ChurnSchedule] = None,
         injector: Optional["FaultInjector"] = None,
     ) -> None:
-        ids = [node.node_id for node in nodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate node ids")
-        self.nodes = list(nodes)
-        self._by_id: Dict[int, Node] = {node.node_id: node for node in nodes}
-        self.channel = channel
+        super().__init__(
+            nodes, channel, params.beacon_period_us, params.periods, churn
+        )
         self.phy = phy
         self.params = params
-        self.churn = churn or ChurnSchedule()
         self.recorder = TraceRecorder(keep_values=params.keep_values)
-        self._churn_applier = ChurnApplier(self.churn)
-        self._events: List[str] = []
         self._beacon_successes = 0
         self._windows = 0
         self._last_beacon_true = 0.0
         self._last_valid_ref = -1
-        self.injector = None
         if injector is not None:
             self.attach_injector(injector)
-
-    def attach_injector(self, injector: "FaultInjector") -> None:
-        """Bind a fault injector; its hooks run every period from now on."""
-        injector.bind(self)
-        self.injector = injector
-
-    def set_churn(self, schedule: ChurnSchedule) -> None:
-        """Replace the churn schedule (resets the marker FIFO)."""
-        self.churn = schedule
-        self._churn_applier = ChurnApplier(schedule)
-
-    @property
-    def _marker_left(self) -> List[int]:
-        """Reference-marker FIFO (kept on the shared applier)."""
-        return self._churn_applier.marker_left
 
     # ------------------------------------------------------------------
     # Public API
@@ -155,20 +131,20 @@ class NetworkRunner:
     def run(self) -> RunResult:
         """Simulate all periods and return the result bundle."""
         sim = Simulator()
-        bp = self.params.beacon_period_us
+        bp = self.beacon_period_us
         proto = self.nodes[0].protocol.protocol_name if self.nodes else "none"
         with work_lane(f"singlehop/{proto}"):
-            for period in range(1, self.params.periods + 1):
+            for period in range(1, self.periods + 1):
                 sim.schedule(period * bp, self._run_period, period)
             sim.run()
         return RunResult(
             trace=self.recorder.finalize(),
             nodes=self.nodes,
             channel=self.channel,
-            periods=self.params.periods,
+            periods=self.periods,
             successful_beacons=self._beacon_successes,
             contention_windows=self._windows,
-            events=self._events,
+            events=self.events,
         )
 
     def current_reference(self) -> int:
@@ -189,18 +165,12 @@ class NetworkRunner:
             self._period_body(period)
 
     def _period_body(self, period: int) -> None:
-        bp = self.params.beacon_period_us
+        bp = self.beacon_period_us
         by_id = self._by_id
         tracing = tracing_enabled()
         with span("singlehop.churn"):
-            self._apply_churn(period)
-        if self.injector is not None:
-            self.injector.on_period_start(period)
-            stalled = self.injector.stalled_ids(period)
-            partition = self.injector.partition_groups(period)
-        else:
-            stalled = frozenset()
-            partition = None
+            self.apply_churn(period)
+        stalled, partition = self._period_faults(period)
         # Stalled nodes are present (their clocks keep running and they
         # stay in the metric) but frozen: no tx, no rx, no hooks.
         active = [node for node in self.nodes if node.present]
@@ -344,53 +314,3 @@ class NetworkRunner:
         self.recorder.record(sample_time, values, reference, full_values=full)
         if self.injector is not None:
             self.injector.on_period_end(period)
-
-    # ------------------------------------------------------------------
-    # Churn
-    # ------------------------------------------------------------------
-
-    def _apply_churn(self, period: int) -> None:
-        def is_present(node_id: int) -> Optional[bool]:
-            node = self._by_id.get(node_id)
-            return None if node is None else node.present
-
-        t_us = period * self.params.beacon_period_us
-
-        def leave(node_id: int) -> None:
-            node = self._by_id[node_id]
-            node.present = False
-            node.protocol.on_leave(period)
-            self._events.append(f"p{period}: node {node_id} left")
-            emit("churn_leave", t_us=t_us, node=node_id, period=period)
-            logger.info("churn: node %d left at period %d", node_id, period)
-
-        def ret(node_id: int) -> None:
-            node = self._by_id[node_id]
-            node.present = True
-            node.protocol.on_return(period)
-            self._events.append(f"p{period}: node {node_id} returned")
-            emit("churn_return", t_us=t_us, node=node_id, period=period)
-            logger.info("churn: node %d returned at period %d", node_id, period)
-
-        self._churn_applier.apply(
-            period,
-            current_reference=self.current_reference,
-            is_present=is_present,
-            leave=leave,
-            ret=ret,
-            exclude=self._attacker_squats_reference,
-        )
-
-    def _attacker_squats_reference(self, ref: int) -> bool:
-        # The "reference" is an attacker squatting on the role; the churn
-        # scenario removes legitimate stations only.
-        node = self._by_id.get(ref)
-        return node is not None and not node.include_in_metrics
-
-    def _resolve_marker(self, node_id: int, action: str) -> Optional[int]:
-        return self._churn_applier.resolve_marker(
-            node_id,
-            action,
-            self.current_reference,
-            exclude=self._attacker_squats_reference,
-        )

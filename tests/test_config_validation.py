@@ -73,6 +73,20 @@ class TestScenarioSpec:
         assert spec.error_offset_us == 50_000.0
         assert spec.shave_per_period_us == 40.0
 
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"n": 1}, "n must be >= 2 (a network needs two stations), got 1"),
+            ({"duration_s": 0.0}, "duration_s must be > 0, got 0.0"),
+            ({"duration_s": -2.5}, "duration_s must be > 0, got -2.5"),
+            ({"churn": "papr"}, "churn must be None or 'paper', got 'papr'"),
+        ],
+    )
+    def test_invalid_field_named_with_value(self, kwargs, named):
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec(**kwargs)
+        assert str(excinfo.value) == named
+
     def test_churn_preset_validated_at_build(self):
         from repro.network.ibss import build_network
 

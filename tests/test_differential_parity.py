@@ -157,7 +157,7 @@ def _run_reference_lane(spec: MultiHopSpec):
     runner.params = replace(runner.params, keep_values=True)
     runner.recorder = TraceRecorder(keep_values=True)
     if spec.churn is not None and len(spec.churn):
-        runner.set_churn(spec.churn)
+        runner.churn = spec.churn
     return runner.run()
 
 

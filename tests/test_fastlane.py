@@ -107,3 +107,26 @@ class TestLaneDivergenceBounds:
         sstsp_oo = build_network("sstsp", spec).run().trace.steady_state_error_us()
         assert sstsp_vec < tsf_vec / 3
         assert sstsp_oo < tsf_oo / 3
+
+
+_LANES = {"tsf": run_tsf_vectorized, "sstsp": run_sstsp_vectorized}
+
+
+class TestChurnPreset:
+    """Both vector lanes take the churn preset from the spec the way
+    ``build_network`` does: an unknown name is an error, and ``"paper"``
+    draws the same schedule from the same ``churn`` stream."""
+
+    @pytest.mark.parametrize("protocol", sorted(_LANES))
+    def test_unknown_preset_rejected(self, protocol):
+        with pytest.raises(ValueError, match="churn.*'papr'"):
+            _LANES[protocol](ScenarioSpec(n=10, duration_s=1.0, churn="papr"))
+
+    @pytest.mark.parametrize("protocol", sorted(_LANES))
+    def test_paper_preset_matches_reference_lane(self, protocol):
+        # 260 s: one group departure (200 s) and its return (250 s), no
+        # reference departure yet (300 s), so the log is lane-independent.
+        spec = ScenarioSpec(n=10, seed=5, duration_s=260.0, churn="paper")
+        vec = _LANES[protocol](spec).events
+        assert vec == build_network(protocol, spec).run().events
+        assert vec == ["p2000: node 6 left", "p2500: node 6 returned"]

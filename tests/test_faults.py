@@ -15,8 +15,14 @@ from repro.experiments.chaos import PlanOutcome, _check_invariants
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, random_plan
 from repro.multihop.runner import MultiHopRunner, MultiHopSpec
 from repro.multihop.topology import Topology
-from repro.network.churn import REFERENCE_MARKER
+from repro.clocks.oscillator import HardwareClock
+from repro.network.churn import REFERENCE_MARKER, ChurnSchedule
 from repro.network.ibss import ScenarioSpec, build_sstsp_network
+from repro.network.node import Node
+from repro.phy.channel import BroadcastChannel
+from repro.phy.params import PhyParams
+from repro.protocols.tsf import TsfConfig, TsfProtocol
+from repro.sim.units import S
 
 
 def make_runner(n=8, seed=3, duration_s=10.0, plan=None, config=None):
@@ -280,6 +286,91 @@ class TestInjectorChannelFaults:
         injector = FaultInjector(FaultPlan())
         with pytest.raises(RuntimeError):
             injector.on_period_start(1)
+
+
+class _SurfaceOnlyLane:
+    """A lane with the public surface and nothing else: no runner, no
+    private attributes for the injector to reach into."""
+
+    def __init__(self, n: int = 4) -> None:
+        rng = np.random.default_rng(0)
+        self.nodes = []
+        for i in range(n):
+            node = Node(i, HardwareClock(rate=1.0, initial_offset=0.0))
+            node.protocol = TsfProtocol(i, node.timer, TsfConfig(), rng)
+            self.nodes.append(node)
+        self.channel = BroadcastChannel(PhyParams(packet_error_rate=0.0), rng)
+        self.beacon_period_us = 0.1 * S
+        self.periods = 12
+        self.churn = ChurnSchedule()
+        self.events = []
+        self.injector = None
+        self.reference = 0
+
+    def node(self, node_id):
+        return next((n for n in self.nodes if n.node_id == node_id), None)
+
+    def attach_injector(self, injector):
+        injector.bind(self)
+        self.injector = injector
+
+    def current_reference(self):
+        return self.reference if self.node(self.reference).present else -1
+
+
+class TestInjectorLaneSurface:
+    def test_every_fault_kind_against_the_bare_surface(self):
+        plan = FaultPlan(
+            faults=(
+                FaultSpec("crash", 2, 3, node_id=REFERENCE_MARKER),
+                FaultSpec("stall", 3, 2, node_id=1),
+                FaultSpec("jam", 4, 2),
+                FaultSpec("loss_burst", 6, 2, magnitude=1.0),
+                FaultSpec("partition", 8, 2, magnitude=0.5),
+            )
+        )
+        lane = _SurfaceOnlyLane()
+        lane.attach_injector(FaultInjector(plan))
+        injector = lane.injector
+        bp = lane.beacon_period_us
+        stalled, split, present0, burst_delivered = {}, {}, {}, {}
+        for period in range(1, lane.periods + 1):
+            injector.on_period_start(period)
+            stalled[period] = injector.stalled_ids(period)
+            split[period] = injector.partition_groups(period)
+            present0[period] = lane.node(0).present
+            burst_delivered[period] = lane.channel.broadcast(
+                2, [3], (period + 0.5) * bp, 10
+            )
+            injector.on_period_end(period)
+        # crash of the reference at p2, restart at p5
+        assert injector.reference_crashes == [(2, 0)]
+        assert [present0[p] for p in range(1, 7)] == [
+            True, False, False, False, True, True
+        ]
+        assert stalled[3] == stalled[4] == frozenset({1})
+        assert stalled[5] == frozenset()
+        assert lane.channel.is_jammed(4.5 * bp) and lane.channel.is_jammed(5.5 * bp)
+        assert not lane.channel.is_jammed(6.5 * bp)
+        # loss burst at p6-p7 drops everything; cleared at the end of p7
+        assert burst_delivered[6] == burst_delivered[7] == []
+        assert burst_delivered[8] == [3]
+        assert sorted(split[8].values()) == [0, 0, 1, 1]
+        assert split[9] is not None and split[10] is None
+        # every applied fault is noted onto the lane's event log
+        assert lane.events == injector.log
+        assert any("restart node 0" in line for line in lane.events)
+        assert any("loss_burst cleared" in line for line in lane.events)
+        assert any("partition healed" in line for line in lane.events)
+
+    def test_injector_source_uses_no_private_lane_attributes(self):
+        import inspect
+
+        import repro.faults.injector as module
+
+        source = inspect.getsource(module)
+        assert "_runner._" not in source
+        assert "_lane._" not in source
 
 
 class TestChaosHarness:

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.fastlane.common import ChurnDriver, VectorState, resolve_window
+from repro.fastlane.common import VectorState, resolve_window
 from repro.mac.beacon import BeaconFrame, SecureBeaconFrame
-from repro.network.churn import REFERENCE_MARKER, ChurnEvent, ChurnSchedule
 from repro.network.ibss import ScenarioSpec
 from repro.sim.units import MS, S, US, s_to_us, us_to_s
 
@@ -100,52 +99,3 @@ class TestResolveWindow:
         )
         assert winner == 3
         assert start == pytest.approx(63.0)
-
-
-class TestChurnDriver:
-    def test_leave_and_return(self):
-        schedule = ChurnSchedule(
-            [ChurnEvent(5, "leave", (1,)), ChurnEvent(9, "return", (1,))]
-        )
-        driver = ChurnDriver(schedule)
-        present = np.ones(3, dtype=bool)
-        left, returned = [], []
-        driver.apply(5, present, lambda: -1, on_leave=left.append)
-        assert not present[1] and left == [1]
-        driver.apply(9, present, lambda: -1, on_return=returned.append)
-        assert present[1] and returned == [1]
-        assert len(driver.events) == 2
-
-    def test_reference_marker_resolution(self):
-        schedule = ChurnSchedule(
-            [
-                ChurnEvent(5, "leave", (REFERENCE_MARKER,)),
-                ChurnEvent(9, "return", (REFERENCE_MARKER,)),
-            ]
-        )
-        driver = ChurnDriver(schedule)
-        present = np.ones(3, dtype=bool)
-        driver.apply(5, present, lambda: 2)
-        assert not present[2]
-        driver.apply(9, present, lambda: -1)
-        assert present[2]
-
-    def test_marker_with_no_reference_noop(self):
-        schedule = ChurnSchedule([ChurnEvent(5, "leave", (REFERENCE_MARKER,))])
-        driver = ChurnDriver(schedule)
-        present = np.ones(3, dtype=bool)
-        driver.apply(5, present, lambda: -1)
-        assert present.all()
-
-    def test_none_schedule(self):
-        driver = ChurnDriver(None)
-        present = np.ones(2, dtype=bool)
-        driver.apply(1, present, lambda: -1)
-        assert present.all()
-
-    def test_out_of_range_ids_ignored(self):
-        schedule = ChurnSchedule([ChurnEvent(1, "leave", (99,))])
-        driver = ChurnDriver(schedule)
-        present = np.ones(3, dtype=bool)
-        driver.apply(1, present, lambda: -1)
-        assert present.all()

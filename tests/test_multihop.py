@@ -7,6 +7,7 @@ import pytest
 
 from repro.multihop import MultiHopRunner, MultiHopSpec, Topology
 from repro.multihop.runner import run_multihop
+from repro.network.churn import ChurnEvent
 from repro.phy.params import PhyParams
 from repro.sim.units import S
 
@@ -166,7 +167,7 @@ class TestMultiHopSync:
     def test_root_failover(self):
         spec = MultiHopSpec(topology=Topology.grid(3, 3), seed=3, duration_s=30.0)
         runner = MultiHopRunner(spec)
-        runner.leave_at[150] = [spec.root]
+        runner.churn.add(ChurnEvent(150, "leave", (spec.root,)))
         result = runner.run()
         assert result.root_changes >= 1
         assert result.root != spec.root
@@ -177,14 +178,26 @@ class TestMultiHopSync:
     def test_node_return_reacquires(self):
         spec = MultiHopSpec(topology=Topology.chain(5), seed=3, duration_s=20.0)
         runner = MultiHopRunner(spec)
-        runner.leave_at[50] = [3]
-        runner.return_at[100] = [3]
+        runner.churn.add(ChurnEvent(50, "leave", (3,)))
+        runner.churn.add(ChurnEvent(100, "return", (3,)))
         result = runner.run()
         # node 3 away; downstream nodes may transiently detach too
         assert 2 <= result.trace.present_counts.min() <= 4
         assert result.trace.present_counts[-1] == 5
         tail = result.trace.window(15.0 * S, 20.0 * S)
         assert float(tail.max_diff_us.max()) < 500.0
+
+    def test_root_leaving_and_returning_in_one_period_orphans_the_tree(self):
+        # The departure alone orphans the tree: the root's return in the
+        # same period does not restore its role, a hop-1 station takes over.
+        spec = MultiHopSpec(topology=Topology.chain(5), seed=3, duration_s=10.0)
+        runner = MultiHopRunner(spec)
+        runner.churn.add(ChurnEvent(50, "leave", (spec.root,)))
+        runner.churn.add(ChurnEvent(50, "return", (spec.root,)))
+        result = runner.run()
+        assert runner.events == ["p50: node 0 left", "p50: node 0 returned"]
+        assert result.root_changes == 1
+        assert result.root != spec.root
 
     def test_collisions_counted(self):
         spec = MultiHopSpec(topology=Topology.grid(4, 4), seed=3, duration_s=10.0)

@@ -184,8 +184,6 @@ class TestRunner:
         # When an attacker squats on the reference role, a marker leave
         # must not remove it (churn models legitimate stations only) and
         # must not enqueue a pairing for the later marker return.
-        from repro.core.sstsp import SstspState
-
         spec = ScenarioSpec(
             n=5, seed=3, duration_s=1.0,
             attacker=AttackerSpec(start_s=0.2, end_s=0.5),
@@ -193,42 +191,55 @@ class TestRunner:
         runner = build_network("sstsp", spec)
         attacker = runner.nodes[-1]
         assert not attacker.include_in_metrics
-        attacker.protocol.state = SstspState.REFERENCE
+        _crown(runner, attacker.node_id)
         assert runner.current_reference() == attacker.node_id
-        assert runner._resolve_marker(REFERENCE_MARKER, "leave") is None
-        assert runner._marker_left == []
+        for period, action in enumerate(("leave", "return", "leave", "return"), 1):
+            runner.churn.add(ChurnEvent(period, action, (REFERENCE_MARKER,)))
+        runner.apply_churn(1)
+        assert attacker.present and runner.events == []
         # the unpaired marker return is likewise a no-op
-        assert runner._resolve_marker(REFERENCE_MARKER, "return") is None
+        runner.apply_churn(2)
+        assert runner.events == []
+        _crown(runner, 2)
+        runner.apply_churn(3)
+        # the attacker was never enqueued: the next return pairs with 2
+        runner.apply_churn(4)
+        assert runner.events == ["p3: node 2 left", "p4: node 2 returned"]
 
     def test_marker_return_without_prior_leave_is_noop(self):
         spec = ScenarioSpec(n=5, seed=3, duration_s=1.0)
         runner = build_network("sstsp", spec)
-        assert runner._resolve_marker(REFERENCE_MARKER, "return") is None
+        runner.churn.add(ChurnEvent(1, "leave", (1,)))
+        runner.churn.add(ChurnEvent(2, "return", (REFERENCE_MARKER,)))
+        runner.apply_churn(1)
+        runner.apply_churn(2)
+        assert not runner.node(1).present
+        assert runner.events == ["p1: node 1 left"]
 
     def test_overlapping_marker_departures_pair_fifo(self):
         # Two reference departures before any return: the first return
         # must bring back the *first* departed reference, the second the
         # second (FIFO pairing keeps each station's absence contiguous).
-        from repro.core.sstsp import SstspState
-
         spec = ScenarioSpec(n=5, seed=3, duration_s=1.0)
         runner = build_network("sstsp", spec)
-
-        def crown(node_id):
-            for node in runner.nodes:
-                node.protocol.state = (
-                    SstspState.REFERENCE
-                    if node.node_id == node_id
-                    else SstspState.SYNCED
-                )
-
-        crown(2)
-        assert runner._resolve_marker(REFERENCE_MARKER, "leave") == 2
-        crown(4)
-        assert runner._resolve_marker(REFERENCE_MARKER, "leave") == 4
-        assert runner._resolve_marker(REFERENCE_MARKER, "return") == 2
-        assert runner._resolve_marker(REFERENCE_MARKER, "return") == 4
-        assert runner._resolve_marker(REFERENCE_MARKER, "return") is None
+        runner.churn.add(ChurnEvent(1, "leave", (REFERENCE_MARKER,)))
+        runner.churn.add(ChurnEvent(2, "leave", (REFERENCE_MARKER,)))
+        runner.churn.add(
+            ChurnEvent(3, "return", (REFERENCE_MARKER, REFERENCE_MARKER))
+        )
+        runner.churn.add(ChurnEvent(4, "return", (REFERENCE_MARKER,)))
+        _crown(runner, 2)
+        runner.apply_churn(1)
+        _crown(runner, 4)
+        runner.apply_churn(2)
+        runner.apply_churn(3)
+        runner.apply_churn(4)
+        assert runner.events == [
+            "p1: node 2 left",
+            "p2: node 4 left",
+            "p3: node 2 returned",
+            "p3: node 4 returned",
+        ]
 
     def test_deterministic_given_seed(self):
         spec = ScenarioSpec(n=8, seed=11, duration_s=3.0)
@@ -271,3 +282,13 @@ class TestBuilders:
             ScenarioSpec(n=1)
         with pytest.raises(ValueError):
             ScenarioSpec(duration_s=0)
+
+
+def _crown(runner, node_id):
+    """Make ``node_id`` the only station in the SSTSP reference state."""
+    from repro.core.sstsp import SstspState
+
+    for node in runner.nodes:
+        node.protocol.state = (
+            SstspState.REFERENCE if node.node_id == node_id else SstspState.SYNCED
+        )
