@@ -14,6 +14,10 @@ full-crypto backend (real hash chains and HMACs), built directly through
 ``ibss.build_network`` because ``scenario_trace`` has no crypto param; it
 pins the per-station ``crypto.*`` counters, which count what each
 receiver would compute whether or not the backend shares the host work.
+The ``atsp``, ``tatsp``, ``satsf`` and ``rentel`` cases are built the
+same way (``scenario_trace`` runs only TSF and SSTSP), so every
+TSF-family config class is pinned on this lane; ``tsf-attack`` pins the
+channel attacker's insertion.
 
 Any ``scenario_trace`` case can be re-profiled from the command line and
 compared with ``repro profile diff``::
@@ -66,9 +70,21 @@ def _full_crypto_attack() -> object:
     return ibss.build_network("sstsp", spec, crypto="full").run().trace
 
 
+def _built(protocol: str) -> Callable[[], object]:
+    spec = quick_spec(20, seed=5, duration_s=10.0)
+    return lambda: ibss.build_network(protocol, spec).run().trace
+
+
 #: case name -> zero-argument run returning the job's trace
 CASES: Dict[str, Callable[[], object]] = {
     "tsf": _scenario_trace(protocol="tsf"),
+    "tsf-attack": _scenario_trace(
+        protocol="tsf", attack_start_s=3.0, attack_end_s=7.0
+    ),
+    "atsp": _built("atsp"),
+    "tatsp": _built("tatsp"),
+    "satsf": _built("satsf"),
+    "rentel": _built("rentel"),
     "sstsp": _scenario_trace(protocol="sstsp"),
     # A guard-tuned insider mid-run: attacker receptions and an excluded
     # metric station go through the same fan-out.
