@@ -228,7 +228,7 @@ class TraceRecorder:
         self._mean_vs_true: List[float] = []
         self._present: List[int] = []
         self._refs: List[int] = []
-        self._keep_values = keep_values
+        self.keep_values = keep_values
         self._values: List[np.ndarray] = []
 
     def record(
@@ -250,7 +250,7 @@ class TraceRecorder:
         self._mean_vs_true.append(float(arr.mean() - true_time_us) if arr.size else 0.0)
         self._present.append(arr.size)
         self._refs.append(reference_id)
-        if self._keep_values:
+        if self.keep_values:
             if full_values is None:
                 raise ValueError("keep_values recorder needs full_values")
             self._values.append(np.asarray(full_values, dtype=np.float64).copy())
@@ -263,7 +263,7 @@ class TraceRecorder:
             np.asarray(self._mean_vs_true),
             np.asarray(self._present, dtype=np.int64),
             np.asarray(self._refs, dtype=np.int64),
-            np.vstack(self._values) if self._keep_values and self._values else None,
+            np.vstack(self._values) if self.keep_values and self._values else None,
         )
 
 

@@ -43,7 +43,7 @@ from repro.core.config import SstspConfig
 from repro.experiments.report import format_table
 from repro.experiments.scenarios import PAPER_PHY
 from repro.faults import FaultInjector, FaultPlan, random_plan
-from repro.network.ibss import ScenarioSpec, build_sstsp_network
+from repro.network.ibss import ScenarioSpec, build_network
 from repro.network.lane import Lane
 from repro.network.runner import NetworkRunner
 from repro.sim.units import S
@@ -168,7 +168,7 @@ def build_chaos_runner(
         beacon_period_us=bp,
         phy=phy,
     )
-    runner = build_sstsp_network(spec, config=SstspConfig.hardened())
+    runner = build_network("sstsp", spec, sstsp_config=SstspConfig.hardened())
     runner.attach_injector(FaultInjector(plan))
     return runner
 

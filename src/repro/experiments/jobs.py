@@ -13,10 +13,8 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.analysis.metrics import INDUSTRY_THRESHOLD_US, sync_latency_us
-from repro.core.config import SstspConfig
 from repro.experiments.scenarios import paper_spec, quick_spec
 from repro.network.ibss import AttackerSpec, ScenarioSpec
-from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS
 from repro.sweep.spec import JobSpec
 
 
@@ -68,20 +66,6 @@ def _scenario_from_params(params: Dict[str, Any]) -> ScenarioSpec:
     return builder(**kwargs)
 
 
-def sstsp_config_for(spec: ScenarioSpec, m: int) -> SstspConfig:
-    """The SSTSP config the paper experiments run: 7-slot beacons at the
-    scenario's PHY timing, aggressiveness ``m``."""
-    return SstspConfig(
-        beacon_period_us=spec.beacon_period_us,
-        slot_time_us=spec.phy.slot_time_us,
-        m=m,
-        rx_latency_us=(
-            SSTSP_BEACON_AIRTIME_SLOTS * spec.phy.slot_time_us
-            + spec.phy.propagation_delay_us
-        ),
-    )
-
-
 def run_scenario_trace(job: JobSpec) -> Dict[str, Any]:
     """One protocol scenario → its trace payload (fig1–fig4 unit of work).
 
@@ -100,7 +84,7 @@ def run_scenario_trace(job: JobSpec) -> Dict[str, Any]:
         raise ValueError(f"scenario_trace: unknown lane {lane!r}")
     spec = _scenario_from_params(params)
     if protocol == "sstsp":
-        config = sstsp_config_for(spec, params.get("m", 4))
+        config = spec.sstsp_config(m=params.get("m", 4))
         if lane == "oo":
             from repro.network.ibss import build_network
 
@@ -142,7 +126,7 @@ def run_table1_cell(job: JobSpec) -> Dict[str, Optional[float]]:
         duration_s=params["duration_s"],
         initial_offset_us=params["initial_offset_us"],
     )
-    config = sstsp_config_for(spec, params["m"])
+    config = spec.sstsp_config(m=params["m"])
     trace = run_sstsp_vectorized(spec, config=config).trace
     latency = sync_latency_us(trace, INDUSTRY_THRESHOLD_US)
     return {

@@ -27,7 +27,6 @@ from repro.fastlane.common import VectorState, resolve_window
 from repro.network.churn import ChurnApplier, churn_line
 from repro.network.ibss import ScenarioSpec, _churn_for
 from repro.obs.counters import count, work_lane
-from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS
 from repro.security.attacks import AttackWindow
 
 
@@ -64,14 +63,7 @@ class _VectorSstsp:
             else None
         )
         if config is None:
-            config = SstspConfig(
-                beacon_period_us=spec.beacon_period_us,
-                slot_time_us=spec.phy.slot_time_us,
-                rx_latency_us=(
-                    SSTSP_BEACON_AIRTIME_SLOTS * spec.phy.slot_time_us
-                    + spec.phy.propagation_delay_us
-                ),
-            )
+            config = spec.sstsp_config()
         self.config = config
 
         # Adjusted clocks: c_i(hw) = k_i * hw + b_i.

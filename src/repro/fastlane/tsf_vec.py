@@ -32,6 +32,7 @@ from repro.network.churn import ChurnApplier, churn_line
 from repro.network.ibss import ScenarioSpec, _churn_for
 from repro.obs.counters import count, work_lane
 from repro.phy.params import TSF_BEACON_AIRTIME_SLOTS
+from repro.protocols.tsf import TsfConfig
 from repro.security.attacks import AttackWindow
 
 
@@ -46,7 +47,7 @@ class VectorTsfResult:
 
 
 def run_tsf_vectorized(
-    spec: ScenarioSpec, w: int = 30, keep_values: bool = False
+    spec: ScenarioSpec, keep_values: bool = False
 ) -> VectorTsfResult:
     """Run the spec's TSF scenario on the vector engine.
 
@@ -54,11 +55,11 @@ def run_tsf_vectorized(
     by the application-layer evaluations in :mod:`repro.apps`).
     """
     with work_lane("fastlane/tsf"):
-        return _run_tsf_vectorized(spec, w, keep_values)
+        return _run_tsf_vectorized(spec, keep_values)
 
 
 def _run_tsf_vectorized(
-    spec: ScenarioSpec, w: int, keep_values: bool
+    spec: ScenarioSpec, keep_values: bool
 ) -> VectorTsfResult:
     has_attacker = spec.attacker is not None
     state = VectorState.from_spec(spec, extra_nodes=1 if has_attacker else 0)
@@ -74,6 +75,7 @@ def _run_tsf_vectorized(
 
     bp = spec.beacon_period_us
     slot_time = spec.phy.slot_time_us
+    w = TsfConfig.w  # the contention window the OO lane's stations use
     airtime = TSF_BEACON_AIRTIME_SLOTS * slot_time
     latency = airtime + spec.phy.propagation_delay_us
     per = spec.phy.packet_error_rate

@@ -50,8 +50,8 @@ decisions exactly (see ``tests/test_differential_parity.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -59,11 +59,9 @@ from repro.analysis.metrics import SyncTrace, TraceRecorder
 from repro.clocks.adjusted import AdjustedClock
 from repro.clocks.chain import ClockChain, adjusted_at_all
 from repro.clocks.population import ClockPopulation
-from repro.core.config import SstspConfig
 from repro.mac.contention import resolve_neighborhood
 from repro.multihop.topology import Topology
 from repro.network.churn import ChurnSchedule
-from repro.network.ibss import ScenarioSpec
 from repro.network.lane import Lane
 from repro.network.node import Node
 from repro.network.runner import NetworkRunner
@@ -235,16 +233,6 @@ class MultiHopResult:
         return max(self.hop_of.values()) if self.hop_of else 0
 
 
-def degenerate_scenario(spec: MultiHopSpec) -> Tuple[ScenarioSpec, SstspConfig]:
-    """Translate a complete-graph multi-hop spec to the single-hop SSTSP
-    lane (kept as a module function for the differential-parity tests;
-    the translation itself lives on the protocol —
-    :meth:`~repro.protocols.multihop_sstsp.SstspRelayProtocol.single_hop_lane`)."""
-    from repro.protocols.multihop_sstsp import SstspRelayProtocol
-
-    return SstspRelayProtocol.single_hop_lane(spec)
-
-
 class MultiHopRunner(Lane):
     """Drives one multi-hop network on the shared kernel."""
 
@@ -392,7 +380,6 @@ class MultiHopRunner(Lane):
         spec = self.spec
         # Keep the full clock matrix: per-hop errors are reconstructed
         # from it after the run.
-        inner.params = replace(inner.params, keep_values=True)
         inner.recorder = TraceRecorder(keep_values=True)
         if len(self.churn):
             inner.churn = self.churn

@@ -9,21 +9,14 @@ records the max-clock-difference trace.
 
 from repro.network.node import Node
 from repro.network.churn import ChurnEvent, ChurnSchedule
-from repro.network.runner import NetworkRunner, RunnerParams, RunResult
-from repro.network.ibss import (
-    build_network,
-    build_sstsp_network,
-    build_tsf_network,
-)
+from repro.network.runner import NetworkRunner, RunResult
+from repro.network.ibss import build_network
 
 __all__ = [
     "Node",
     "ChurnEvent",
     "ChurnSchedule",
     "NetworkRunner",
-    "RunnerParams",
     "RunResult",
     "build_network",
-    "build_tsf_network",
-    "build_sstsp_network",
 ]

@@ -1,15 +1,15 @@
-"""IBSS scenario builders.
+"""IBSS scenario builder.
 
-One call builds a ready-to-run network: sampled clocks, channel,
-per-node protocol drivers, optional churn and optional attacker - wired
-with independent named RNG streams so scenarios are reproducible and
-insensitive to construction order.
+One call (:func:`build_network`) builds a ready-to-run network for any
+protocol: sampled clocks, channel, per-node protocol drivers, optional
+churn and optional attacker - wired with independent named RNG streams
+so scenarios are reproducible and insensitive to construction order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 from repro.clocks.population import ClockPopulation
 from repro.core.backend import (
@@ -22,7 +22,7 @@ from repro.core.sstsp import SstspProtocol
 from repro.crypto.mutesla import IntervalSchedule
 from repro.network.churn import ChurnSchedule
 from repro.network.node import Node
-from repro.network.runner import NetworkRunner, RunnerParams
+from repro.network.runner import NetworkRunner
 from repro.phy.channel import BroadcastChannel
 from repro.phy.params import (
     PhyParams,
@@ -30,6 +30,7 @@ from repro.phy.params import (
     TSF_BEACON_AIRTIME_SLOTS,
 )
 from repro.protocols.atsp import AtspConfig, AtspProtocol
+from repro.protocols.base import SyncProtocol
 from repro.protocols.rentel import RentelConfig, RentelProtocol
 from repro.protocols.satsf import SatsfConfig, SatsfProtocol
 from repro.protocols.tatsp import TatspConfig, TatspProtocol
@@ -90,6 +91,16 @@ class ScenarioSpec:
             )
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        if self.beacon_period_us <= 0:
+            raise ValueError(
+                f"beacon_period_us must be > 0, got {self.beacon_period_us}"
+            )
+        if self.periods < 1:
+            raise ValueError(
+                f"duration_s must cover at least one beacon period, got "
+                f"{self.duration_s} s ({self.periods} periods of "
+                f"{self.beacon_period_us} us)"
+            )
         if self.churn not in (None, "paper"):
             raise ValueError(
                 f"churn must be None or 'paper', got {self.churn!r}"
@@ -99,6 +110,21 @@ class ScenarioSpec:
     def periods(self) -> int:
         return int(round(self.duration_s * S / self.beacon_period_us))
 
+    def sstsp_config(self, **overrides) -> SstspConfig:
+        """The SSTSP config this scenario runs: its ``BP`` and PHY slot
+        time, ``rx_latency_us`` = SSTSP beacon airtime + propagation
+        delay, and keyword ``overrides`` for any other field."""
+        values = dict(
+            beacon_period_us=self.beacon_period_us,
+            slot_time_us=self.phy.slot_time_us,
+            rx_latency_us=(
+                SSTSP_BEACON_AIRTIME_SLOTS * self.phy.slot_time_us
+                + self.phy.propagation_delay_us
+            ),
+        )
+        values.update(overrides)
+        return SstspConfig(**values)
+
 
 _TSF_FAMILY = {
     "tsf": (TsfConfig, TsfProtocol),
@@ -107,6 +133,10 @@ _TSF_FAMILY = {
     "satsf": (SatsfConfig, SatsfProtocol),
     "rentel": (RentelConfig, RentelProtocol),
 }
+
+#: ``(node, rng) -> driver`` for an honest station and
+#: ``(node, rng, window) -> driver`` for the attacker.
+_DriverFactory = Callable[..., SyncProtocol]
 
 
 def build_network(
@@ -118,14 +148,49 @@ def build_network(
     """Build a runnable network for any supported protocol.
 
     ``protocol`` is one of ``tsf``, ``atsp``, ``tatsp``, ``satsf``,
-    ``rentel``, ``sstsp``. For SSTSP, ``crypto`` selects the beacon
-    protection backend (``"full"`` or ``"modeled"``).
+    ``rentel``, ``sstsp``. For SSTSP, ``sstsp_config`` replaces the
+    scenario's :meth:`ScenarioSpec.sstsp_config` and ``crypto`` selects
+    the beacon protection backend (``"full"`` or ``"modeled"``).
+
+    Every protocol is assembled the same way - the same sampled clocks,
+    per-station RNG streams, attacker slot (station ``n``, excluded from
+    the metric), churn and channel - so only the station drivers and the
+    beacon airtime differ between the networks the paper compares.
     """
+    rngs = RngRegistry(spec.seed)
     if protocol == "sstsp":
-        return build_sstsp_network(spec, config=sstsp_config, crypto=crypto)
-    if protocol in _TSF_FAMILY:
-        return build_tsf_network(spec, protocol=protocol)
-    raise ValueError(f"unknown protocol {protocol!r}")
+        station, attacker, airtime_slots = _sstsp_drivers(
+            spec, rngs, sstsp_config, crypto
+        )
+    elif protocol in _TSF_FAMILY:
+        station, attacker, airtime_slots = _tsf_drivers(protocol, spec)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+
+    clocks = _sample_clocks(spec, rngs, spec.n + (spec.attacker is not None))
+    nodes = []
+    for node_id, clock in enumerate(clocks):
+        node = Node(node_id, clock)
+        rng = rngs.get("proto", node_id)
+        if node_id < spec.n:
+            node.protocol = station(node, rng)
+        else:
+            window = AttackWindow.from_seconds(
+                spec.attacker.start_s, spec.attacker.end_s, spec.beacon_period_us
+            )
+            node.protocol = attacker(node, rng, window)
+            node.include_in_metrics = False
+        nodes.append(node)
+
+    phy = spec.phy.with_beacon_airtime(airtime_slots)
+    channel = BroadcastChannel(phy, rngs.get("channel"))
+    return NetworkRunner(
+        nodes,
+        channel,
+        spec.beacon_period_us,
+        spec.periods,
+        churn=_churn_for(spec, rngs, spec.n),
+    )
 
 
 def _sample_clocks(spec: ScenarioSpec, rngs: RngRegistry, count: int):
@@ -153,86 +218,54 @@ def _churn_for(
     )
 
 
-def build_tsf_network(
-    spec: ScenarioSpec,
-    protocol: str = "tsf",
-    config=None,
-) -> NetworkRunner:
-    """Build a TSF-family network (TSF / ATSP / TATSP / SATSF / Rentel)."""
+def _tsf_drivers(
+    protocol: str, spec: ScenarioSpec
+) -> Tuple[_DriverFactory, _DriverFactory, int]:
+    """Station and channel-attacker factories of a TSF-family network."""
     config_cls, protocol_cls = _TSF_FAMILY[protocol]
-    if config is None:
-        config = config_cls(
-            beacon_period_us=spec.beacon_period_us,
-            slot_time_us=spec.phy.slot_time_us,
+    if protocol == "rentel" and spec.attacker is not None:
+        raise ValueError(
+            "the channel attacker targets TSF-timer protocols; the "
+            "controlled-clock scheme is outside its model"
         )
-    rngs = RngRegistry(spec.seed)
-    extra = 1 if spec.attacker is not None else 0
-    clocks = _sample_clocks(spec, rngs, spec.n + extra)
+    config = config_cls(
+        beacon_period_us=spec.beacon_period_us,
+        slot_time_us=spec.phy.slot_time_us,
+    )
+    attack = spec.attacker
 
-    nodes = []
-    for i in range(spec.n):
-        node = Node(i, clocks[i])
-        node.protocol = protocol_cls(i, node.timer, config, rngs.get("proto", i))
-        nodes.append(node)
-    if spec.attacker is not None:
-        attacker_id = spec.n
-        node = Node(attacker_id, clocks[attacker_id])
-        window = AttackWindow.from_seconds(
-            spec.attacker.start_s, spec.attacker.end_s, spec.beacon_period_us
-        )
-        if protocol == "rentel":
-            raise ValueError(
-                "the channel attacker targets TSF-timer protocols; the "
-                "controlled-clock scheme is outside its model"
-            )
+    def station(node: Node, rng) -> SyncProtocol:
+        return protocol_cls(node.node_id, node.timer, config, rng)
+
+    def attacker(node: Node, rng, window: AttackWindow) -> SyncProtocol:
         # The channel attacker works against every TSF-family protocol:
         # the paper's section 5 notes the improved variants (ATSP, TATSP,
         # SATSF) "are also vulnerable to the attack because they depend on
         # the fast nodes to spread the timing information".
-        node.protocol = TsfChannelAttacker(
-            attacker_id,
+        return TsfChannelAttacker(
+            node.node_id,
             node.timer,
             config,
-            rngs.get("proto", attacker_id),
+            rng,
             window=window,
-            lead_slots=spec.attacker.lead_slots,
-            error_offset_us=spec.attacker.error_offset_us,
-            pace_boost_us_per_period=spec.attacker.pace_boost_us_per_period,
+            lead_slots=attack.lead_slots,
+            error_offset_us=attack.error_offset_us,
+            pace_boost_us_per_period=attack.pace_boost_us_per_period,
         )
-        node.include_in_metrics = False
-        nodes.append(node)
 
-    phy = replace(spec.phy, beacon_airtime_slots=TSF_BEACON_AIRTIME_SLOTS)
-    channel = BroadcastChannel(phy, rngs.get("channel"))
-    params = RunnerParams(
-        beacon_period_us=spec.beacon_period_us,
-        periods=spec.periods,
-        beacon_airtime_slots=TSF_BEACON_AIRTIME_SLOTS,
-    )
-    return NetworkRunner(
-        nodes, channel, phy, params, churn=_churn_for(spec, rngs, spec.n)
-    )
+    return station, attacker, TSF_BEACON_AIRTIME_SLOTS
 
 
-def build_sstsp_network(
+def _sstsp_drivers(
     spec: ScenarioSpec,
-    config: Optional[SstspConfig] = None,
-    crypto: str = "modeled",
-) -> NetworkRunner:
-    """Build an SSTSP network, optionally with the insider attacker."""
+    rngs: RngRegistry,
+    config: Optional[SstspConfig],
+    crypto: str,
+) -> Tuple[_DriverFactory, _DriverFactory, int]:
+    """Station and insider-attacker factories of an SSTSP network; every
+    station, the attacker included, registers with one crypto backend."""
     if config is None:
-        config = SstspConfig(
-            beacon_period_us=spec.beacon_period_us,
-            slot_time_us=spec.phy.slot_time_us,
-            rx_latency_us=(
-                SSTSP_BEACON_AIRTIME_SLOTS * spec.phy.slot_time_us
-                + spec.phy.propagation_delay_us
-            ),
-        )
-    rngs = RngRegistry(spec.seed)
-    extra = 1 if spec.attacker is not None else 0
-    clocks = _sample_clocks(spec, rngs, spec.n + extra)
-
+        config = spec.sstsp_config()
     schedule = IntervalSchedule(
         t0_us=config.t0_us,
         interval_us=config.beacon_period_us,
@@ -245,41 +278,22 @@ def build_sstsp_network(
         backend = ModeledCryptoBackend(schedule)
     else:
         raise ValueError(f"unknown crypto backend {crypto!r}")
+    attack = spec.attacker
 
-    nodes = []
-    for i in range(spec.n):
-        backend.register_node(i)
-        node = Node(i, clocks[i])
-        node.protocol = SstspProtocol(
-            i, config, backend, rngs.get("proto", i), founding=True
-        )
-        nodes.append(node)
-    if spec.attacker is not None:
-        attacker_id = spec.n
-        backend.register_node(attacker_id)  # a *compromised* legitimate node
-        node = Node(attacker_id, clocks[attacker_id])
-        window = AttackWindow.from_seconds(
-            spec.attacker.start_s, spec.attacker.end_s, spec.beacon_period_us
-        )
-        node.protocol = SstspInsiderAttacker(
-            attacker_id,
+    def station(node: Node, rng) -> SyncProtocol:
+        backend.register_node(node.node_id)
+        return SstspProtocol(node.node_id, config, backend, rng, founding=True)
+
+    def attacker(node: Node, rng, window: AttackWindow) -> SyncProtocol:
+        backend.register_node(node.node_id)  # a *compromised* legitimate node
+        return SstspInsiderAttacker(
+            node.node_id,
             config,
             backend,
-            rngs.get("proto", attacker_id),
+            rng,
             window=window,
-            shave_per_period_us=spec.attacker.shave_per_period_us,
-            lead_slots=spec.attacker.lead_slots,
+            shave_per_period_us=attack.shave_per_period_us,
+            lead_slots=attack.lead_slots,
         )
-        node.include_in_metrics = False
-        nodes.append(node)
 
-    phy = replace(spec.phy, beacon_airtime_slots=SSTSP_BEACON_AIRTIME_SLOTS)
-    channel = BroadcastChannel(phy, rngs.get("channel"))
-    params = RunnerParams(
-        beacon_period_us=spec.beacon_period_us,
-        periods=spec.periods,
-        beacon_airtime_slots=SSTSP_BEACON_AIRTIME_SLOTS,
-    )
-    return NetworkRunner(
-        nodes, channel, phy, params, churn=_churn_for(spec, rngs, spec.n)
-    )
+    return station, attacker, SSTSP_BEACON_AIRTIME_SLOTS

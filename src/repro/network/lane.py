@@ -53,6 +53,10 @@ class Lane:
         periods: int,
         churn: Optional[ChurnSchedule] = None,
     ) -> None:
+        if beacon_period_us <= 0:
+            raise ValueError(f"beacon_period_us must be > 0, got {beacon_period_us}")
+        if periods < 1:
+            raise ValueError(f"periods must be >= 1, got {periods}")
         self.nodes = list(nodes)
         self._by_id: Dict[int, Node] = {node.node_id: node for node in self.nodes}
         if len(self._by_id) != len(self.nodes):

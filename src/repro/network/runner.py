@@ -41,49 +41,14 @@ from repro.network.churn import ChurnSchedule
 from repro.network.lane import Lane
 from repro.network.node import Node
 from repro.phy.channel import BroadcastChannel
-from repro.phy.params import PhyParams
 from repro.protocols.base import RxContext, SyncProtocol
 from repro.sim.engine import Simulator
-from repro.sim.units import S
 
 #: The base class's no-op period-time hook (see ``_period_body``).
 _NO_PERIOD_TIME = SyncProtocol.on_period_time
-
-
-@dataclass(frozen=True)
-class RunnerParams:
-    """Run-shape parameters.
-
-    Attributes
-    ----------
-    beacon_period_us:
-        ``BP``.
-    periods:
-        Number of beacon periods to simulate (period indices start at 1,
-        aligning with uTESLA interval 1 at ``T_0 + BP``).
-    beacon_airtime_slots:
-        Airtime of this network's beacons (4 TSF / 7 SSTSP).
-    sample_offset_fraction:
-        Where inside each period the metric sample is taken (after the
-        beacon exchange settles).
-    keep_values:
-        Retain the full per-node clock matrix in the trace (application
-        evaluations consume it; costs 8 bytes x periods x nodes).
-    """
-
-    beacon_period_us: float = 0.1 * S
-    periods: int = 1000
-    beacon_airtime_slots: int = 4
-    sample_offset_fraction: float = 0.9
-    keep_values: bool = False
-
-    def __post_init__(self) -> None:
-        if self.beacon_period_us <= 0:
-            raise ValueError("beacon_period_us must be > 0")
-        if self.periods < 1:
-            raise ValueError("periods must be >= 1")
-        if not 0.0 < self.sample_offset_fraction < 1.0:
-            raise ValueError("sample_offset_fraction must be in (0, 1)")
+#: Where inside each period the metric sample is taken, as a fraction of
+#: ``BP`` after the period's first beacon (the exchange has settled).
+_SAMPLE_PHASE = 0.9
 
 
 @dataclass
@@ -100,23 +65,29 @@ class RunResult:
 
 
 class NetworkRunner(Lane):
-    """Drives one IBSS for a configured number of beacon periods."""
+    """Drives one IBSS for ``periods`` beacon periods.
+
+    PHY timing and the beacon airtime come from ``channel.phy``. Period
+    indices start at 1, aligning with uTESLA interval 1 at
+    ``T_0 + BP``. Swap ``recorder`` for a ``TraceRecorder(keep_values=True)``
+    before :meth:`run` to retain the per-node clock matrix.
+    """
 
     def __init__(
         self,
         nodes: Sequence[Node],
         channel: BroadcastChannel,
-        phy: PhyParams,
-        params: RunnerParams,
+        beacon_period_us: float,
+        periods: int,
         churn: Optional[ChurnSchedule] = None,
         injector: Optional["FaultInjector"] = None,
     ) -> None:
-        super().__init__(
-            nodes, channel, params.beacon_period_us, params.periods, churn
-        )
-        self.phy = phy
-        self.params = params
-        self.recorder = TraceRecorder(keep_values=params.keep_values)
+        super().__init__(nodes, channel, beacon_period_us, periods, churn)
+        phy = channel.phy
+        self._airtime_us = phy.beacon_airtime_us
+        self._cca_us = phy.cca_us
+        self._propagation_us = phy.propagation_delay_us
+        self.recorder = TraceRecorder()
         self._beacon_successes = 0
         self._windows = 0
         self._last_beacon_true = 0.0
@@ -198,7 +169,6 @@ class NetworkRunner(Lane):
             cand_ids, cand_times, [node.node_id for node in active], partition
         )
 
-        airtime = self.params.beacon_airtime_slots * self.phy.slot_time_us
         transmitted_ids = set()
         received_ids = set()
         winner_ids = set()
@@ -209,7 +179,7 @@ class NetworkRunner(Lane):
             self._windows += 1
             with span("singlehop.contention"):
                 result = resolve_contention(
-                    group_ids, group_times, airtime, self.phy.cca_us
+                    group_ids, group_times, self._airtime_us, self._cca_us
                 )
             for tx in result.transmissions:
                 transmitted_ids.update(tx.members)
@@ -241,8 +211,8 @@ class NetworkRunner(Lane):
                 )
             if not delivered:
                 continue
-            arrival = success.end_us + self.phy.propagation_delay_us
-            latency = (success.end_us - success.start_us) + self.phy.propagation_delay_us
+            arrival = success.end_us + self._propagation_us
+            latency = (success.end_us - success.start_us) + self._propagation_us
             # One jitter draw per broadcast, in delivered order: the same
             # stream as one scalar draw per receiver.
             errors = self.channel.sample_timestamp_errors(len(delivered))
@@ -279,12 +249,10 @@ class NetworkRunner(Lane):
             self._last_beacon_true = min(success_starts)
         else:
             self._last_beacon_true += bp
-        sample_time = (
-            self._last_beacon_true + self.params.sample_offset_fraction * bp
-        )
+        sample_time = self._last_beacon_true + _SAMPLE_PHASE * bp
         values = []
         full = (
-            np.full(len(self.nodes), np.nan) if self.params.keep_values else None
+            np.full(len(self.nodes), np.nan) if self.recorder.keep_values else None
         )
         for index, node in enumerate(self.nodes):
             if not (

@@ -33,8 +33,7 @@ from repro.core.adjustment import (
     DegenerateSamplesError,
     solve_adjustment,
 )
-from repro.core.config import SstspConfig
-from repro.network.ibss import ScenarioSpec, build_sstsp_network
+from repro.network.ibss import ScenarioSpec, build_network
 from repro.obs.events import emit
 from repro.phy.params import (
     SSTSP_BEACON_AIRTIME_SLOTS,
@@ -329,26 +328,19 @@ class SstspRelayProtocol(MultiHopProtocol):
     # ------------------------------------------------------------------
 
     @classmethod
-    def single_hop_lane(
-        cls, spec: "MultiHopSpec"
-    ) -> Tuple[ScenarioSpec, SstspConfig]:
-        """Translate a complete-graph multi-hop spec to the single-hop lane.
+    def degenerate_runner(cls, spec: "MultiHopSpec") -> Optional["NetworkRunner"]:
+        """The single-hop SSTSP network of a complete-graph ``spec``.
 
         On a complete graph every station hears every other, hop distances
         are all 1 and the relay machinery degenerates to the IBSS election;
-        the returned ``(scenario, config)`` pair builds the reference
-        :class:`~repro.network.runner.NetworkRunner` with the same clocks,
-        channel parameters and protocol constants (the per-hop guard
-        collapses to ``guard_fine + guard_per_hop`` - one hop).
+        the returned runner has the same clocks, channel parameters and
+        protocol constants (the per-hop guard collapses to ``guard_fine +
+        guard_per_hop`` - one hop). The single-hop lane sends 7-slot SSTSP
+        beacons, so a spec with any other airtime gets ``None`` and runs
+        on the spatial path.
         """
-        phy = PhyParams(
-            slot_time_us=spec.slot_time_us,
-            beacon_airtime_slots=spec.airtime_slots,
-            propagation_delay_us=spec.propagation_delay_us,
-            timestamp_jitter_us=spec.timestamp_jitter_us,
-            packet_error_rate=spec.packet_error_rate,
-            loss_model=spec.loss_model,
-        )
+        if spec.airtime_slots != SSTSP_BEACON_AIRTIME_SLOTS:
+            return None
         scenario = ScenarioSpec(
             n=spec.topology.n,
             seed=spec.seed,
@@ -356,23 +348,18 @@ class SstspRelayProtocol(MultiHopProtocol):
             beacon_period_us=spec.beacon_period_us,
             drift_ppm=spec.drift_ppm,
             initial_offset_us=spec.initial_offset_us,
-            phy=phy,
+            phy=PhyParams(
+                slot_time_us=spec.slot_time_us,
+                propagation_delay_us=spec.propagation_delay_us,
+                timestamp_jitter_us=spec.timestamp_jitter_us,
+                packet_error_rate=spec.packet_error_rate,
+                loss_model=spec.loss_model,
+            ),
         )
-        config = SstspConfig(
-            beacon_period_us=spec.beacon_period_us,
-            slot_time_us=spec.slot_time_us,
+        config = scenario.sstsp_config(
             l=spec.l,
             m=spec.m,
             guard_fine_us=spec.guard_fine_us + spec.guard_per_hop_us,
             k_clamp=spec.k_clamp,
-            rx_latency_us=(
-                spec.airtime_slots * spec.slot_time_us
-                + spec.propagation_delay_us
-            ),
         )
-        return scenario, config
-
-    @classmethod
-    def degenerate_runner(cls, spec: "MultiHopSpec") -> Optional["NetworkRunner"]:
-        scenario, config = cls.single_hop_lane(spec)
-        return build_sstsp_network(scenario, config=config)
+        return build_network("sstsp", scenario, sstsp_config=config)

@@ -1,10 +1,15 @@
 """Exhaustive validation tests on every public config dataclass."""
 
+import numpy as np
 import pytest
 
+from repro.clocks.oscillator import HardwareClock
 from repro.core.config import SstspConfig
 from repro.network.ibss import AttackerSpec, ScenarioSpec
-from repro.network.runner import RunnerParams
+from repro.network.lane import Lane
+from repro.network.node import Node
+from repro.network.runner import NetworkRunner
+from repro.phy.channel import BroadcastChannel
 from repro.phy.params import PhyParams
 
 
@@ -80,6 +85,13 @@ class TestScenarioSpec:
             ({"duration_s": 0.0}, "duration_s must be > 0, got 0.0"),
             ({"duration_s": -2.5}, "duration_s must be > 0, got -2.5"),
             ({"churn": "papr"}, "churn must be None or 'paper', got 'papr'"),
+            ({"beacon_period_us": 0.0}, "beacon_period_us must be > 0, got 0.0"),
+            ({"beacon_period_us": -1e5}, "beacon_period_us must be > 0, got -100000.0"),
+            (
+                {"beacon_period_us": 1e9},
+                "duration_s must cover at least one beacon period, got 100.0 s "
+                "(0 periods of 1000000000.0 us)",
+            ),
         ],
     )
     def test_invalid_field_named_with_value(self, kwargs, named):
@@ -96,19 +108,22 @@ class TestScenarioSpec:
             )
 
 
-class TestRunnerParams:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"beacon_period_us": 0},
-            {"periods": 0},
-            {"sample_offset_fraction": 0.0},
-            {"sample_offset_fraction": 1.0},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            RunnerParams(**kwargs)
+class TestLaneRunShape:
+    """A lane built directly (not from a validated spec) still rejects a
+    bad run shape, on every OO lane class."""
 
-    def test_keep_values_default_off(self):
-        assert RunnerParams().keep_values is False
+    @pytest.mark.parametrize("lane_cls", [Lane, NetworkRunner], ids=["lane", "singlehop"])
+    @pytest.mark.parametrize(
+        "shape, named",
+        [
+            ((0.0, 10), "beacon_period_us must be > 0, got 0.0"),
+            ((100_000.0, 0), "periods must be >= 1, got 0"),
+        ],
+        ids=["beacon_period", "periods"],
+    )
+    def test_invalid_rejected(self, lane_cls, shape, named):
+        nodes = [Node(i, HardwareClock()) for i in range(2)]
+        channel = BroadcastChannel(PhyParams(), np.random.default_rng(0))
+        with pytest.raises(ValueError) as excinfo:
+            lane_cls(nodes, channel, *shape)
+        assert str(excinfo.value) == named

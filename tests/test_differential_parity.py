@@ -14,18 +14,17 @@ and one with the paper churn pattern whose reference departs at 300 s
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from repro.analysis.metrics import TraceRecorder
 from repro.fastlane import run_sstsp_vectorized
-from repro.multihop.runner import MultiHopSpec, degenerate_scenario, run_multihop
+from repro.multihop.runner import MultiHopSpec, run_multihop
 from repro.multihop.topology import Topology
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent, ChurnSchedule
-from repro.network.ibss import ScenarioSpec, build_network, build_sstsp_network
+from repro.network.ibss import ScenarioSpec, build_network
 from repro.obs import observe_run, tracing_enabled
+from repro.protocols.multihop_sstsp import SstspRelayProtocol
 
 #: The shared scenarios: (id, spec, relative tail tolerance).
 SCENARIOS = [
@@ -152,9 +151,7 @@ class TestTracingParity:
 
 def _run_reference_lane(spec: MultiHopSpec):
     """The single-hop lane built exactly as the multi-hop delegation does."""
-    scenario, config = degenerate_scenario(spec)
-    runner = build_sstsp_network(scenario, config=config)
-    runner.params = replace(runner.params, keep_values=True)
+    runner = SstspRelayProtocol.degenerate_runner(spec)
     runner.recorder = TraceRecorder(keep_values=True)
     if spec.churn is not None and len(spec.churn):
         runner.churn = spec.churn
@@ -165,7 +162,7 @@ class TestMultiHopDegenerateParity:
     """A complete-graph multi-hop spec must reproduce the single-hop
     lane's decisions *exactly*: same reference elections, same per-period
     adjustment trace. The multi-hop runner delegates through
-    :func:`degenerate_scenario`, so any drift between the lanes (RNG
+    :meth:`SstspRelayProtocol.degenerate_runner`, so any drift between the lanes (RNG
     stream names, protocol constants, churn plumbing) breaks bit-parity
     here."""
 

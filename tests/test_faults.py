@@ -17,7 +17,7 @@ from repro.multihop.runner import MultiHopRunner, MultiHopSpec
 from repro.multihop.topology import Topology
 from repro.clocks.oscillator import HardwareClock
 from repro.network.churn import REFERENCE_MARKER, ChurnSchedule
-from repro.network.ibss import ScenarioSpec, build_sstsp_network
+from repro.network.ibss import ScenarioSpec, build_network
 from repro.network.node import Node
 from repro.phy.channel import BroadcastChannel
 from repro.phy.params import PhyParams
@@ -27,7 +27,7 @@ from repro.sim.units import S
 
 def make_runner(n=8, seed=3, duration_s=10.0, plan=None, config=None):
     spec = ScenarioSpec(n=n, seed=seed, duration_s=duration_s)
-    runner = build_sstsp_network(spec, config=config)
+    runner = build_network("sstsp", spec, sstsp_config=config)
     if plan is not None:
         runner.attach_injector(FaultInjector(plan))
     return runner
@@ -152,7 +152,7 @@ class TestInjectorClockFaults:
     def test_freq_step_is_value_continuous(self):
         runner = make_runner(plan=FaultPlan())
         node = runner.nodes[0]
-        bp = runner.params.beacon_period_us
+        bp = runner.beacon_period_us
         before = node.hw.read(5 * bp)
         old_rate = node.hw.rate
         runner.injector._step_rate(5, node, 150.0)
@@ -185,7 +185,7 @@ class TestInjectorClockFaults:
         )
         runner = make_runner(duration_s=1.0, plan=plan)
         node = runner.nodes[2]
-        bp = runner.params.beacon_period_us
+        bp = runner.beacon_period_us
         before = node.hw.read(10 * bp)
         runner.run()
         assert node.hw.read(10 * bp) == pytest.approx(before + 250.0, abs=1e-6)
@@ -246,7 +246,7 @@ class TestInjectorChannelFaults:
         plan = FaultPlan(faults=(FaultSpec("jam", 5, 4),))
         runner = make_runner(duration_s=2.0, plan=plan)
         runner.run()
-        bp = runner.params.beacon_period_us
+        bp = runner.beacon_period_us
         assert runner.channel.is_jammed(6 * bp)
         assert not runner.channel.is_jammed(9.5 * bp)
         assert runner.channel.stats.jammed_drops > 0

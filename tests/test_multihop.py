@@ -8,7 +8,7 @@ import pytest
 from repro.multihop import MultiHopRunner, MultiHopSpec, Topology
 from repro.multihop.runner import run_multihop
 from repro.network.churn import ChurnEvent
-from repro.phy.params import PhyParams
+from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS, PhyParams
 from repro.sim.units import S
 
 
@@ -157,6 +157,27 @@ class TestMultiHopSync:
         result = run_multihop(spec)
         assert set(result.per_hop_error_us) == {1}
         assert result.per_hop_error_us[1] < 10.0
+
+    @pytest.mark.parametrize("airtime_slots", [5, SSTSP_BEACON_AIRTIME_SLOTS, 10])
+    def test_full_mesh_airtime_matches_spec(self, airtime_slots):
+        """A complete graph delegates to the single-hop lane only at its
+        7-slot airtime; either way the channel and every receiver's
+        latency estimate use the spec's airtime."""
+        spec = MultiHopSpec(
+            topology=Topology.full_mesh(6),
+            seed=3,
+            duration_s=2.0,
+            beacon_airtime_slots=airtime_slots,
+        )
+        runner = MultiHopRunner(spec)
+        runner.run()
+        assert runner.channel.phy.beacon_airtime_slots == airtime_slots
+        if airtime_slots == SSTSP_BEACON_AIRTIME_SLOTS:
+            latencies = {node.protocol.config.rx_latency_us for node in runner.nodes}
+        else:
+            latencies = {runner.ctx.rx_latency_us}
+        expected = airtime_slots * spec.slot_time_us + spec.propagation_delay_us
+        assert latencies == {expected}
 
     def test_deterministic(self):
         spec = MultiHopSpec(topology=Topology.chain(6), seed=7, duration_s=10.0)

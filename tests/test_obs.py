@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.network.ibss import ScenarioSpec, build_sstsp_network
+from repro.network.ibss import ScenarioSpec, build_network
 from repro.sweep import JobSpec, SweepOptions, run_sweep
 from repro.obs import (
     EVENT_CATALOG,
@@ -235,7 +235,7 @@ class TestSchemaStability:
         """
         path = tmp_path / "run.jsonl"
         with observe_run(str(path)):
-            build_sstsp_network(GOLDEN_SPEC).run()
+            build_network("sstsp", GOLDEN_SPEC).run()
         assert path.read_bytes() == GOLDEN.read_bytes()
 
     def test_golden_fixture_parses_under_current_schema(self):
