@@ -5,16 +5,23 @@ implementation; these engines re-express the per-BP inner loop as numpy
 array operations over all nodes at once (per the optimisation guides:
 first make it work and tested, then vectorise the measured hot loop).
 
-Differences from the reference lane - deliberate, documented
-approximations that do not change any reported curve's shape:
+Both engines resolve each beacon window with the shared carrier-sense
+cascade on skew-exact times, and share one run scaffold
+(:class:`~repro.fastlane.common.VectorLane`: clocks, presence, churn,
+attack window, metric sampling and one site per RNG draw kind).
+Differences from the reference lane, listed in docs/simulation.md
+("Two lanes"):
 
-* contention uses the classic slot-granular "unique minimum slot wins"
-  rule instead of the carrier-sense cascade (the cascade's extra late
-  successes are rare at the paper's parameters);
 * SSTSP beacon protection uses the modeled backend's decision logic
   inlined (the decisions are what matters; the backends are proven
   equivalent in ``tests/test_core_backend.py``);
-* beacons are processed at slot-quantised rather than skew-exact times.
+* slots, per-receiver loss coins and timestamp jitter are drawn as one
+  vector over all n nodes (absent ones and the sender included) on the
+  ``slots`` and ``channel`` streams, so the lanes agree statistically,
+  not draw for draw;
+* an SSTSP window holds the medium for ``rx_latency_us`` (airtime plus
+  propagation, 64 us) rather than the 63 us airtime;
+* the TSF engine samples the metric on the nominal grid.
 
 ``tests/test_fastlane.py`` cross-validates both engines against the
 reference lane statistically, and ``benchmarks/bench_fastlane.py``

@@ -1,73 +1,132 @@
-"""Shared plumbing of the vectorised engines."""
+"""Shared run scaffold of the vectorised engines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.clocks.population import ClockPopulation
+from repro.analysis.metrics import TraceRecorder
 from repro.mac.contention import resolve_contention
+from repro.network.churn import ChurnApplier, churn_line
 from repro.network.ibss import ScenarioSpec
+from repro.obs.counters import count
 from repro.sim.rng import RngRegistry
 
 
-@dataclass
-class VectorState:
-    """Clock arrays and membership shared by both vector engines."""
+def _no_reference() -> int:
+    return -1
 
-    rates: np.ndarray
-    offsets: np.ndarray
-    present: np.ndarray  # bool mask
-    rngs: RngRegistry
-    _population: Optional[ClockPopulation] = field(
-        default=None, repr=False, compare=False
-    )
 
-    @classmethod
-    def from_spec(cls, spec: ScenarioSpec, extra_nodes: int = 0) -> "VectorState":
+class VectorLane:
+    """Everything around the protocol that both vector engines share.
+
+    The clocks of stations ``0..n-1`` plus the attacker at index ``n``
+    (:meth:`ScenarioSpec.sample_clocks`), the presence mask, the attack
+    window and the metric mask (every station but the attacker), the
+    churn applier with its event log, and the trace recorder. Each RNG
+    draw kind the engines make has exactly one site here:
+    :meth:`draw_slots` on the ``slots`` stream, :meth:`loss_mask` and
+    :meth:`jitter` on the ``channel`` stream.
+    """
+
+    def __init__(self, spec: ScenarioSpec, keep_values: bool) -> None:
+        if spec.phy.loss_model == "gilbert_elliott":
+            raise ValueError(
+                f"phy.loss_model={spec.phy.loss_model!r} has no vector-lane "
+                "model (the vector lanes flip per-receiver or "
+                "per-transmission coins only); run it with lane='oo'"
+            )
+        self.spec = spec
         rngs = RngRegistry(spec.seed)
-        population = ClockPopulation.sample(
-            spec.n + extra_nodes,
-            rngs.get("clocks"),
-            drift_ppm=spec.drift_ppm,
-            initial_offset_us=spec.initial_offset_us,
-        )
-        return cls(
-            rates=population.rates,
-            offsets=population.offsets.copy(),
-            present=np.ones(spec.n + extra_nodes, dtype=bool),
-            rngs=rngs,
-        )
+        self.clocks = spec.sample_clocks(rngs)
+        self.n = len(self.clocks)
+        self.attacker: Optional[int] = spec.n if spec.attacker is not None else None
+        self.window = spec.attack_window()
+        self.present = np.ones(self.n, dtype=bool)
+        self.metric_mask = np.ones(self.n, dtype=bool)
+        if self.attacker is not None:
+            self.metric_mask[self.attacker] = False
+        self.events: List[str] = []
+        self.recorder = TraceRecorder(keep_values=keep_values)
+        self.churn = ChurnApplier(spec.churn_schedule(rngs))
+        self._slots = rngs.get("slots")
+        self._channel = rngs.get("channel")
+        self._hw = np.empty(self.n)
 
-    @property
-    def n(self) -> int:
-        return self.rates.shape[0]
+    def attack_active(self, period: int) -> bool:
+        """Whether the attacker attacks in ``period``."""
+        return self.window is not None and self.window.active(period)
 
-    @property
-    def population(self) -> ClockPopulation:
-        """The shared vectorised clock view over this state's arrays.
+    def hw_at(self, true_time: float) -> np.ndarray:
+        """Hardware clock of every node at one instant, in one reused
+        buffer (valid until the next call)."""
+        return self.clocks.read_all(true_time, out=self._hw)
 
-        A :class:`ClockPopulation` holds array *references*, so in-place
-        offset/rate mutations stay visible; the view is rebuilt only when
-        an engine rebinds the arrays wholesale.
+    def apply_churn(
+        self, period: int, reference: Callable[[], int] = _no_reference
+    ) -> List[Tuple[str, int]]:
+        """Apply the churn due at ``period`` to the presence mask and the
+        event log; returns the applied ``(action, node)`` changes.
+
+        ``reference`` is read after each applied change, so it must
+        report a reference that has just left as none (-1).
         """
-        pop = self._population
-        if pop is None or pop.rates is not self.rates or pop.offsets is not self.offsets:
-            pop = ClockPopulation(self.rates, self.offsets)
-            self._population = pop
-        return pop
+        changes = []
+        for action, node in self.churn.due(period, reference, self._is_present):
+            self.present[node] = action == "return"
+            self.events.append(churn_line(period, action, node))
+            changes.append((action, node))
+        return changes
 
-    def hw_at(self, true_time: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Hardware clock of every node at one instant."""
-        return self.population.read_all(true_time, out=out)
-
-    def is_present(self, node_id: int) -> Optional[bool]:
-        """Presence of ``node_id`` for churn (None outside the population)."""
-        if not 0 <= node_id < self.present.shape[0]:
+    def _is_present(self, node: int) -> Optional[bool]:
+        if not 0 <= node < self.n:
             return None
-        return bool(self.present[node_id])
+        return bool(self.present[node])
+
+    def draw_slots(self, w: int) -> np.ndarray:
+        """One backoff slot in ``[0, w]`` per node (``slots`` stream)."""
+        count("mac.slot_draws", self.n)
+        return self._slots.integers(0, w + 1, size=self.n).astype(np.float64)
+
+    def loss_mask(self, winner: int) -> np.ndarray:
+        """Receivers of ``winner``'s beacon: the present nodes other than
+        the winner, less those the ``channel`` stream's loss coins drop."""
+        receive = self.present.copy()
+        receive[winner] = False
+        # pre-loss receivers, as BroadcastChannel.broadcast counts them
+        count("phy.delivery_attempt", int(receive.sum()))
+        per = self.spec.phy.packet_error_rate
+        if per > 0.0:
+            if self.spec.phy.loss_model == "per_transmission":
+                count("phy.per_draw")
+                if self._channel.random() < per:
+                    receive[:] = False
+            else:
+                count("phy.per_draw", self.n)
+                receive &= self._channel.random(self.n) >= per
+        return receive
+
+    def jitter(self) -> np.ndarray:
+        """One receive timestamping error per node (``channel`` stream)."""
+        jitter = self.spec.phy.timestamp_jitter_us
+        count("phy.ts_jitter_draw", self.n)
+        return self._channel.uniform(-jitter, jitter, size=self.n)
+
+    def sample(
+        self,
+        true_time: float,
+        values: np.ndarray,
+        mask: Optional[np.ndarray] = None,
+        ref: int = -1,
+    ) -> None:
+        """Record one metric sample of the present stations (never the
+        attacker), restricted to ``mask`` when given."""
+        members = self.present & self.metric_mask
+        if mask is not None:
+            members &= mask
+        full = np.where(members, values, np.nan) if self.recorder.keep_values else None
+        self.recorder.record(true_time, values[members], ref, full_values=full)
 
 
 def resolve_window(

@@ -21,13 +21,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.metrics import SyncTrace, TraceRecorder
+from repro.analysis.metrics import SyncTrace
 from repro.core.config import SstspConfig
-from repro.fastlane.common import VectorState, resolve_window
-from repro.network.churn import ChurnApplier, churn_line
-from repro.network.ibss import ScenarioSpec, _churn_for
-from repro.obs.counters import count, work_lane
-from repro.security.attacks import AttackWindow
+from repro.fastlane.common import VectorLane, resolve_window
+from repro.network.ibss import ScenarioSpec
+from repro.obs.counters import work_lane
 
 
 @dataclass
@@ -48,20 +46,12 @@ class _VectorSstsp:
         config: Optional[SstspConfig],
         keep_values: bool = False,
     ) -> None:
-        self._keep_values = keep_values
         self.spec = spec
-        has_attacker = spec.attacker is not None
-        self.state = VectorState.from_spec(spec, extra_nodes=1 if has_attacker else 0)
-        n = self.state.n
-        self.n = n
-        self.attacker_idx = n - 1 if has_attacker else None
-        self.window = (
-            AttackWindow.from_seconds(
-                spec.attacker.start_s, spec.attacker.end_s, spec.beacon_period_us
-            )
-            if has_attacker
-            else None
-        )
+        self.lane = lane = VectorLane(spec, keep_values)
+        n = lane.n
+        self.rates, self.offsets = lane.clocks.rates, lane.clocks.offsets
+        self.attacker_idx = lane.attacker
+        self.window = lane.window
         if config is None:
             config = spec.sstsp_config()
         self.config = config
@@ -92,30 +82,18 @@ class _VectorSstsp:
         self.ref: Optional[int] = None
         self.reference_changes = 0
         self.successes = 0
-
-        self.slots_rng = self.state.rngs.get("slots")
-        self.channel_rng = self.state.rngs.get("channel")
-        self.churn = ChurnApplier(_churn_for(spec, self.state.rngs, spec.n))
-        self.events: List[str] = []
-        self.metric_mask = np.ones(n, dtype=bool)
-        if self.attacker_idx is not None:
-            self.metric_mask[self.attacker_idx] = False
-        self.recorder = TraceRecorder(keep_values=keep_values)
-        self._hw_buf = np.empty(n)
         self._last_beacon_true = 0.0
 
     # -- churn hooks ----------------------------------------------------
 
     def _churn_reference(self) -> int:
-        """Reference id for REFERENCE_MARKER churn; the attacker is not a
-        legitimate station the scenario can remove."""
-        if self.ref is None or self.ref == self.attacker_idx:
+        """Reference id for REFERENCE_MARKER churn: none once it has left,
+        and the attacker is not a legitimate station the scenario can
+        remove."""
+        ref = self.ref
+        if ref is None or ref == self.attacker_idx or not self.lane.present[ref]:
             return -1
-        return self.ref
-
-    def _on_leave(self, node: int) -> None:
-        if self.ref == node:
-            self.ref = None
+        return ref
 
     def _on_return(self, node: int) -> None:
         self.in_coarse[node] = True
@@ -131,24 +109,17 @@ class _VectorSstsp:
 
     def run(self) -> VectorSstspResult:
         cfg = self.config
-        spec = self.spec
+        lane = self.lane
+        present = lane.present
         bp = cfg.beacon_period_us
-        for period in range(1, spec.periods + 1):
-            present = self.state.present
-            for action, node in self.churn.due(
-                period, self._churn_reference, self.state.is_present
-            ):
-                leaving = action == "leave"
-                present[node] = not leaving
-                self.events.append(churn_line(period, action, node))
-                if leaving:
-                    self._on_leave(node)
-                else:
+        for period in range(1, self.spec.periods + 1):
+            for action, node in lane.apply_churn(period, self._churn_reference):
+                if action == "return":
                     self._on_return(node)
-            if self.ref is not None and not present[self.ref]:
-                self.ref = None
+                elif node == self.ref:
+                    self.ref = None
 
-            attack_active = self.window is not None and self.window.active(period)
+            attack_active = lane.attack_active(period)
             winner, timestamp, tx_true = self._transmitter(period, attack_active)
             if winner is not None:
                 self.successes += 1
@@ -165,27 +136,24 @@ class _VectorSstsp:
             # would sweep from 0.9 to 1.9 BP after the last correction over
             # a long run - an artifact, not a protocol property.
             sample_time = self._last_beacon_true + 0.9 * bp
-            self.state.hw_at(sample_time, out=self._hw_buf)
-            values = self.k * self._hw_buf + self.b
-            if attack_active and self.attacker_idx is not None:
+            values = self.k * lane.hw_at(sample_time) + self.b
+            if attack_active:
                 # the attacker's public clock is its claimed (shaved) one;
                 # it is excluded from metrics anyway
                 values[self.attacker_idx] -= self._shave_total(period)
             # re-acquiring (coarse) nodes are not yet synchronized members
-            mask = present & self.metric_mask & ~self.in_coarse
-            full = np.where(mask, values, np.nan) if self._keep_values else None
-            self.recorder.record(
+            lane.sample(
                 sample_time,
-                values[mask],
+                values,
+                ~self.in_coarse,
                 self.ref if self.ref is not None else -1,
-                full_values=full,
             )
         return VectorSstspResult(
-            trace=self.recorder.finalize(),
+            trace=lane.recorder.finalize(),
             successful_beacons=self.successes,
             reference_changes=self.reference_changes,
             recoveries=self.recoveries,
-            events=self.events,
+            events=lane.events,
         )
 
     # -- helpers ----------------------------------------------------------
@@ -196,10 +164,6 @@ class _VectorSstsp:
             return 0.0
         last = min(period, window.end_period - 1)
         return (last - window.start_period) * self.spec.attacker.shave_per_period_us
-
-    def _adjusted_to_true(self, node: int, adjusted_value: float) -> float:
-        hw = (adjusted_value - self.b[node]) / self.k[node]
-        return (hw - self.state.offsets[node]) / self.state.rates[node]
 
     def _transmitter(self, period: int, attack_active: bool):
         """Pick this period's transmitter; returns (node, timestamp, tx_true)."""
@@ -222,16 +186,15 @@ class _VectorSstsp:
         # lets an election conclude, and it is also what lets honest nodes
         # retake the channel from an attacker whose claimed timeline has
         # receded after guard rejections.
-        contenders = self.state.present & ~self.in_coarse & (self.silent >= cfg.l)
+        present = self.lane.present
+        contenders = present & ~self.in_coarse & (self.silent >= cfg.l)
         if self.ref is not None:
             contenders[self.ref] = False
-        count("mac.slot_draws", self.n)
-        slots = self.slots_rng.integers(0, cfg.w + 1, size=self.n).astype(np.float64)
-        local = nominal + slots * cfg.slot_time_us
-        if self.ref is not None and self.state.present[self.ref]:
+        local = nominal + self.lane.draw_slots(cfg.w) * cfg.slot_time_us
+        if self.ref is not None and present[self.ref]:
             contenders[self.ref] = True
             local[self.ref] = nominal
-        if attack_active and self.state.present[self.attacker_idx]:
+        if attack_active and present[self.attacker_idx]:
             attacker = self.attacker_idx
             lead = self.spec.attacker.lead_slots * cfg.slot_time_us
             contenders[attacker] = True
@@ -241,14 +204,14 @@ class _VectorSstsp:
         if ids.size == 0:
             return None, 0.0, 0.0
         hw_targets = (local[ids] - self.b[ids]) / self.k[ids]
-        tx_times = (hw_targets - self.state.offsets[ids]) / self.state.rates[ids]
+        tx_times = (hw_targets - self.offsets[ids]) / self.rates[ids]
         airtime = cfg.rx_latency_us  # airtime + t_p; close enough for busy time
         winner, tx_start, _n_coll = resolve_window(
             ids, tx_times, airtime, self.spec.phy.cca_us
         )
         if winner is None:
             return None, 0.0, 0.0
-        hw_tx = self.state.rates[winner] * tx_start + self.state.offsets[winner]
+        hw_tx = self.rates[winner] * tx_start + self.offsets[winner]
         if winner != self.ref:
             self.ref = winner
             self.reference_changes += 1
@@ -277,28 +240,12 @@ class _VectorSstsp:
         attack_active: bool = False,
     ) -> None:
         cfg = self.config
-        spec = self.spec
-        n = self.n
         latency = cfg.rx_latency_us
-        arrival = tx_true + latency
-        hw = self.state.hw_at(arrival)
+        hw = self.lane.hw_at(tx_true + latency)
         local = self.k * hw + self.b
 
-        delivered = self.state.present.copy()
-        delivered[winner] = False
-        per = spec.phy.packet_error_rate
-        count("phy.delivery_attempt", int(delivered.sum()))
-        if per > 0.0:
-            if spec.phy.loss_model == "per_transmission":
-                count("phy.per_draw")
-                if self.channel_rng.random() < per:
-                    delivered[:] = False
-            else:
-                count("phy.per_draw", n)
-                delivered &= self.channel_rng.random(n) >= per
-        jitter = spec.phy.timestamp_jitter_us
-        count("phy.ts_jitter_draw", n)
-        est = timestamp + latency + self.channel_rng.uniform(-jitter, jitter, size=n)
+        delivered = self.lane.loss_mask(winner)
+        est = timestamp + latency + self.lane.jitter()
 
         # uTESLA interval safety check on each receiver's adjusted clock.
         interval_ok = (
@@ -336,7 +283,7 @@ class _VectorSstsp:
                 for node in np.flatnonzero(recover):
                     self._on_return(int(node))  # same reset as a re-joiner
         self.silent[valid] = 0
-        missed = self.state.present & ~self.in_coarse & ~valid
+        missed = self.lane.present & ~self.in_coarse & ~valid
         missed[winner] = False  # the transmitter does not count itself silent
         self.silent[missed] += 1
 

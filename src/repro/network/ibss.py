@@ -125,6 +125,36 @@ class ScenarioSpec:
         values.update(overrides)
         return SstspConfig(**values)
 
+    def attack_window(self) -> Optional[AttackWindow]:
+        """The attacker's active periods (None without an attacker)."""
+        if self.attacker is None:
+            return None
+        return AttackWindow.from_seconds(
+            self.attacker.start_s, self.attacker.end_s, self.beacon_period_us
+        )
+
+    def churn_schedule(self, rngs: RngRegistry) -> Optional[ChurnSchedule]:
+        """The churn preset as a schedule over stations ``0..n-1`` (never
+        the attacker), drawn from the ``churn`` stream."""
+        if self.churn is None:
+            return None
+        return ChurnSchedule.paper_default(
+            node_ids=list(range(self.n)),
+            total_periods=self.periods,
+            rng=rngs.get("churn"),
+            beacon_period_us=self.beacon_period_us,
+        )
+
+    def sample_clocks(self, rngs: RngRegistry) -> ClockPopulation:
+        """Clocks of stations ``0..n-1`` plus the attacker at index ``n``,
+        drawn from the ``clocks`` stream."""
+        return ClockPopulation.sample(
+            self.n + (self.attacker is not None),
+            rngs.get("clocks"),
+            drift_ppm=self.drift_ppm,
+            initial_offset_us=self.initial_offset_us,
+        )
+
 
 _TSF_FAMILY = {
     "tsf": (TsfConfig, TsfProtocol),
@@ -167,18 +197,15 @@ def build_network(
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    clocks = _sample_clocks(spec, rngs, spec.n + (spec.attacker is not None))
+    clocks = spec.sample_clocks(rngs)
     nodes = []
-    for node_id, clock in enumerate(clocks):
-        node = Node(node_id, clock)
+    for node_id in range(len(clocks)):
+        node = Node(node_id, clocks.clock(node_id))
         rng = rngs.get("proto", node_id)
         if node_id < spec.n:
             node.protocol = station(node, rng)
         else:
-            window = AttackWindow.from_seconds(
-                spec.attacker.start_s, spec.attacker.end_s, spec.beacon_period_us
-            )
-            node.protocol = attacker(node, rng, window)
+            node.protocol = attacker(node, rng, spec.attack_window())
             node.include_in_metrics = False
         nodes.append(node)
 
@@ -189,32 +216,7 @@ def build_network(
         channel,
         spec.beacon_period_us,
         spec.periods,
-        churn=_churn_for(spec, rngs, spec.n),
-    )
-
-
-def _sample_clocks(spec: ScenarioSpec, rngs: RngRegistry, count: int):
-    population = ClockPopulation.sample(
-        count,
-        rngs.get("clocks"),
-        drift_ppm=spec.drift_ppm,
-        initial_offset_us=spec.initial_offset_us,
-    )
-    return [population.clock(i) for i in range(count)]
-
-
-def _churn_for(
-    spec: ScenarioSpec, rngs: RngRegistry, node_count: int
-) -> Optional[ChurnSchedule]:
-    """The spec's churn preset as a schedule over stations
-    ``0..node_count-1``, drawn from the ``churn`` stream (every lane)."""
-    if spec.churn is None:
-        return None
-    return ChurnSchedule.paper_default(
-        node_ids=list(range(node_count)),
-        total_periods=spec.periods,
-        rng=rngs.get("churn"),
-        beacon_period_us=spec.beacon_period_us,
+        churn=spec.churn_schedule(rngs),
     )
 
 

@@ -10,9 +10,7 @@ grid expands to the same job list on every machine and every run.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Mapping, Optional
-
-from repro.sweep.spec import JobSpec
+from typing import Any, Dict, Iterable, List, Mapping
 
 
 def expand_grid(axes: Mapping[str, Any]) -> List[Dict[str, Any]]:
@@ -40,27 +38,3 @@ def expand_grid(axes: Mapping[str, Any]) -> List[Dict[str, Any]]:
         points.append(point)
     return points
 
-
-def grid_specs(
-    kind: str,
-    axes: Mapping[str, Any],
-    root_seed: int = 0,
-    derive_missing_seed: Optional[str] = None,
-) -> List[JobSpec]:
-    """Expand ``axes`` and freeze every point into a :class:`JobSpec`.
-
-    With ``derive_missing_seed`` set to a parameter name, any point that
-    does not already pin that parameter gets the spec's scheduling-
-    independent derived seed filled in (the two-step build keeps the
-    derivation a function of the seedless spec, so the filled-in value
-    never feeds back into its own derivation).
-    """
-    specs = []
-    for point in expand_grid(axes):
-        spec = JobSpec.make(kind, point, root_seed=root_seed)
-        if derive_missing_seed is not None and derive_missing_seed not in point:
-            point = dict(point)
-            point[derive_missing_seed] = spec.derived_seed()
-            spec = JobSpec.make(kind, point, root_seed=root_seed)
-        specs.append(spec)
-    return specs

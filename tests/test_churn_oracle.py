@@ -12,25 +12,25 @@ both must apply the same sequence of changes and end with the same
 marker FIFO.
 
 ``TestChurnApplier`` drives the applier the way the vector lanes do:
-over :class:`~repro.fastlane.common.VectorState`'s presence mask.
+through :meth:`~repro.fastlane.common.VectorLane.apply_churn`, over the
+lane's presence mask and event log.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fastlane.common import VectorState
+from repro.fastlane.common import VectorLane
 from repro.network.churn import (
     REFERENCE_MARKER,
     ChurnApplier,
     ChurnEvent,
     ChurnSchedule,
 )
-from repro.sim.rng import RngRegistry
+from repro.network.ibss import ScenarioSpec
 
 
 class CallbackApplier:
@@ -214,27 +214,11 @@ def test_generated_cases_reach_every_rule():
     assert fifo == oracle_fifo == []
 
 
-def _drive(
-    applier: ChurnApplier,
-    period: int,
-    state: VectorState,
-    reference: Callable[[], int] = lambda: -1,
-) -> List[Tuple[str, int]]:
-    """Apply the due changes to the mask, as the vector lanes do."""
-    changes = []
-    for action, node_id in applier.due(period, reference, state.is_present):
-        state.present[node_id] = action == "return"
-        changes.append((action, node_id))
-    return changes
-
-
-def _state(n: int) -> VectorState:
-    return VectorState(
-        rates=np.ones(n),
-        offsets=np.zeros(n),
-        present=np.ones(n, dtype=bool),
-        rngs=RngRegistry(0),
-    )
+def _lane(n: int, schedule: Optional[ChurnSchedule]) -> VectorLane:
+    """A vector lane over ``n`` stations that applies ``schedule``."""
+    lane = VectorLane(ScenarioSpec(n=n, duration_s=1.0), keep_values=False)
+    lane.churn = ChurnApplier(schedule)
+    return lane
 
 
 class TestChurnApplier:
@@ -242,12 +226,12 @@ class TestChurnApplier:
         schedule = ChurnSchedule(
             [ChurnEvent(5, "leave", (1,)), ChurnEvent(9, "return", (1,))]
         )
-        applier = ChurnApplier(schedule)
-        state = _state(3)
-        assert _drive(applier, 5, state) == [("leave", 1)]
-        assert not state.present[1]
-        assert _drive(applier, 9, state) == [("return", 1)]
-        assert state.present[1]
+        lane = _lane(3, schedule)
+        assert lane.apply_churn(5) == [("leave", 1)]
+        assert not lane.present[1]
+        assert lane.apply_churn(9) == [("return", 1)]
+        assert lane.present[1]
+        assert lane.events == ["p5: node 1 left", "p9: node 1 returned"]
 
     def test_reference_marker_resolution(self):
         schedule = ChurnSchedule(
@@ -256,35 +240,31 @@ class TestChurnApplier:
                 ChurnEvent(9, "return", (REFERENCE_MARKER,)),
             ]
         )
-        applier = ChurnApplier(schedule)
-        state = _state(3)
-        _drive(applier, 5, state, lambda: 2)
-        assert not state.present[2]
-        assert applier.marker_left == [2]
-        _drive(applier, 9, state)
-        assert state.present[2]
-        assert applier.marker_left == []
+        lane = _lane(3, schedule)
+        lane.apply_churn(5, lambda: 2)
+        assert not lane.present[2]
+        assert lane.churn.marker_left == [2]
+        lane.apply_churn(9)
+        assert lane.present[2]
+        assert lane.churn.marker_left == []
 
     def test_marker_with_no_reference_noop(self):
         schedule = ChurnSchedule([ChurnEvent(5, "leave", (REFERENCE_MARKER,))])
-        applier = ChurnApplier(schedule)
-        state = _state(3)
-        assert _drive(applier, 5, state) == []
-        assert state.present.all()
-        assert applier.marker_left == []
+        lane = _lane(3, schedule)
+        assert lane.apply_churn(5) == []
+        assert lane.present.all()
+        assert lane.churn.marker_left == []
 
     def test_none_schedule(self):
-        applier = ChurnApplier(None)
-        state = _state(2)
-        assert _drive(applier, 1, state) == []
-        assert state.present.all()
+        lane = _lane(2, None)
+        assert lane.apply_churn(1) == []
+        assert lane.present.all()
 
     def test_out_of_range_ids_ignored(self):
         schedule = ChurnSchedule([ChurnEvent(1, "leave", (99, 3))])
-        applier = ChurnApplier(schedule)
-        state = _state(3)
-        assert _drive(applier, 1, state) == []
-        assert state.present.all()
+        lane = _lane(3, schedule)
+        assert lane.apply_churn(1) == []
+        assert lane.present.all()
 
     def test_excluded_reference_is_not_enqueued(self):
         schedule = ChurnSchedule([ChurnEvent(1, "leave", (REFERENCE_MARKER,))])
@@ -315,9 +295,6 @@ class TestChurnApplier:
         schedule = ChurnSchedule(
             [ChurnEvent(1, "leave", (0,)), ChurnEvent(1, "return", (0,))]
         )
-        state = _state(2)
-        assert _drive(ChurnApplier(schedule), 1, state) == [
-            ("leave", 0),
-            ("return", 0),
-        ]
-        assert state.present[0]
+        lane = _lane(2, schedule)
+        assert lane.apply_churn(1) == [("leave", 0), ("return", 0)]
+        assert lane.present[0]

@@ -11,6 +11,7 @@ import pytest
 
 from repro.fastlane import run_sstsp_vectorized, run_tsf_vectorized
 from repro.network.ibss import AttackerSpec, ScenarioSpec, build_network
+from repro.phy.params import PhyParams
 from repro.sim.units import S
 
 
@@ -130,3 +131,19 @@ class TestChurnPreset:
         vec = _LANES[protocol](spec).events
         assert vec == build_network(protocol, spec).run().events
         assert vec == ["p2000: node 6 left", "p2500: node 6 returned"]
+
+
+class TestLossModel:
+    """The vector lanes flip per-receiver or per-transmission loss coins
+    only; a Gilbert-Elliott spec must not run as per-receiver loss."""
+
+    @pytest.mark.parametrize("protocol", sorted(_LANES))
+    def test_gilbert_elliott_rejected(self, protocol):
+        spec = ScenarioSpec(
+            n=20,
+            seed=3,
+            duration_s=5.0,
+            phy=PhyParams(loss_model="gilbert_elliott", packet_error_rate=1e-3),
+        )
+        with pytest.raises(ValueError, match="phy.loss_model.*lane='oo'"):
+            _LANES[protocol](spec)

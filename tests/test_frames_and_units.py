@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.fastlane.common import VectorState, resolve_window
+from repro.fastlane.common import VectorLane, resolve_window
 from repro.mac.beacon import BeaconFrame, SecureBeaconFrame
-from repro.network.ibss import ScenarioSpec
+from repro.network.ibss import AttackerSpec, ScenarioSpec
 from repro.sim.units import MS, S, US, s_to_us, us_to_s
 
 
@@ -47,30 +47,37 @@ class TestBeaconFrames:
             frame.timestamp_us = 2.0
 
 
-class TestVectorState:
-    def test_from_spec_shapes(self):
+class TestVectorLane:
+    def test_shapes(self):
         spec = ScenarioSpec(n=10, seed=1, duration_s=1.0)
-        state = VectorState.from_spec(spec)
-        assert state.n == 10
-        assert state.present.all()
+        lane = VectorLane(spec, keep_values=False)
+        assert lane.n == 10
+        assert lane.present.all()
+        assert lane.attacker is None and lane.window is None
+        assert lane.metric_mask.all()
 
-    def test_extra_nodes(self):
-        spec = ScenarioSpec(n=10, seed=1, duration_s=1.0)
-        state = VectorState.from_spec(spec, extra_nodes=1)
-        assert state.n == 11
+    def test_attacker_slot(self):
+        spec = ScenarioSpec(
+            n=10, seed=1, duration_s=1.0, attacker=AttackerSpec(0.2, 0.5)
+        )
+        lane = VectorLane(spec, keep_values=False)
+        assert lane.n == 11
+        assert lane.attacker == 10
+        assert lane.window == spec.attack_window()
+        assert not lane.metric_mask[10] and lane.metric_mask[:10].all()
 
     def test_hw_at_matches_linear_model(self):
         spec = ScenarioSpec(n=5, seed=1, duration_s=1.0)
-        state = VectorState.from_spec(spec)
+        lane = VectorLane(spec, keep_values=False)
         t = 123_456.0
-        expected = state.rates * t + state.offsets
-        assert np.allclose(state.hw_at(t), expected)
+        expected = lane.clocks.rates * t + lane.clocks.offsets
+        assert np.allclose(lane.hw_at(t), expected)
 
     def test_reproducible(self):
         spec = ScenarioSpec(n=5, seed=9, duration_s=1.0)
-        a = VectorState.from_spec(spec)
-        b = VectorState.from_spec(spec)
-        assert np.array_equal(a.rates, b.rates)
+        a = VectorLane(spec, keep_values=False)
+        b = VectorLane(spec, keep_values=False)
+        assert np.array_equal(a.clocks.rates, b.clocks.rates)
 
 
 class TestResolveWindow:
