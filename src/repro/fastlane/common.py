@@ -7,7 +7,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.metrics import TraceRecorder
-from repro.mac.contention import resolve_contention
+from repro.mac.contention import resolve_contention, settle_alone
 from repro.network.churn import ChurnApplier, churn_line
 from repro.network.ibss import ScenarioSpec
 from repro.obs.counters import count
@@ -95,7 +95,7 @@ class VectorLane:
         receive = self.present.copy()
         receive[winner] = False
         # pre-loss receivers, as BroadcastChannel.broadcast counts them
-        count("phy.delivery_attempt", int(receive.sum()))
+        count("phy.delivery_attempt", int(np.count_nonzero(receive)))
         per = self.spec.phy.packet_error_rate
         if per > 0.0:
             if self.spec.phy.loss_model == "per_transmission":
@@ -139,7 +139,10 @@ def resolve_window(
 
     A thin adapter: the arrays go straight to
     :func:`repro.mac.contention.resolve_contention`, the one cascade both
-    lanes share, and the window ends at its first success.
+    lanes share, and the window ends at its first success. A lone
+    candidate (most SSTSP windows: the reference alone) transmits at its
+    time and wins; :func:`repro.mac.contention.settle_alone` settles it
+    with the cascade's counts and event.
 
     Parameters
     ----------
@@ -158,6 +161,10 @@ def resolve_window(
     """
     if ids.size == 0:
         return None, None, 0
+    if ids.size == 1 and times.size == 1:
+        winner, start = int(ids[0]), float(times[0])
+        settle_alone(winner, start, airtime_us, cca_us)
+        return winner, start, 0
     result = resolve_contention(ids, times, airtime_us, cca_us)
     success = result.first_success
     if success is None:

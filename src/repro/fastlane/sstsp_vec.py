@@ -239,6 +239,9 @@ class _VectorSstsp:
         tx_true: float,
         attack_active: bool = False,
     ) -> None:
+        # Runs once per beacon on n-element arrays: masked copies use
+        # np.putmask and mask tests np.count_nonzero, the cheapest numpy
+        # forms of each at n in the hundreds.
         cfg = self.config
         latency = cfg.rx_latency_us
         hw = self.lane.hw_at(tx_true + latency)
@@ -248,15 +251,12 @@ class _VectorSstsp:
         est = timestamp + latency + self.lane.jitter()
 
         # uTESLA interval safety check on each receiver's adjusted clock.
-        interval_ok = (
-            np.rint((local - cfg.t0_us) / cfg.beacon_period_us).astype(np.int64)
-            == period
-        )
+        interval_ok = np.rint((local - cfg.t0_us) / cfg.beacon_period_us) == period
         guard_ok = np.abs(est - local) <= cfg.guard_fine_us
 
         # Coarse re-acquisition: returning nodes average raw offsets.
         coarse_rx = delivered & self.in_coarse
-        if coarse_rx.any():
+        if np.count_nonzero(coarse_rx):
             offsets = est - local
             self.coarse_sum[coarse_rx] += offsets[coarse_rx]
             self.coarse_cnt[coarse_rx] += 1
@@ -265,6 +265,7 @@ class _VectorSstsp:
                 self.b[done] += self.coarse_sum[done] / self.coarse_cnt[done]
                 self.in_coarse[done] = False
                 self.silent[done] = 0
+                local = self.k * hw + self.b  # the (k, b) update reads it
 
         valid = delivered & ~self.in_coarse & interval_ok & guard_ok
         if attack_active and self.attacker_idx is not None:
@@ -285,11 +286,11 @@ class _VectorSstsp:
         self.silent[valid] = 0
         missed = self.lane.present & ~self.in_coarse & ~valid
         missed[winner] = False  # the transmitter does not count itself silent
-        self.silent[missed] += 1
+        self.silent += missed
 
         # Reference change: discard samples learned from the old reference.
         changed = valid & (self.last_ref != winner)
-        if changed.any():
+        if np.count_nonzero(changed):
             self.pend_j[changed] = -1
             self.j1[changed] = -1
             self.j2[changed] = -1
@@ -297,16 +298,16 @@ class _VectorSstsp:
 
         # Delayed authentication: any pending interval < current releases.
         release = valid & (self.pend_j >= 0) & (self.pend_j < period)
-        if release.any():
-            self.j2[release] = self.j1[release]
-            self.t2[release] = self.t1[release]
-            self.ts2[release] = self.ts1[release]
-            self.j1[release] = self.pend_j[release]
-            self.t1[release] = self.pend_t[release]
-            self.ts1[release] = self.pend_ts[release]
+        if np.count_nonzero(release):
+            np.putmask(self.j2, release, self.j1)
+            np.putmask(self.t2, release, self.t1)
+            np.putmask(self.ts2, release, self.ts1)
+            np.putmask(self.j1, release, self.pend_j)
+            np.putmask(self.t1, release, self.pend_t)
+            np.putmask(self.ts1, release, self.pend_ts)
         self.pend_j[valid] = period
-        self.pend_t[valid] = hw[valid]
-        self.pend_ts[valid] = est[valid]
+        np.putmask(self.pend_t, valid, hw)
+        np.putmask(self.pend_ts, valid, est)
 
         # The (k, b) update of equations (2)-(5), fully vectorised.
         can_adjust = (
@@ -317,7 +318,7 @@ class _VectorSstsp:
             & (self.j1 - self.j2 <= cfg.max_pair_gap_periods)
         )
         can_adjust[winner] = False
-        if not can_adjust.any():
+        if not np.count_nonzero(can_adjust):
             return
         d_ts = self.ts1 - self.ts2
         d_hw = self.t1 - self.t2
@@ -325,9 +326,8 @@ class _VectorSstsp:
             rate = d_hw / d_ts
             target = cfg.t0_us + (period + cfg.m) * cfg.beacon_period_us + latency
             t_target = self.t1 + rate * (target - self.ts1)
-            c_now = self.k * hw + self.b
-            k_new = (target - c_now) / (t_target - hw)
-            b_new = c_now - k_new * hw
+            k_new = (target - local) / (t_target - hw)
+            b_new = local - k_new * hw
         ok = (
             can_adjust
             & (d_ts > 0)
@@ -336,9 +336,9 @@ class _VectorSstsp:
             & (np.abs(k_new - 1.0) <= cfg.k_clamp)
             & np.isfinite(k_new)
         )
-        if ok.any():
-            self.k[ok] = k_new[ok]
-            self.b[ok] = b_new[ok]
+        if np.count_nonzero(ok):
+            np.putmask(self.k, ok, k_new)
+            np.putmask(self.b, ok, b_new)
 
 
 def run_sstsp_vectorized(

@@ -3,14 +3,14 @@
 One beacon window is resolved on the real time axis: every candidate
 station, with its scheduled transmission time - the time its backoff
 timer expires as measured in *true* time, so clock skew between stations
-is honoured - is walked in time order under three rules:
+is honoured - is resolved in time order under three rules:
 
 1. **Cancel on reception** (802.11 TSF rule): a station whose timer expires
    at or after the end of an earlier *successful* transmission cancels its
    pending beacon. The window is therefore over at the first success, and
-   the walk stops there.
+   the cascade stops there.
 2. **Carrier sense**: a station whose timer expires while the medium is
-   busy, but more than ``cca_us`` after the busy transmission started,
+   busy, but ``cca_us`` or more after the busy transmission started,
    defers to the end of the busy period.
 3. **Collision**: stations starting within ``cca_us`` of an ongoing
    transmission's start are inside the carrier-sense vulnerability window
@@ -20,8 +20,19 @@ This cascade allows several transmissions per window (collision, then a
 retry group, then possibly a late success), matching the behaviour TSF
 scalability studies model, and degenerates to the classic
 "unique-minimum-slot wins" rule when all stations share one perfect clock.
+
+The cascade steps once per *transmission*, not once per candidate: on the
+time-sorted candidates, three ``bisect`` boundaries split each
+transmission's stations into the tie group at its start, the collision
+members inside the CCA window and the deferred group, all taken as list
+slices. A window of n candidates that ends after a handful of
+transmissions therefore costs one sort and a handful of Python steps,
+not n of them.
+
 Both lanes call the one cascade: the OO runner directly, the vectorised
-fast lane through :func:`repro.fastlane.common.resolve_window`. The
+fast lane through :func:`repro.fastlane.common.resolve_window`, which
+settles a one-candidate window (no contention to resolve) without the
+cascade but with the same work counts and event. The
 slot-granular rule itself (:func:`resolve_slotted`) is kept for the
 contention ablation.
 """
@@ -29,6 +40,7 @@ contention ablation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -85,7 +97,8 @@ def resolve_contention(
     ids, times:
         Parallel sequences (lists or arrays): candidate stations and their
         scheduled transmission true times in us. A station appears at most
-        once; equal times keep input order.
+        once; equal times keep input order. A non-finite time raises
+        ValueError naming its station.
     airtime_us:
         Time one beacon occupies the medium.
     cca_us:
@@ -98,17 +111,27 @@ def resolve_contention(
     heard the beacon. With the paper's PER of 1e-4 the distinction is
     negligible and this is the standard simplification.
     """
-    if airtime_us <= 0 or cca_us <= 0:
-        raise ValueError("airtime_us and cca_us must be > 0")
+    _check_shape(airtime_us, cca_us)
     if len(ids) != len(times):
         raise ValueError(
             f"ids has {len(ids)} entries but times has {len(times)}"
         )
     time_arr = np.asarray(times, dtype=float)
-    order = np.argsort(time_arr, kind="stable")
+    order = np.argsort(time_arr)
+    sorted_times = time_arr[order]
+    if time_arr.size > 1 and (sorted_times[1:] == sorted_times[:-1]).any():
+        # Equal times keep input order, which only the (slower) stable
+        # sort guarantees; without ties both sorts give the one order.
+        order = np.argsort(time_arr, kind="stable")
+        sorted_times = time_arr[order]
     id_list = np.asarray(ids)[order].tolist()
-    time_list = time_arr[order].tolist()
+    time_list = sorted_times.tolist()
     n = len(id_list)
+    # argsort puts -inf first and +inf/NaN last: the ends tell whether
+    # every time is finite (a NaN start would never end a transmission).
+    if n and not (math.isfinite(time_list[0]) and math.isfinite(time_list[-1])):
+        k = int(np.flatnonzero(~np.isfinite(time_arr))[0])
+        raise _non_finite(ids[k], float(time_arr[k]))
     if len(set(id_list)) != n:
         seen = set()
         for station in id_list:
@@ -118,9 +141,14 @@ def resolve_contention(
     count("mac.contention_round")
     count("mac.contention_candidates", n)
 
-    # Walk the sorted candidates; ``deferred`` holds the stations that
-    # sensed the current transmission and wait for its end, when they all
-    # start together (after any candidate timed exactly at that end).
+    # Step once per transmission over the sorted candidates. ``deferred``
+    # holds the stations that sensed the current transmission and wait
+    # for its end, when they all start together (after any candidate
+    # timed exactly at that end). Each transmission's candidates split at
+    # three boundaries: the tie group (``t <= start``), the CCA boundary
+    # (``t - start < cca_us`` joins the collision, later ones defer) and
+    # the busy end (``t < end``); everyone at or after the end waits for
+    # the next transmission.
     result = ContentionResult()
     deferred: List[int] = []
     end = 0.0
@@ -128,31 +156,58 @@ def resolve_contention(
     while i < n or deferred:
         start = end if deferred else time_list[i]
         end = start + airtime_us
-        members = []
-        while i < n and time_list[i] <= start:
-            members.append(id_list[i])
-            i += 1
-        members += deferred
-        deferred = []
-        while i < n and time_list[i] < end:
-            if time_list[i] - start < cca_us:
-                members.append(id_list[i])  # inside vulnerability window: collision
-            else:
-                deferred.append(id_list[i])  # medium sensed busy
-            i += 1
-        tx = Transmission(start, end, tuple(members))
-        result.transmissions.append(tx)
-        if tx.success:
-            # Every later candidate hears this beacon and cancels.
+        ties = bisect_right(time_list, start, i)
+        busy = bisect_left(time_list, end, ties)
+        # ``start + cca_us`` may round either way of the exact predicate
+        # ``t - start < cca_us``; the bisection only seeds the search.
+        cca = bisect_left(time_list, start + cca_us, ties, busy)
+        while cca > ties and not time_list[cca - 1] - start < cca_us:
+            cca -= 1
+        while cca < busy and time_list[cca] - start < cca_us:
+            cca += 1
+        members = id_list[i:ties] + deferred + id_list[ties:cca]
+        deferred = id_list[cca:busy]
+        i = busy
+        result.transmissions.append(Transmission(start, end, tuple(members)))
+        if len(members) == 1:
+            # Every later candidate hears this beacon and cancels; every
+            # earlier transmission was a collision.
             emit(
                 "contention_win",
                 t_us=start,
                 node=members[0],
                 contenders=n,
-                collisions=result.collisions,
+                collisions=len(result.transmissions) - 1,
             )
             break
     return result
+
+
+def settle_alone(
+    station: int, t_us: float, airtime_us: float, cca_us: float
+) -> None:
+    """Settle a window whose one candidate transmits alone at ``t_us``
+    and wins.
+
+    :func:`resolve_contention` would step once and stop at that success;
+    this makes the same checks, work counts and ``contention_win`` event
+    without the sort and the result objects.
+    """
+    _check_shape(airtime_us, cca_us)
+    if not math.isfinite(t_us):
+        raise _non_finite(station, t_us)
+    count("mac.contention_round")
+    count("mac.contention_candidates", 1)
+    emit("contention_win", t_us=t_us, node=station, contenders=1, collisions=0)
+
+
+def _check_shape(airtime_us: float, cca_us: float) -> None:
+    if not (airtime_us > 0 and cca_us > 0):  # NaN fails too
+        raise ValueError("airtime_us and cca_us must be > 0")
+
+
+def _non_finite(station: int, t_us: float) -> ValueError:
+    return ValueError(f"station {station} has non-finite transmission time {t_us!r}")
 
 
 def partition_domains(

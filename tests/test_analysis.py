@@ -1,7 +1,12 @@
 """Unit tests for metrics, traces and the overhead models."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.analysis.metrics import (
     INDUSTRY_THRESHOLD_US,
@@ -19,7 +24,7 @@ from repro.analysis.overhead import (
     traffic_overhead,
     traffic_overhead_ratio,
 )
-from repro.clocks.adjusted import AdjustedClock
+from repro.clocks.adjusted import AdjustedClock, ClockSegment
 from repro.phy.params import OFDM_54MBPS
 from repro.sim.units import S
 
@@ -133,6 +138,44 @@ class TestQuarantineGaps:
             np.full(n, 3, dtype=int),
         )
 
+    #: float64 values that stress the ndarray fast path: gaps, infinities,
+    #: signed zeros and magnitudes whose spread overflows
+    EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308,
+                   1.7976931348623157e308, -1.7976931348623157e308]
+
+    @given(
+        arr=hnp.arrays(
+            np.float64,
+            st.integers(0, 50),
+            elements=st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from(EDGE_VALUES),
+            ),
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_max_pairwise_ndarray_matches_list_path(self, arr):
+        with np.errstate(over="ignore"):  # +-1e308 spreads overflow to inf
+            fast = max_pairwise_difference(arr)
+            listed = max_pairwise_difference(list(arr))
+        assert type(fast) is float
+        assert np.float64(fast).tobytes() == np.float64(listed).tobytes()
+
+    @given(
+        arr=st.one_of(
+            hnp.arrays(np.float32, st.integers(0, 50)),
+            hnp.arrays(np.int64, st.integers(0, 50)),
+            hnp.arrays(np.int32, st.integers(0, 50)),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_max_pairwise_other_dtypes_take_list_path(self, arr):
+        # float32 and integer inputs are widened to float64 per element
+        # before the spread: int64 extremes must not wrap, float32 must
+        # not round in single precision
+        listed = max_pairwise_difference([float(v) for v in arr])
+        assert max_pairwise_difference(arr) == listed
+
     def test_max_pairwise_ignores_none_and_nan(self):
         assert max_pairwise_difference([5.0, None, 1.0, float("nan")]) == 4.0
         assert max_pairwise_difference([None, float("nan")]) == 0.0
@@ -188,6 +231,28 @@ class TestNoLeapAudit:
         clock.slew_to(0.0, 1.0001, 100.0)
         clock.slew_to(0.0, 0.9999, 200.0)
         assert audit_no_leaps(clock, 0.0, 1_000.0)
+
+    @staticmethod
+    def leaped_clock():
+        """An identity clock that jumps +500 us at hw 1000: ``adjust``
+        refuses that, so the segment is appended as a corrupted history
+        would hold it."""
+        clock = AdjustedClock()
+        clock._segments.append(ClockSegment(1_000.0, 1.0, 500.0))
+        clock._starts.append(1_000.0)
+        return clock
+
+    def test_forward_leap_fails(self):
+        clock = self.leaped_clock()
+        # a forward leap still never runs backward
+        assert clock.is_monotonic(0.0, 2_000.0)
+        assert not audit_no_leaps(clock, 0.0, 2_000.0)
+        assert not audit_no_leaps(clock, 1_000.0, 1_000.0)
+
+    def test_leap_outside_window_is_not_audited(self):
+        clock = self.leaped_clock()
+        assert audit_no_leaps(clock, 0.0, 999.0)
+        assert audit_no_leaps(clock, 1_001.0, 2_000.0)
 
 
 class TestOverheadModels:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,9 +134,31 @@ def observed(resolve):
 SHAPES = [(36.0, 9.0), (63.0, 9.0), (400.0, 9.0), (5.0, 9.0)]
 
 
+#: The vector TSF lane's beacon shape: 7 slots of airtime, one-slot CCA.
+TSF_SHAPE = (63.0, 9.0)
+
+
+def tsf_window(n: int, seed: int, skew_us: float):
+    """A TSF-shaped election window at scale: ``n`` stations draw a slot
+    in ``[0, 30]`` (TsfConfig.w) on the 9 us grid, shifted by a per-station
+    clock skew in ``[-skew_us, skew_us]`` (0 keeps exact slot ties)."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(10 * n)[:n].tolist()
+    slots = rng.integers(0, 31, size=n)
+    skews = rng.uniform(-skew_us, skew_us, size=n) if skew_us else np.zeros(n)
+    return ids, (slots * 9.0 + skews).tolist(), *TSF_SHAPE
+
+
 @st.composite
 def windows(draw):
     """``(ids, times, airtime_us, cca_us)`` for one beacon window."""
+    if draw(st.integers(0, 9)) == 0:
+        # one window in ten is an election at n up to 500
+        return tsf_window(
+            draw(st.integers(min_value=2, max_value=500)),
+            draw(st.integers(min_value=0, max_value=2**32 - 1)),
+            draw(st.sampled_from([0.0, 20.0, 200.0])),
+        )
     airtime, cca = draw(st.sampled_from(SHAPES))
     n = draw(st.integers(min_value=0, max_value=40))
     ids = draw(
@@ -199,15 +223,75 @@ def test_collision_then_success_window():
     assert old.cancelled == [6, 7]
 
 
-@given(window=windows())
-@settings(max_examples=200, deadline=None)
-def test_resolve_window_with_numpy_inputs_matches_oracle(window):
-    ids, times, airtime, cca = window
-    winner, start, collisions = resolve_window(
-        np.array(ids, dtype=np.int64), np.array(times, dtype=float), airtime, cca
+def assert_window_matches_oracle(ids, times, airtime, cca):
+    """``resolve_window`` on numpy inputs agrees with the heap cascade on
+    the winner, its start, the collision count, the work counts and the
+    ``contention_win`` event."""
+    (winner, start, collisions), new_counts, new_events = observed(
+        lambda: resolve_window(
+            np.array(ids, dtype=np.int64), np.array(times, dtype=float), airtime, cca
+        )
     )
-    old = heap_cascade(list(zip(ids, times)), airtime, cca)
+    old, old_counts, old_events = observed(
+        lambda: heap_cascade(list(zip(ids, times)), airtime, cca)
+    )
     success = old.first_success
     assert winner == (None if success is None else success.members[0])
     assert start == (None if success is None else success.start_us)
     assert collisions == old.collisions
+    if ids:
+        assert new_counts == old_counts
+        assert new_events == old_events
+    else:  # an empty window never reaches the cascade
+        assert new_counts == {} and new_events == []
+
+
+@given(window=windows())
+@settings(max_examples=200, deadline=None)
+def test_resolve_window_with_numpy_inputs_matches_oracle(window):
+    assert_window_matches_oracle(*window)
+
+
+@pytest.mark.parametrize("n", [1, 2, 500])
+@pytest.mark.parametrize("skew_us", [0.0, 200.0])
+def test_resolve_window_at_election_scale(n, skew_us):
+    # always run what hypothesis draws only now and then: the one-candidate
+    # settle and 500-candidate elections with and without skew
+    for seed in range(20):
+        assert_window_matches_oracle(*tsf_window(n, seed, skew_us))
+
+
+@pytest.mark.parametrize(
+    "ids, times, station, value",
+    [
+        ([0, 1], [math.nan, math.nan], 0, "nan"),
+        ([0, 1, 2], [1.0, 5.0, math.nan], 2, "nan"),
+        ([4, 7], [math.inf, 3.0], 4, "inf"),
+        ([4, 7], [3.0, -math.inf], 7, "-inf"),
+    ],
+)
+def test_non_finite_time_is_rejected(ids, times, station, value):
+    # A NaN start never ends its transmission: the cascade used to loop
+    # forever, appending empty transmissions.
+    message = f"station {station} has non-finite transmission time {value}"
+    with pytest.raises(ValueError, match=message):
+        resolve_contention(ids, times, 30.0, 9.0)
+    with pytest.raises(ValueError, match=message):
+        resolve_window(np.array(ids), np.array(times), 30.0, 9.0)
+
+
+@pytest.mark.parametrize("airtime, cca", [(math.nan, 9.0), (30.0, math.nan), (0.0, 9.0)])
+def test_bad_window_shape_is_rejected(airtime, cca):
+    # a NaN airtime used to end every transmission at NaN, and a NaN CCA
+    # window deferred every station instead of colliding it
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="must be > 0"):
+            resolve_window(np.arange(n), np.array([0.0, 5.0][:n]), airtime, cca)
+    with pytest.raises(ValueError, match="must be > 0"):
+        resolve_contention([0, 1], [0.0, 5.0], airtime, cca)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_lone_non_finite_candidate_is_rejected(value):
+    with pytest.raises(ValueError, match=f"station 3 .* {value}"):
+        resolve_window(np.array([3]), np.array([value]), 30.0, 9.0)
