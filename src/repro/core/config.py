@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS
 from repro.sim.units import S
 
+#: Default :attr:`SstspConfig.reference_pace_clamp`; the multi-hop root
+#: takeover (:meth:`~repro.protocols.multihop_base.MultiHopProtocol.
+#: on_elected_root`) clamps with the same bound.
+REFERENCE_PACE_CLAMP = 3e-4
+
 
 @dataclass(frozen=True)
 class SstspConfig:
@@ -138,7 +143,7 @@ class SstspConfig:
     k_clamp: float = 5e-3
     max_sample_age_periods: int = 3
     max_pair_gap_periods: int = 5
-    reference_pace_clamp: float = 3e-4
+    reference_pace_clamp: float = REFERENCE_PACE_CLAMP
     recovery_rejection_threshold: "int | None" = None
     coarse_min_survivors: int = 1
     coarse_silence_watchdog_periods: "int | None" = None

@@ -108,8 +108,12 @@ class MultiHopSpec:
     propagation_delay_us: float = 1.0
     timestamp_jitter_us: float = 2.0
     packet_error_rate: float = 1e-4
-    #: Probability a relay-eligible node transmits in a given BP. Dense
-    #: neighbourhoods benefit from thinning (fewer same-segment collisions).
+    #: Probability a relay-eligible node transmits in a given BP (one
+    #: ``slot_rng`` draw per eligible relay, made only when below 1).
+    #: Every registered protocol honours it (``MultiHopProtocol._relays``:
+    #: ``beaconless`` thins its duty cycle, ``sstsp`` thins instead of
+    #: rotating); dense neighbourhoods benefit from thinning (fewer
+    #: same-segment collisions).
     relay_probability: float = 1.0
     #: Multi-hop default is deeper filtering than single-hop (m = 4): each
     #: hop tracks a *tracking* clock, so the estimator's noise gain

@@ -33,6 +33,17 @@ order each beacon period, for nodes in ascending id order:
    :meth:`MultiHopProtocol.on_elected_root` — the orphan-election
    hooks, consulted only while the network has no root.
 
+Every registered scheme is a relay on the same skeleton, so the base
+class implements it: hooks 1, 2, 4 and 5 are concrete (root /
+orphan-election / hop-segment scheduling, the normalized frame, silence
+with detach and resync, root takeover), and so are the estimator helpers
+(upstream choice, sample normalisation, first-contact alignment, the
+clamped slew). A protocol defines :meth:`MultiHopProtocol.on_receptions`
+— its estimator — and optionally overrides
+:meth:`MultiHopProtocol._relays` (which periods a synchronized relay
+transmits in) and :meth:`MultiHopProtocol._detach` /
+:meth:`MultiHopProtocol.reset_sync` (to drop estimator state).
+
 Synchronized time must be expressed through the station's
 :class:`~repro.clocks.chain.ClockChain` (mutating or replacing
 ``chain.adjusted``): the harness samples every station through the
@@ -54,6 +65,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import import_module
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -67,8 +79,9 @@ from typing import (
 
 import numpy as np
 
-from repro.clocks.adjusted import AdjustedClock
+from repro.clocks.adjusted import AdjustedClock, MonotonicityError
 from repro.clocks.chain import ClockChain
+from repro.core.config import REFERENCE_PACE_CLAMP
 from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS, SSTSP_BEACON_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -103,6 +116,10 @@ class MultiHopFrame:
     tx_true: float
     timestamp: float
     delay_us: float
+
+
+#: Best-first order of a reception set: lowest hop, then earliest.
+_HOP_THEN_TIME = attrgetter("hop", "tx_true")
 
 
 class MultiHopContext:
@@ -217,12 +234,11 @@ class MultiHopContext:
 
 
 class MultiHopProtocol(ABC):
-    """Per-station multi-hop synchronization driver.
-
-    Subclasses implement the four period hooks; the common state every
-    scheme needs (hop distance, upstream, silence streak, the clock
-    chain) lives here so the harness, tests and chaos audits can treat
-    any protocol uniformly.
+    """Per-station multi-hop synchronization driver: the relay skeleton
+    every registered scheme shares (see the module docstring for what a
+    subclass defines). The common state every scheme needs (hop
+    distance, upstream, silence streak, the clock chain) lives here so
+    the harness, tests and chaos audits can treat any protocol uniformly.
     """
 
     #: Short identifier carried in trace events (``beacon_tx`` ``proto``
@@ -274,10 +290,12 @@ class MultiHopProtocol(ABC):
         return self.chain.adjusted
 
     def reset_sync(self) -> None:
-        """Discard synchronization state; re-acquire from the next beacon."""
+        """Discard synchronization state — the hop, the silence streak and
+        (through :meth:`_detach`) the upstream; re-acquire from the next
+        beacon."""
         self.hop = None
-        self.upstream = None
         self.silent = 0
+        self._detach()
 
     def synchronized_time(self, hw_time: float) -> float:
         """This station's synchronized-time estimate at ``hw_time``."""
@@ -302,17 +320,68 @@ class MultiHopProtocol(ABC):
     # Period hooks
     # ------------------------------------------------------------------
 
-    @abstractmethod
     def begin_period(self, period: int, ctx: MultiHopContext) -> Optional[float]:
         """TX intent: the delay (µs after the nominal period start, on
         this station's synchronized clock) at which it transmits this
-        period, or ``None`` to stay quiet."""
+        period, or ``None`` to stay quiet.
 
-    @abstractmethod
+        The root beacons at the period start. While the network is
+        orphaned, a first-hop station silent for ``l`` periods contends
+        in segment 0. A synchronized relay (hop >= 1, adjusted at least
+        once) whose :meth:`_relays` turn it is transmits inside its hop
+        segment. Both draw one backoff slot from ``ctx.slot_rng``.
+        """
+        spec = self.spec
+        if self.node_id == ctx.root:
+            return 0.0
+        if ctx.orphan_election and self.hop == 1 and self.silent >= spec.l:
+            # orphaned children of a departed root: contend in segment 0
+            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
+            return slot * spec.slot_time_us
+        hop = self.hop
+        if (
+            hop is not None
+            and hop >= 1
+            and self.adjustments >= 1
+            and self._relays(period, ctx)
+        ):
+            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
+            return (hop * spec.hop_stride_slots + slot) * spec.slot_time_us
+        return None
+
+    def _relays(self, period: int, ctx: MultiHopContext) -> bool:
+        """Whether a synchronized relay transmits this period. Default:
+        the shared ``relay_probability`` thinning — one ``ctx.slot_rng``
+        draw, made only when the probability is below 1."""
+        p = self.spec.relay_probability
+        return p >= 1.0 or ctx.slot_rng.random() < p
+
+    def _backoff_range(self) -> int:
+        """Backoff slots usable inside a hop segment without bleeding the
+        transmission into the next segment."""
+        return max(1, self.spec.hop_stride_slots - self.spec.airtime_slots)
+
     def make_frame(
         self, period: int, delay_us: float, tx_true: float, ctx: MultiHopContext
     ) -> MultiHopFrame:
-        """The frame for a transmission :meth:`begin_period` scheduled."""
+        """The frame for a transmission :meth:`begin_period` scheduled.
+
+        The timestamp is the normalized reference: the sender's clock
+        reads exactly ``nominal + delay`` at tx, so its ``T^j`` estimate
+        is ``nominal``."""
+        hop = (
+            0
+            if self.node_id == ctx.root
+            else (self.hop if self.hop is not None else 0)
+        )
+        return MultiHopFrame(
+            sender=self.node_id,
+            hop=hop,
+            interval=period,
+            tx_true=tx_true,
+            timestamp=period * self.spec.beacon_period_us,
+            delay_us=delay_us,
+        )
 
     @abstractmethod
     def on_receptions(
@@ -323,10 +392,83 @@ class MultiHopProtocol(ABC):
         whether a frame was *accepted* — decoded, fresh and
         plausibility-passing — which feeds silence tracking."""
 
-    @abstractmethod
     def end_period(self, period: int, accepted: bool, ctx: MultiHopContext) -> None:
         """Silence bookkeeping; runs for every present non-root station
-        after receptions settle."""
+        after receptions settle. Past ``4 l`` silent periods the station
+        detaches from its upstream (:meth:`_detach`); past
+        ``resync_after_periods`` its clock has diverged beyond any guard
+        and it starts over (:meth:`reset_sync`)."""
+        if accepted:
+            return
+        spec = self.spec
+        self.silent += 1
+        if self.silent > 4 * spec.l and self.upstream is not None:
+            self._detach()
+        if self.silent > spec.resync_after_periods and self.hop is not None:
+            self.reset_sync()
+
+    def _detach(self) -> None:
+        """Upstream lost: drop it and re-acquire from any beacon. Extend
+        to drop estimator state tied to the lost upstream."""
+        self.upstream = None
+
+    # ------------------------------------------------------------------
+    # Estimator helpers
+    # ------------------------------------------------------------------
+
+    def _choose_upstream(
+        self, decoded: List[MultiHopFrame]
+    ) -> Optional[MultiHopFrame]:
+        """The frame to synchronize from, or ``None`` to stay patient.
+
+        Sorts ``decoded`` best first (lowest hop, then earliest). Sticks
+        with the current upstream whenever its beacon decoded (switching
+        resets the sample history); switches to a strictly better hop, or
+        to the best frame once the upstream went quiet for ``2 l``
+        periods (or there is none)."""
+        decoded.sort(key=_HOP_THEN_TIME)
+        best = decoded[0]
+        upstream = self.upstream
+        current = next((tx for tx in decoded if tx.sender == upstream), None)
+        if current is not None and best.hop >= current.hop:
+            return current
+        if (
+            current is not None  # strictly better hop: re-hang
+            or upstream is None
+            or self.silent >= 2 * self.spec.l
+        ):
+            return best
+        return None
+
+    def _observe(
+        self, tx: MultiHopFrame, jitter: float, ctx: MultiHopContext
+    ) -> Tuple[float, float]:
+        """One sample ``(hw, est)`` from ``tx``: the local hardware time
+        of its arrival and the sender's time estimate, both with the
+        sender's schedule delay normalised out (see
+        :class:`MultiHopFrame`), so they sit on the BP grid."""
+        latency = ctx.rx_latency_us
+        hw = self.chain.hw.read(tx.tx_true + latency) - tx.delay_us
+        return hw, tx.timestamp + latency + jitter
+
+    def _align(self, local: float, est: float) -> None:
+        """First contact: shift the adjusted clock by ``est - local``
+        (a fresh clock, not a slew; the station was not yet synchronized)."""
+        clock = self.clock
+        self.chain.adjusted = AdjustedClock(clock.k, clock.b + (est - local))
+
+    def _slew(self, slope: float, hw_now: float) -> None:
+        """Re-slope the adjusted clock continuously at ``hw_now``, the
+        slope clamped to ``1 +- k_clamp``; counts a successful adjustment."""
+        k_clamp = self.spec.k_clamp
+        slope = min(max(slope, 1.0 - k_clamp), 1.0 + k_clamp)
+        clock = self.clock
+        current = clock.read_current(hw_now)
+        try:
+            clock.adjust(slope, current - slope * hw_now, hw_now)
+        except MonotonicityError:
+            return
+        self.adjustments += 1
 
     # ------------------------------------------------------------------
     # Orphan election
@@ -340,13 +482,16 @@ class MultiHopProtocol(ABC):
 
     def on_elected_root(self, period: int, ctx: MultiHopContext) -> None:
         """Promotion to root. The new root is the timebase: clamp away
-        any transient slewing slope (same rationale as the single-hop
-        reference_pace_clamp), continuously at the current time."""
+        any transient slewing slope to ``1 +- REFERENCE_PACE_CLAMP`` (the
+        single-hop ``reference_pace_clamp`` default, same rationale),
+        continuously at the current time."""
         self.hop = 0
         self.upstream = None
         hw_now = self.chain.hw.read((period + 1) * self.spec.beacon_period_us)
         k_old = self.clock.k
-        k_new = min(max(k_old, 1.0 - 3e-4), 1.0 + 3e-4)
+        k_new = min(
+            max(k_old, 1.0 - REFERENCE_PACE_CLAMP), 1.0 + REFERENCE_PACE_CLAMP
+        )
         if k_new != k_old:
             self.clock.slew_to(0.0, k_new, at_local_time=hw_now)
 

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.clocks.adjusted import AdjustedClock, MonotonicityError
 from repro.clocks.chain import ClockChain
 from repro.phy.params import COOP_BEACON_AIRTIME_SLOTS, COOP_BEACON_BYTES
 from repro.protocols.multihop_base import (
     MultiHopContext,
     MultiHopFrame,
     MultiHopProtocol,
+    _HOP_THEN_TIME,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,50 +68,11 @@ class CoopAverageProtocol(MultiHopProtocol):
 
     def reset_sync(self) -> None:
         super().reset_sync()
-        self._last_agg = None
         self._rate = 1.0
 
-    # ------------------------------------------------------------------
-    # Transmission
-    # ------------------------------------------------------------------
-
-    def begin_period(self, period: int, ctx: MultiHopContext) -> Optional[float]:
-        spec = self.spec
-        if self.node_id == ctx.root:
-            return 0.0
-        if ctx.orphan_election and self.hop == 1 and self.silent >= spec.l:
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return slot * spec.slot_time_us
-        if self.hop is not None and self.hop >= 1 and self.adjustments >= 1:
-            # cooperation wants density: every synchronized station
-            # relays every period (modulo the shared thinning knob)
-            if spec.relay_probability < 1.0:
-                if ctx.slot_rng.random() >= spec.relay_probability:
-                    return None
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return (self.hop * spec.hop_stride_slots + slot) * spec.slot_time_us
-        return None
-
-    def make_frame(
-        self, period: int, delay_us: float, tx_true: float, ctx: MultiHopContext
-    ) -> MultiHopFrame:
-        nominal = period * self.spec.beacon_period_us
-        hop = (
-            0
-            if self.node_id == ctx.root
-            else (self.hop if self.hop is not None else 0)
-        )
-        return MultiHopFrame(
-            sender=self.node_id,
-            hop=hop,
-            interval=period,
-            tx_true=tx_true,
-            timestamp=nominal,
-            delay_us=delay_us,
-        )
-
-    def _backoff_range(self) -> int:
-        return max(1, self.spec.hop_stride_slots - self.spec.airtime_slots)
+    def _detach(self) -> None:
+        super()._detach()
+        self._last_agg = None  # a stale aggregate would alias the rate
 
     # ------------------------------------------------------------------
     # Reception: average over every decoded frame
@@ -121,7 +82,7 @@ class CoopAverageProtocol(MultiHopProtocol):
         self, period: int, decoded: List[MultiHopFrame], ctx: MultiHopContext
     ) -> bool:
         spec = self.spec
-        decoded.sort(key=lambda tx: (tx.hop, tx.tx_true))
+        decoded.sort(key=_HOP_THEN_TIME)
         # Aggregate every decoded frame: per-frame timestamp jitter is
         # independent, so averaging genuinely suppresses it.
         hw_sum = 0.0
@@ -129,9 +90,7 @@ class CoopAverageProtocol(MultiHopProtocol):
         offset_sum = 0.0
         jitters = ctx.sample_timestamp_errors(len(decoded)).tolist()
         for tx, jitter in zip(decoded, jitters):
-            arrival = tx.tx_true + ctx.rx_latency_us
-            hw = self.chain.hw.read(arrival) - tx.delay_us
-            est = tx.timestamp + ctx.rx_latency_us + jitter
+            hw, est = self._observe(tx, jitter, ctx)
             hw_sum += hw
             est_sum += est
             offset_sum += est - self.clock.read_current(hw)
@@ -143,10 +102,7 @@ class CoopAverageProtocol(MultiHopProtocol):
         min_hop = decoded[0].hop
         self.upstream = decoded[0].sender  # best-hop sender, for diagnostics
         if self.hop is None:
-            local = self.clock.read_current(hw_mean)
-            self.chain.adjusted = AdjustedClock(
-                self.clock.k, self.clock.b + (est_mean - local)
-            )
+            self._align(self.clock.read_current(hw_mean), est_mean)
             self.hop = min_hop + 1
             self._last_agg = (hw_mean, est_mean)
             return True
@@ -162,34 +118,9 @@ class CoopAverageProtocol(MultiHopProtocol):
                 )
                 self._rate += _RATE_GAIN * (implied - self._rate)
         self._last_agg = (hw_mean, est_mean)
-        self._steer(offset_mean, hw_mean)
+        # slew toward the neighbourhood mean: the tracked rate plus the
+        # gain-weighted offset spread over one beacon period
+        self._slew(
+            self._rate + _ALPHA * offset_mean / spec.beacon_period_us, hw_mean
+        )
         return True
-
-    def _steer(self, offset_mean: float, hw_now: float) -> None:
-        """Slew toward the neighbourhood mean: slope = tracked rate plus
-        the gain-weighted offset spread over one beacon period."""
-        spec = self.spec
-        bp = spec.beacon_period_us
-        slope = self._rate + _ALPHA * offset_mean / bp
-        slope = min(max(slope, 1.0 - spec.k_clamp), 1.0 + spec.k_clamp)
-        current = self.clock.read_current(hw_now)
-        try:
-            self.clock.adjust(slope, current - slope * hw_now, hw_now)
-        except MonotonicityError:
-            return
-        self.adjustments += 1
-
-    # ------------------------------------------------------------------
-    # Silence
-    # ------------------------------------------------------------------
-
-    def end_period(self, period: int, accepted: bool, ctx: MultiHopContext) -> None:
-        spec = self.spec
-        if accepted:
-            return
-        self.silent += 1
-        if self.silent > 4 * spec.l:
-            self._last_agg = None  # a stale aggregate would alias the rate
-            self.upstream = None
-        if self.silent > spec.resync_after_periods and self.hop is not None:
-            self.reset_sync()

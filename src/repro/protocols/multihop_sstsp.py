@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.clocks.adjusted import AdjustedClock, MonotonicityError
+from repro.clocks.adjusted import MonotonicityError
 from repro.clocks.chain import ClockChain
 from repro.core.adjustment import (
     AdjustmentSample,
@@ -90,60 +90,13 @@ class SstspRelayProtocol(MultiHopProtocol):
         rotation = _RotationTable()
         return [cls(i, chain, spec, rotation) for i, chain in enumerate(chains)]
 
-    def reset_sync(self) -> None:
-        super().reset_sync()
-        self.samples.clear()
-        self.pending = None
-
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
 
-    def begin_period(self, period: int, ctx: MultiHopContext) -> Optional[float]:
-        spec = self.spec
-        if self.node_id == ctx.root:
-            return 0.0
-        if ctx.orphan_election and self.hop == 1 and self.silent >= spec.l:
-            # orphaned children of a departed root: contend in segment 0
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return slot * spec.slot_time_us
-        if (
-            self.hop is not None
-            and self.hop >= 1
-            and self.adjustments >= 1
-            and self._relay_turn(period, ctx)
-        ):
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return (self.hop * spec.hop_stride_slots + slot) * spec.slot_time_us
-        return None
-
-    def make_frame(
-        self, period: int, delay_us: float, tx_true: float, ctx: MultiHopContext
-    ) -> MultiHopFrame:
-        # normalized reference: the sender's clock reads exactly
-        # nominal + delay at tx, so its T^j estimate is ``nominal``
-        nominal = period * self.spec.beacon_period_us
-        hop = (
-            0
-            if self.node_id == ctx.root
-            else (self.hop if self.hop is not None else 0)
-        )
-        return MultiHopFrame(
-            sender=self.node_id,
-            hop=hop,
-            interval=period,
-            tx_true=tx_true,
-            timestamp=nominal,
-            delay_us=delay_us,
-        )
-
-    def _backoff_range(self) -> int:
-        """Backoff slots usable inside a hop segment without bleeding the
-        transmission into the next segment."""
-        return max(1, self.spec.hop_stride_slots - self.spec.airtime_slots)
-
-    def _relay_turn(self, period: int, ctx: MultiHopContext) -> bool:
-        """Relay scheduling with deterministic same-hop rotation.
+    def _relays(self, period: int, ctx: MultiHopContext) -> bool:
+        """Relay scheduling with deterministic same-hop rotation (the
+        shared random thinning instead while ``relay_probability < 1``).
 
         With every same-hop station relaying every BP, dense neighbourhoods
         collide persistently; with *random* thinning, receivers keep
@@ -158,9 +111,8 @@ class SstspRelayProtocol(MultiHopProtocol):
         sense range but sharing a receiver) are exactly the pairs that
         carrier sensing cannot separate.
         """
-        spec = self.spec
-        if spec.relay_probability < 1.0:
-            return ctx.slot_rng.random() < spec.relay_probability
+        if self.spec.relay_probability < 1.0:
+            return super()._relays(period, ctx)
         same_hop = ctx.same_hop_count(self.node_id)
         if same_hop == 0:
             return True
@@ -205,37 +157,16 @@ class SstspRelayProtocol(MultiHopProtocol):
         self, period: int, decoded: List[MultiHopFrame], ctx: MultiHopContext
     ) -> bool:
         spec = self.spec
-        # Upstream selection: stick with the current upstream whenever
-        # its beacon decoded (switching resets the sample history);
-        # switch only to a strictly better hop, or when the current
-        # upstream went quiet.
-        decoded.sort(key=lambda tx: (tx.hop, tx.tx_true))
-        best = decoded[0]
-        current = next(
-            (tx for tx in decoded if tx.sender == self.upstream), None
-        )
-        if current is not None and best.hop >= current.hop:
-            chosen = current
-        elif current is not None and best.hop < current.hop:
-            chosen = best  # strictly better hop: re-hang
-        elif self.upstream is None or self.silent >= 2 * spec.l:
-            chosen = best
-        else:
+        chosen = self._choose_upstream(decoded)
+        if chosen is None:
             return False  # upstream not heard this period; stay patient
-        arrival = chosen.tx_true + ctx.rx_latency_us
-        jitter = ctx.sample_timestamp_error()
-        # normalise out the sender's deterministic schedule delay (see
-        # MultiHopFrame): both sides of the sample sit on the BP grid
-        hw = self.chain.hw.read(arrival) - chosen.delay_us
-        est = chosen.timestamp + ctx.rx_latency_us + jitter
+        hw, est = self._observe(chosen, ctx.sample_timestamp_error(), ctx)
         local = self.clock.read_current(hw)
         if self.hop is None:
             # first contact: loose initialisation (the coarse phase of
             # a joiner, collapsed to one sample for founding nodes that
             # are loosely synchronized already)
-            self.chain.adjusted = AdjustedClock(
-                self.clock.k, self.clock.b + (est - local)
-            )
+            self._align(local, est)
             self.hop = chosen.hop + 1
             self.upstream = chosen.sender
             self.silent = 0
@@ -308,20 +239,10 @@ class SstspRelayProtocol(MultiHopProtocol):
     # Silence
     # ------------------------------------------------------------------
 
-    def end_period(self, period: int, accepted: bool, ctx: MultiHopContext) -> None:
-        spec = self.spec
-        if accepted:
-            return
-        self.silent += 1
-        if self.silent > 4 * spec.l and self.upstream is not None:
-            # upstream lost: detach and re-acquire from any beacon
-            self.samples.clear()
-            self.pending = None
-            self.upstream = None
-        if self.silent > spec.resync_after_periods and self.hop is not None:
-            # nothing acceptable heard for a long stretch: this
-            # clock has diverged beyond the guard - start over
-            self.reset_sync()
+    def _detach(self) -> None:
+        super()._detach()
+        self.samples.clear()
+        self.pending = None
 
     # ------------------------------------------------------------------
     # Single-hop (complete-graph) counterpart

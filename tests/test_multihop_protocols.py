@@ -13,6 +13,7 @@ from repro.phy.params import (
     SSTSP_BEACON_AIRTIME_SLOTS,
     SSTSP_BEACON_BYTES,
 )
+from repro.protocols import multihop_base
 from repro.protocols.multihop_base import (
     MULTIHOP_PROTOCOLS,
     MultiHopProtocol,
@@ -46,6 +47,12 @@ class TestRegistry:
             resolve_multihop_protocol("beaconless").beacon_bytes
             == BEACONLESS_BEACON_BYTES
         )
+
+    def test_every_class_defines_its_own_on_receptions(self):
+        # perfbench's per-layer wrapper times ``on_receptions`` only where
+        # a class ``__dict__`` defines it (the protocols.mh_receive layer)
+        for name in available_multihop_protocols():
+            assert "on_receptions" in vars(resolve_multihop_protocol(name))
 
 
 class TestSpecResolution:
@@ -157,3 +164,48 @@ class TestMonotonicityProperty:
         assert a.beacons_sent == b.beacons_sent
         assert a.hop_of == b.hop_of
         assert list(a.trace.max_diff_us) == list(b.trace.max_diff_us)
+
+
+class _SnapRelay(MultiHopProtocol):
+    """The smallest driver the relay skeleton admits: follow the chosen
+    upstream, aligning on first contact and slewing onto it after."""
+
+    protocol_name = "snap"
+
+    def on_receptions(self, period, decoded, ctx):
+        chosen = self._choose_upstream(decoded)
+        if chosen is None:
+            return False
+        hw, est = self._observe(chosen, ctx.sample_timestamp_error(), ctx)
+        local = self.clock.read_current(hw)
+        if self.hop is None:
+            self._align(local, est)
+        else:
+            self._slew(1.0 + (est - local) / self.spec.beacon_period_us, hw)
+        self.hop = chosen.hop + 1
+        self.upstream = chosen.sender
+        self.silent = 0
+        return True
+
+
+class TestRelaySkeleton:
+    def test_driver_with_only_on_receptions_runs_a_chain(self, monkeypatch):
+        monkeypatch.setitem(MULTIHOP_PROTOCOLS, "snap", f"{__name__}:_SnapRelay")
+        monkeypatch.setitem(multihop_base._RESOLVED, "snap", _SnapRelay)
+        spec = MultiHopSpec(
+            topology=Topology.chain(5), seed=2, duration_s=8.0, protocol="snap"
+        )
+        runner = MultiHopRunner(spec)
+        result = runner.run()
+        assert result.hop_of == {i: i for i in range(5)}
+        assert result.beacons_sent > spec.periods  # the relays relay
+        for state in runner.nodes:
+            assert audit_no_leaps(state.clock, 0.0, spec.duration_s * 1e6)
+
+    @pytest.mark.parametrize("protocol", available_multihop_protocols())
+    def test_relay_probability_thins_every_protocol(self, protocol):
+        _, full = _run(protocol, Topology.chain(8), duration_s=10.0)
+        _, thinned = _run(
+            protocol, Topology.chain(8), duration_s=10.0, relay_probability=0.5
+        )
+        assert thinned.beacons_sent < full.beacons_sent
