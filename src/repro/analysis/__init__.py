@@ -31,13 +31,6 @@ from repro.analysis.overhead import (
     chain_storage_report,
     traffic_overhead,
 )
-from repro.analysis.replication import (
-    PairedComparison,
-    ReplicaSummary,
-    compare,
-    replicate,
-    summarize,
-)
 from repro.analysis.stats import (
     Interval,
     PairedStats,
@@ -67,9 +60,4 @@ __all__ = [
     "beacon_overhead",
     "traffic_overhead",
     "chain_storage_report",
-    "ReplicaSummary",
-    "PairedComparison",
-    "summarize",
-    "replicate",
-    "compare",
 ]

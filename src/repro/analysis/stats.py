@@ -17,8 +17,8 @@ it leans on. Three constraints shape the API:
   bootstrap interval) rather than NaN, so downstream tables never carry
   a NaN cell.
 
-The t quantile table lives in :mod:`repro.analysis.replication`
-(``t975``); intervals here are two-sided 95%.
+Intervals are two-sided 95%; the Student-t quantiles come from a small
+table (:func:`t975`), so the runtime path needs no scipy.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.replication import t975
-
 #: Fixed seed of the percentile bootstrap. A constant — not an option
 #: threaded from the CLI — because two analyses of the same sweep must
 #: agree to the byte regardless of who runs them.
@@ -39,6 +37,21 @@ BOOTSTRAP_SEED: int = 20060815
 #: Default resample count; 2000 keeps the 2.5/97.5 percentiles stable to
 #: well under the noise of the replica counts we feed in (3-30).
 BOOTSTRAP_RESAMPLES: int = 2000
+
+#: Two-sided 97.5% Student-t quantiles by degrees of freedom (1..30);
+#: beyond 30 the normal 1.96 is close enough.
+_T975 = [
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+    2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+    2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+]
+
+
+def t975(df: int) -> float:
+    """97.5% t quantile for ``df`` degrees of freedom."""
+    if df < 1:
+        raise ValueError("df must be >= 1")
+    return _T975[df - 1] if df <= len(_T975) else 1.96
 
 
 def clean_values(values: Iterable[Optional[float]]) -> Tuple[List[float], int]:

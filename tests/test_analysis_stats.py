@@ -26,6 +26,7 @@ from repro.analysis.stats import (
     clean_values,
     paired_stats,
     summarize_values,
+    t975,
     t_interval,
 )
 
@@ -237,3 +238,10 @@ class TestInvariants:
         # The CLI's byte-stability leans on this: changing the default
         # seed silently would change every committed golden table.
         assert BOOTSTRAP_SEED == 20060815
+
+    def test_t_quantiles(self):
+        assert t975(1) == pytest.approx(12.706)
+        assert t975(10) == pytest.approx(2.228)
+        assert t975(1000) == pytest.approx(1.96)
+        with pytest.raises(ValueError):
+            t975(0)

@@ -1,4 +1,5 @@
-"""Tests for the replication statistics and trace serialization."""
+"""Tests for replica roll-ups (``repro.analysis.stats``) and trace
+serialization."""
 
 import math
 
@@ -6,109 +7,89 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import TraceRecorder, SyncTrace
-from repro.analysis.replication import (
-    compare,
-    replicate,
-    summarize,
-    t975,
-)
+from repro.analysis.stats import paired_stats, summarize_values
+
+#: Seeds of the replicated end-to-end claims: independent replicas
+#: spaced far apart in seed space.
+_SEEDS = [1, 1001, 2001, 3001]
 
 
 class TestSummarize:
     def test_basic(self):
-        summary = summarize([10.0, 12.0, 8.0, 11.0, 9.0])
+        summary = summarize_values([10.0, 12.0, 8.0, 11.0, 9.0])
         assert summary.mean == pytest.approx(10.0)
         assert summary.n == 5
-        low, high = summary.ci95
-        assert low < 10.0 < high
+        assert summary.t_ci.low < 10.0 < summary.t_ci.high
 
     def test_single_value_infinite_ci(self):
-        summary = summarize([5.0])
+        summary = summarize_values([5.0])
         assert summary.mean == 5.0
-        assert math.isinf(summary.ci95_half_width)
+        assert math.isinf(summary.t_ci.half_width)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize([])
+            summarize_values([])
 
     def test_none_and_nan_gaps_dropped(self):
-        # Quarantined sweep cells (PR 6) leave None/NaN holes in value
-        # lists; the summary covers the replicas that reported.
-        summary = summarize([10.0, None, 12.0, float("nan"), 8.0])
+        # Quarantined sweep cells leave None/NaN holes in value lists;
+        # the summary covers the replicas that reported.
+        summary = summarize_values([10.0, None, 12.0, float("nan"), 8.0])
         assert summary.n == 3
+        assert summary.missing == 2
         assert summary.mean == pytest.approx(10.0)
 
     def test_all_gaps_rejected(self):
         with pytest.raises(ValueError):
-            summarize([None, float("nan")])
-
-    def test_t_quantiles(self):
-        assert t975(1) == pytest.approx(12.706)
-        assert t975(10) == pytest.approx(2.228)
-        assert t975(1000) == pytest.approx(1.96)
-        with pytest.raises(ValueError):
-            t975(0)
+            summarize_values([None, float("nan")])
 
     def test_ci_shrinks_with_replicas(self):
         rng = np.random.default_rng(0)
-        small = summarize(rng.normal(0, 1, 5))
-        large = summarize(rng.normal(0, 1, 30))
-        assert large.ci95_half_width < small.ci95_half_width
-
-    def test_str(self):
-        assert "n=3" in str(summarize([1.0, 2.0, 3.0]))
+        small = summarize_values(rng.normal(0, 1, 5))
+        large = summarize_values(rng.normal(0, 1, 30))
+        assert large.t_ci.half_width < small.t_ci.half_width
 
 
 class TestReplicate:
-    def test_seeds_are_derived(self):
-        seen = []
-        replicate(lambda seed: seen.append(seed) or 0.0, replicas=3, base_seed=7)
-        assert seen == [7, 1007, 2007]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            replicate(lambda s: 0.0, replicas=0)
-
     def test_end_to_end_sync_metric(self):
         from repro.experiments.scenarios import quick_spec
         from repro.fastlane import run_sstsp_vectorized
 
-        def metric(seed):
-            spec = quick_spec(15, seed=seed, duration_s=8.0)
-            return run_sstsp_vectorized(spec).trace.steady_state_error_us()
-
-        summary = replicate(metric, replicas=3)
+        summary = summarize_values(
+            run_sstsp_vectorized(
+                quick_spec(15, seed=seed, duration_s=8.0)
+            ).trace.steady_state_error_us()
+            for seed in _SEEDS[:3]
+        )
+        assert summary.n == 3
         assert 3.0 < summary.mean < 15.0
-        assert summary.ci95_half_width < summary.mean
+        assert summary.t_ci.half_width < summary.mean
 
 
 class TestCompare:
     def test_paired_and_significant(self):
-        comparison = compare(
-            lambda seed: 1.0 + 0.01 * seed % 1,
-            lambda seed: 5.0 + 0.01 * seed % 1,
-            replicas=5,
+        comparison = paired_stats(
+            [1.0 + 0.01 * (seed % 7) for seed in range(5)],
+            [5.0 + 0.02 * (seed % 3) for seed in range(5)],
         )
         assert comparison.a_smaller_significant
-        assert comparison.ratio == pytest.approx(5.0, rel=0.1)
+        assert comparison.mean_b / comparison.mean_a == pytest.approx(5.0, rel=0.1)
 
     def test_sstsp_beats_tsf_significantly(self):
         from repro.experiments.scenarios import quick_spec
         from repro.fastlane import run_sstsp_vectorized, run_tsf_vectorized
 
-        def sstsp(seed):
-            return run_sstsp_vectorized(
-                quick_spec(20, seed=seed, duration_s=8.0)
-            ).trace.steady_state_error_us()
-
-        def tsf(seed):
-            return run_tsf_vectorized(
-                quick_spec(20, seed=seed, duration_s=8.0)
-            ).trace.steady_state_error_us()
-
-        comparison = compare(sstsp, tsf, replicas=4)
+        sstsp, tsf = (
+            [
+                run(quick_spec(20, seed=seed, duration_s=8.0))
+                .trace.steady_state_error_us()
+                for seed in _SEEDS
+            ]
+            for run in (run_sstsp_vectorized, run_tsf_vectorized)
+        )
+        comparison = paired_stats(sstsp, tsf)
+        assert comparison.n == 4
         assert comparison.a_smaller_significant
-        assert comparison.ratio > 2.0
+        assert comparison.mean_b / comparison.mean_a > 2.0
 
 
 class TestTraceSerialization:
