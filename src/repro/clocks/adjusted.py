@@ -92,6 +92,11 @@ class AdjustedClock:
         return self._segments[-1].b
 
     @property
+    def active(self) -> ClockSegment:
+        """The currently active (latest) segment."""
+        return self._segments[-1]
+
+    @property
     def segments(self) -> List[ClockSegment]:
         """Full segment history, oldest first (copy)."""
         return list(self._segments)
@@ -126,22 +131,24 @@ class AdjustedClock:
             not join the old one continuously at the switch point, or if the
             switch point precedes the previous one.
         """
-        _validate_slope(k)
-        last = self._segments[-1]
-        if at_local_time < self._starts[-1]:
+        # The slope and continuity checks inline; NaN fails both bounds.
+        if not 0.0 < k < math.inf:
+            _validate_slope(k)  # raises
+        last_start, last_k, last_b = self._segments[-1]
+        if at_local_time < last_start:
             raise MonotonicityError(
                 f"adjustment at t={at_local_time} precedes previous segment "
-                f"start {self._starts[-1]}"
+                f"start {last_start}"
             )
-        old_value = last.value(at_local_time)
-        new_value = k * at_local_time + b
-        if abs(new_value - old_value) > CONTINUITY_TOL_US:
+        gap = (k * at_local_time + b) - (last_k * at_local_time + last_b)
+        if abs(gap) > CONTINUITY_TOL_US:
             raise MonotonicityError(
                 "discontinuous adjustment: segment values differ by "
-                f"{new_value - old_value:.6f}us at t={at_local_time}"
+                f"{gap:.6f}us at t={at_local_time}"
             )
-        self._segments.append(ClockSegment(float(at_local_time), float(k), float(b)))
-        self._starts.append(float(at_local_time))
+        start = float(at_local_time)
+        self._segments.append(ClockSegment(start, float(k), float(b)))
+        self._starts.append(start)
 
     def slew_to(
         self, target_value: float, target_slope: float, at_local_time: float

@@ -27,8 +27,14 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.crypto.hashchain import DenseHashChain, HashChainRegistry
-from repro.crypto.mutesla import IntervalSchedule, MuTeslaReceiver, MuTeslaSender, SecuredPacket
-from repro.crypto.primitives import PrimitiveMemo, hash128_iter
+from repro.crypto.mutesla import (
+    CheckMemo,
+    IntervalSchedule,
+    MuTeslaReceiver,
+    MuTeslaSender,
+    SecuredPacket,
+)
+from repro.crypto.primitives import hash128_iter
 from repro.mac.beacon import SecureBeaconFrame
 from repro.obs.events import emit, tracing_enabled
 from repro.phy.params import SSTSP_BEACON_BYTES
@@ -67,6 +73,16 @@ class CryptoBackend(ABC):
 
     def __init__(self, schedule: IntervalSchedule) -> None:
         self.schedule = schedule
+        self._one_release = BeaconVerdict(True, "ok", (0,))
+
+    def _release_verdict(self, interval: int) -> BeaconVerdict:
+        """The verdict releasing ``interval`` alone. Most receivers of a
+        frame release the same interval, so the last one is reused
+        (verdicts are immutable)."""
+        verdict = self._one_release
+        if verdict.authenticated_intervals[0] != interval:
+            verdict = self._one_release = BeaconVerdict(True, "ok", (interval,))
+        return verdict
 
     @abstractmethod
     def register_node(self, node_id: int) -> None:
@@ -100,12 +116,13 @@ class FullCryptoBackend(CryptoBackend):
     The default keeps the paper's lighter assumption (a trusted registry).
 
     Every receiver of a broadcast verifies the same disclosed key and
-    checks the same buffered tag, so the backend's receivers share one
-    :class:`~repro.crypto.primitives.PrimitiveMemo` keyed on the exact
-    input bytes: the hashing is done once per broadcast, while each
-    receiver still runs its own comparisons and counts its own hash
-    operations. The on-wire packet of the frame last processed is reused
-    for the next receiver of the same frame object.
+    authenticates the same buffered packet, so the backend's receivers
+    share one :class:`~repro.crypto.mutesla.CheckMemo`, keyed on every
+    input of each check: each check runs once per broadcast, while each
+    receiver still checks the interval, keeps its own verified element
+    and pending buffer, and counts its own hash operations. The on-wire
+    packet of the frame last processed is reused for the next receiver
+    of the same frame object.
     """
 
     def __init__(
@@ -126,7 +143,7 @@ class FullCryptoBackend(CryptoBackend):
         self._seeds: Dict[int, bytes] = {}
         self._senders: Dict[int, MuTeslaSender] = {}
         self._receivers: Dict[int, MuTeslaReceiver] = {}
-        self._memo = PrimitiveMemo()
+        self._memo = CheckMemo()
         # (frame, its on-wire packet) of the frame processed last.
         self._parsed: Optional[Tuple[SecureBeaconFrame, SecuredPacket]] = None
 
@@ -207,6 +224,8 @@ class FullCryptoBackend(CryptoBackend):
             return _BAD_KEY
         if not released:
             return _OK
+        if len(released) == 1:
+            return self._release_verdict(released[0].interval)
         return BeaconVerdict(True, "ok", tuple([msg.interval for msg in released]))
 
 
@@ -220,6 +239,11 @@ class ModeledCryptoBackend(CryptoBackend):
     so every branch of the pipeline - unknown sender, stale interval, bad
     key, bad MAC, multi-interval release - behaves exactly as with real
     crypto, without hashing.
+
+    Whether a frame's key and tag match their labels depends on the frame
+    alone, so both are checked once per frame object (while consecutive
+    receivers get the same frame), and a buffered interval keeps only
+    its tag's outcome.
     """
 
     MAX_PENDING = MuTeslaReceiver.MAX_PENDING
@@ -227,8 +251,10 @@ class ModeledCryptoBackend(CryptoBackend):
     def __init__(self, schedule: IntervalSchedule) -> None:
         super().__init__(schedule)
         self._registered: set = set()
-        # (receiver, sender) -> {interval: frame} pending authentication.
-        self._pending: Dict[Tuple[int, int], Dict[int, SecureBeaconFrame]] = {}
+        # (receiver, sender) -> {interval: tag genuine} pending authentication.
+        self._pending: Dict[Tuple[int, int], Dict[int, bool]] = {}
+        # (frame, key genuine, tag genuine) of the frame checked last.
+        self._checked: Optional[Tuple[SecureBeaconFrame, bool, bool]] = None
 
     def register_node(self, node_id: int) -> None:
         self._registered.add(node_id)
@@ -259,51 +285,59 @@ class ModeledCryptoBackend(CryptoBackend):
     def process(
         self, receiver_id: int, frame: SecureBeaconFrame, local_time_us: float
     ) -> BeaconVerdict:
-        if frame.sender not in self._registered:
+        sender = frame.sender
+        if sender not in self._registered:
             return _UNKNOWN_SENDER
         j = frame.interval
+        schedule = self.schedule
         # Same emission points as MuTeslaReceiver.receive so a traced run
         # reads identically under either backend.
-        if j != self.schedule.interval_of(local_time_us) or not self.schedule.contains(j):
+        if j != schedule.interval_of(local_time_us) or not schedule.contains(j):
             emit(
                 "mutesla_reject",
                 t_us=local_time_us,
                 node=receiver_id,
-                sender=frame.sender,
+                sender=sender,
                 interval=j,
                 reason="unsafe_interval",
             )
             return _UNSAFE_INTERVAL
-        n = self.schedule.length
-        if frame.disclosed_key != self._key_label(frame.sender, n - j + 1):
+        checked = self._checked
+        if checked is None or checked[0] is not frame:
+            checked = self._checked = (
+                frame,
+                frame.disclosed_key
+                == self._key_label(sender, schedule.length - j + 1),
+                frame.mac_tag == self._tag_label(sender, j, frame.timestamp_us),
+            )
+        if not checked[1]:
             emit(
                 "mutesla_reject",
                 t_us=local_time_us,
                 node=receiver_id,
-                sender=frame.sender,
+                sender=sender,
                 interval=j,
                 reason="bad_key",
             )
             return _BAD_KEY
-        pending = self._pending.setdefault((receiver_id, frame.sender), {})
+        pending = self._pending.setdefault((receiver_id, sender), {})
         tracing = tracing_enabled()
-        ready = [i for i in pending if i < j]
+        ready = []
+        for interval in pending:
+            if interval < j:
+                ready.append(interval)
         if len(ready) > 1:
             ready.sort()
         released: List[int] = []
         for interval in ready:
-            buffered = pending.pop(interval)
-            expected = self._tag_label(
-                buffered.sender, buffered.interval, buffered.timestamp_us
-            )
-            if buffered.mac_tag == expected:
+            if pending.pop(interval):
                 released.append(interval)
                 if tracing:
                     emit(
                         "mutesla_auth",
                         t_us=local_time_us,
                         node=receiver_id,
-                        sender=frame.sender,
+                        sender=sender,
                         interval=interval,
                     )
             else:
@@ -311,23 +345,25 @@ class ModeledCryptoBackend(CryptoBackend):
                     "mutesla_reject",
                     t_us=local_time_us,
                     node=receiver_id,
-                    sender=frame.sender,
+                    sender=sender,
                     interval=interval,
                     reason="bad_mac",
                 )
-        pending[j] = frame
+        pending[j] = checked[2]
         if tracing:
             emit(
                 "mutesla_defer",
                 t_us=local_time_us,
                 node=receiver_id,
-                sender=frame.sender,
+                sender=sender,
                 interval=j,
             )
         while len(pending) > self.MAX_PENDING:
             pending.pop(min(pending))
         if not released:
             return _OK
+        if len(released) == 1:
+            return self._release_verdict(released[0])
         return BeaconVerdict(True, "ok", tuple(released))
 
 

@@ -198,7 +198,11 @@ class SstspProtocol(SyncProtocol):
             offset = rx.est_timestamp - self.clock.read_current(rx.hw_time)
             self._coarse.add_sample(offset)
             return
-        local_adjusted = self.clock.read_current(rx.hw_time)
+        hw_time = rx.hw_time
+        # The active segment, read once: nothing below adjusts the clock
+        # before _try_adjust.
+        _, k, b = self.clock.active
+        local_adjusted = k * hw_time + b
         verdict = self.backend.process(self.node_id, frame, local_adjusted)
         if not verdict.accepted:
             self.stats.rejected_pipeline += 1
@@ -216,19 +220,21 @@ class SstspProtocol(SyncProtocol):
         self._consecutive_guard_rejections = 0
         self._valid_beacon_this_period = True
         sender = frame.sender
+        interval = frame.interval
         if self.current_ref != sender:
             self._on_reference_changed(sender)
-        self._pending_rx[(sender, frame.interval)] = (rx.hw_time, rx.est_timestamp)
-        self._prune_pending(frame.interval)
+        pending_rx = self._pending_rx
+        pending_rx[(sender, interval)] = (hw_time, rx.est_timestamp)
+        self._prune_pending(interval)
         # Promote any newly authenticated receptions to samples.
-        for interval in verdict.authenticated_intervals:
-            record = self._pending_rx.pop((sender, interval), None)
+        for released in verdict.authenticated_intervals:
+            record = pending_rx.pop((sender, released), None)
             if record is None:
                 continue
             samples = self._samples[sender]
-            samples.append(AdjustmentSample(interval, record[0], record[1]))
+            samples.append(AdjustmentSample(released, record[0], record[1]))
             del samples[:-2]
-        self._try_adjust(sender, frame.interval, rx.hw_time)
+        self._try_adjust(sender, interval, hw_time, k, b)
 
     def end_period(
         self, period: int, heard_beacon: bool, transmitted: bool, tx_success: bool
@@ -426,11 +432,20 @@ class SstspProtocol(SyncProtocol):
 
     def _prune_pending(self, current_interval: int) -> None:
         horizon = current_interval - self.config.max_sample_age_periods - 2
-        stale = [key for key in self._pending_rx if key[1] < horizon]
-        for key in stale:
-            del self._pending_rx[key]
+        pending = self._pending_rx
+        for key in pending:
+            if key[1] < horizon:
+                break
+        else:
+            return  # nothing stale, the usual case: allocate nothing
+        for key in [key for key in pending if key[1] < horizon]:
+            del pending[key]
 
-    def _try_adjust(self, sender: int, interval: int, t_now_hw: float) -> None:
+    def _try_adjust(
+        self, sender: int, interval: int, t_now_hw: float, k: float, b: float
+    ) -> None:
+        """Solve for a new segment from the sender's two newest samples,
+        given the active segment ``(k, b)``, and install it."""
         if sender != self.current_ref:
             return
         samples = self._samples.get(sender, ())
@@ -444,11 +459,12 @@ class SstspProtocol(SyncProtocol):
         if newest.interval - older.interval > cfg.max_pair_gap_periods:
             self.stats.adjustments_skipped += 1
             return
-        target = self._nominal_time(interval + cfg.m) + cfg.rx_latency_us
+        # T^{j+m} (see _nominal_time) plus the known reception latency.
+        target = (
+            cfg.t0_us + (interval + cfg.m) * cfg.beacon_period_us + cfg.rx_latency_us
+        )
         try:
-            k, b = solve_adjustment(
-                self.clock.k, self.clock.b, t_now_hw, newest, older, target
-            )
+            k, b = solve_adjustment(k, b, t_now_hw, newest, older, target)
         except DegenerateSamplesError:
             self.stats.adjustments_skipped += 1
             return

@@ -26,7 +26,7 @@ fractal (see
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.primitives import HASH_BYTES, constant_time_eq, hash128, hash128_iter
 
@@ -129,7 +129,6 @@ def verify_element(
     anchor: bytes,
     length: int,
     cache: Optional[Tuple[int, bytes]] = None,
-    hash_iter: Callable[[bytes, int], bytes] = hash128_iter,
 ) -> Tuple[bool, int]:
     """Verify that ``candidate`` is ``h^claimed_index(seed)`` of the chain
     committed to by ``anchor = h^length(seed)``.
@@ -142,10 +141,6 @@ def verify_element(
         that element instead of all the way to the anchor (the paper's
         "store previously authenticated disclosed key to reduce processing
         overhead ... only one hash operation is needed instead of j - 1").
-    hash_iter:
-        The iterated hash to use; a
-        :meth:`~repro.crypto.primitives.PrimitiveMemo.hash128_iter` shares
-        the hashing among receivers. The cost returned is the same.
 
     Returns
     -------
@@ -160,13 +155,13 @@ def verify_element(
         if claimed_index < cache_index <= length:
             steps = cache_index - claimed_index
             return (
-                constant_time_eq(hash_iter(candidate, steps), cache_value),
+                constant_time_eq(hash128_iter(candidate, steps), cache_value),
                 steps,
             )
         if cache_index == claimed_index:
             return constant_time_eq(candidate, cache_value), 0
     steps = length - claimed_index
-    return constant_time_eq(hash_iter(candidate, steps), anchor), steps
+    return constant_time_eq(hash128_iter(candidate, steps), anchor), steps
 
 
 class HashChainRegistry:

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.crypto.hashchain import HashChain, verify_element
-from repro.crypto.primitives import (
-    PrimitiveMemo,
-    constant_time_eq,
-    hash128_iter,
-    hmac128,
-)
+from repro.crypto.primitives import constant_time_eq, hash128_iter, hmac128
 from repro.obs.counters import count
 from repro.obs.events import emit, tracing_enabled
 
@@ -89,6 +84,83 @@ class AuthenticatedMessage(NamedTuple):
     sender: int
 
 
+def authenticate(disclosed_key: bytes, steps: int, packet: SecuredPacket) -> bool:
+    """Whether ``packet``'s tag verifies under the key ``steps`` hashes
+    forward of ``disclosed_key`` (``key_i = h^{(j-1)-i}(K_{j-1})``)."""
+    key = hash128_iter(disclosed_key, steps)
+    expected = hmac128(key, packet.payload + b"|" + str(packet.interval).encode())
+    return constant_time_eq(expected, packet.mac_tag)
+
+
+class CheckMemo:
+    """Per-network memo of the two uTESLA checks.
+
+    All receivers of one broadcast verify the same disclosed key and
+    authenticate the same buffered packet, so a network shares one memo
+    among its receivers and runs each check once per broadcast. Each
+    check is keyed on *every* input it reads:
+
+    * :meth:`verify_key` on ``(disclosed key, claimed position, anchor,
+      length, verified element)``, giving ``(ok, hash cost)``;
+    * :meth:`authenticate` on ``(disclosed key, steps, buffered packet)``,
+      giving accept or reject.
+
+    A forged key or tag, or a receiver whose verified element differs, is
+    therefore a different entry and is computed afresh: an entry can only
+    ever be read back for the exact inputs that produced it. Receivers
+    still run their own interval-safety check, update their own
+    verified element and pending buffer, and count their own work.
+
+    Each table is cleared when it reaches :attr:`MAX_ENTRIES`; the
+    results are pure functions of the keys, so clearing never changes
+    one. One broadcast needs a handful of entries.
+    """
+
+    #: Entries per table before it is cleared.
+    MAX_ENTRIES: int = 256
+
+    __slots__ = ("_keys", "_tags")
+
+    def __init__(self) -> None:
+        self._keys: Dict[tuple, Tuple[bool, int]] = {}
+        self._tags: Dict[tuple, bool] = {}
+
+    def verify_key(
+        self,
+        candidate: bytes,
+        claimed_index: int,
+        anchor: bytes,
+        length: int,
+        cache: Optional[Tuple[int, bytes]] = None,
+    ) -> Tuple[bool, int]:
+        """:func:`~repro.crypto.hashchain.verify_element`, once per
+        distinct input."""
+        memo = self._keys
+        entry = (candidate, claimed_index, anchor, length, cache)
+        result = memo.get(entry)
+        if result is None:
+            result = verify_element(candidate, claimed_index, anchor, length, cache)
+            if len(memo) >= self.MAX_ENTRIES:
+                memo.clear()
+            memo[entry] = result
+        return result
+
+    def authenticate(self, disclosed_key: bytes, steps: int, packet: SecuredPacket) -> bool:
+        """:func:`authenticate`, once per distinct input."""
+        memo = self._tags
+        entry = (disclosed_key, steps, packet)
+        ok = memo.get(entry)
+        if ok is None:
+            ok = authenticate(disclosed_key, steps, packet)
+            if len(memo) >= self.MAX_ENTRIES:
+                memo.clear()
+            memo[entry] = ok
+        return ok
+
+    def __len__(self) -> int:
+        return len(self._keys) + len(self._tags)
+
+
 class MuTeslaSender:
     """Sender side: secure one packet per interval with the chain key."""
 
@@ -135,11 +207,11 @@ class MuTeslaReceiver:
     One receiver instance handles any number of senders, keyed by their
     published anchors (looked up once and pinned).
 
-    Receivers of one network may share a
-    :class:`~repro.crypto.primitives.PrimitiveMemo` so each broadcast's
-    key-chain hashing and HMAC is computed once. Each receiver still
-    compares against its own anchor, verified element and buffered tag,
-    and counts the hash operations it would have done on its own.
+    Receivers of one network may share a :class:`CheckMemo` so each
+    broadcast's key verification and delayed authentication run once.
+    Each receiver still checks the interval itself, keeps its own
+    verified element and pending buffer, and counts the hash operations
+    it would have done on its own.
     """
 
     #: How many unauthenticated packets to buffer per sender. SSTSP needs
@@ -151,13 +223,13 @@ class MuTeslaReceiver:
         self,
         schedule: IntervalSchedule,
         owner: Optional[int] = None,
-        memo: Optional[PrimitiveMemo] = None,
+        memo: Optional[CheckMemo] = None,
     ) -> None:
         self.schedule = schedule
         self.owner = owner
         self._senders: Dict[int, _SenderState] = {}
-        self._hash_iter = hash128_iter if memo is None else memo.hash128_iter
-        self._hmac = hmac128 if memo is None else memo.hmac128
+        self._verify_key = verify_element if memo is None else memo.verify_key
+        self._authenticate = authenticate if memo is None else memo.authenticate
 
     def register_sender(self, sender: int, anchor: bytes, length: int) -> None:
         """Pin a sender's published anchor (from the trusted registry)."""
@@ -199,8 +271,12 @@ class MuTeslaReceiver:
         if state is None:
             return []
         j = packet.interval
-        # 1. Safety condition.
-        if j != self.schedule.interval_of(local_time_us) or not self.schedule.contains(j):
+        schedule = self.schedule
+        # 1. Safety condition (IntervalSchedule.interval_of and .contains).
+        if (
+            j != int(round((local_time_us - schedule.t0_us) / schedule.interval_us))
+            or not 1 <= j <= schedule.length
+        ):
             state.rejected_unsafe_interval += 1
             emit(
                 "mutesla_reject",
@@ -212,14 +288,11 @@ class MuTeslaReceiver:
             )
             return []
         # 2. Disclosed key is h^{n-j+1}(s), i.e. chain position n - j + 1.
-        disclosed_position = state.length - j + 1
-        ok, cost = verify_element(
-            packet.disclosed_key,
-            disclosed_position,
-            state.anchor,
-            state.length,
-            cache=state.verified,
-            hash_iter=self._hash_iter,
+        disclosed = packet.disclosed_key
+        position = state.length - j + 1
+        verified = state.verified
+        ok, cost = self._verify_key(
+            disclosed, position, state.anchor, state.length, verified
         )
         state.hash_operations += cost
         count("crypto.verify")
@@ -235,8 +308,8 @@ class MuTeslaReceiver:
                 reason="bad_key",
             )
             return []
-        if state.verified is None or disclosed_position < state.verified[0]:
-            state.verified = (disclosed_position, packet.disclosed_key)
+        if verified is None or position < verified[0]:
+            state.verified = (position, disclosed)
         # 3. Authenticate every buffered packet of an interval before j with
         # the now-disclosed key. The key of interval i < j - 1 derives from
         # the disclosed key of interval j - 1 by hashing forward
@@ -247,21 +320,19 @@ class MuTeslaReceiver:
         # when a run is traced.
         tracing = tracing_enabled()
         pending = state.pending
-        ready = [i for i in pending if i < j]
+        ready = []
+        for interval in pending:
+            if interval < j:
+                ready.append(interval)
         if len(ready) > 1:
             ready.sort()
         for interval in ready:
             buffered = pending.pop(interval)
             steps = (j - 1) - interval
-            key_i = self._hash_iter(packet.disclosed_key, steps)
             state.hash_operations += steps
             count("crypto.hash_ops", steps)
             count("crypto.auth_check")
-            expected = self._hmac(
-                key_i,
-                buffered.payload + b"|" + str(buffered.interval).encode(),
-            )
-            if constant_time_eq(expected, buffered.mac_tag):
+            if self._authenticate(disclosed, steps, buffered):
                 state.authenticated += 1
                 released.append(
                     AuthenticatedMessage(buffered.payload, buffered.interval, sender)

@@ -47,6 +47,7 @@ class VectorLane:
         self.metric_mask = np.ones(self.n, dtype=bool)
         if self.attacker is not None:
             self.metric_mask[self.attacker] = False
+        self._refresh_membership()
         self.events: List[str] = []
         self.recorder = TraceRecorder(keep_values=keep_values)
         self.churn = ChurnApplier(spec.churn_schedule(rngs))
@@ -77,7 +78,15 @@ class VectorLane:
             self.present[node] = action == "return"
             self.events.append(churn_line(period, action, node))
             changes.append((action, node))
+        if changes:
+            self._refresh_membership()
         return changes
+
+    def _refresh_membership(self) -> None:
+        """Recompute what changes only on churn: :attr:`present_ids` (the
+        present stations, ascending) and the metric members."""
+        self.present_ids = np.flatnonzero(self.present)
+        self._members = self.present & self.metric_mask
 
     def _is_present(self, node: int) -> Optional[bool]:
         if not 0 <= node < self.n:
@@ -122,9 +131,7 @@ class VectorLane:
     ) -> None:
         """Record one metric sample of the present stations (never the
         attacker), restricted to ``mask`` when given."""
-        members = self.present & self.metric_mask
-        if mask is not None:
-            members &= mask
+        members = self._members if mask is None else self._members & mask
         full = np.where(members, values, np.nan) if self.recorder.keep_values else None
         self.recorder.record(true_time, values[members], ref, full_values=full)
 

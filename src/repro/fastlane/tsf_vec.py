@@ -90,9 +90,11 @@ def _run_tsf_vectorized(
             local_targets[attacker] = period * bp - boost - lead
         tx_times = (local_targets - adj - offsets) / rates
 
-        ids = np.flatnonzero(lane.present)
+        ids = lane.present_ids
+        # With every station present the gather would copy tx_times as is.
+        times = tx_times if ids.size == lane.n else tx_times[ids]
         winner, tx_start, n_coll = resolve_window(
-            ids, tx_times[ids], airtime, spec.phy.cca_us
+            ids, times, airtime, spec.phy.cca_us
         )
         collisions += n_coll
 

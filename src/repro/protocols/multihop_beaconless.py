@@ -130,10 +130,11 @@ class BeaconlessProtocol(MultiHopProtocol):
             return
         b_fit = mean_est - k_fit * mean_hw
         # Converge onto the fitted line at the *next expected update*
-        # (one duty cycle out), continuously from now. A shorter horizon
-        # would overshoot the line and keep overshooting until the next
-        # refit — an oscillation that compounds per hop.
-        horizon = _DUTY_CYCLE * spec.beacon_period_us
+        # (one duty cycle out, stretched by the relay_probability
+        # thinning), continuously from now. A shorter horizon would
+        # overshoot the line and keep overshooting until the next refit —
+        # an oscillation that compounds per hop.
+        horizon = _DUTY_CYCLE / spec.relay_probability * spec.beacon_period_us
         current = self.clock.read_current(hw_now)
         target = k_fit * (hw_now + horizon) + b_fit
         # far off the line (fresh join, post-outage) the clamp steps the

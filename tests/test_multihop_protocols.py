@@ -1,6 +1,8 @@
 """The multi-hop protocol interface: registry, spec resolution, and the
 per-protocol behavioural invariants of the shootout competitors."""
 
+import statistics
+
 import pytest
 
 from repro.analysis.metrics import audit_no_leaps
@@ -109,6 +111,20 @@ class TestCompetitorConvergence:
         assert result.trace.steady_state_error_us() < 25.0
         # regression windows keep deep hops tight too
         assert max(result.per_hop_error_us.values()) < 25.0
+
+    @pytest.mark.parametrize("p, bound_us", [(0.5, 500.0), (0.75, 15.0)])
+    def test_beaconless_slew_horizon_follows_thinning(self, p, bound_us):
+        """Thinned relays update about ``_DUTY_CYCLE / p`` periods apart,
+        and the slew spans that gap; a fixed two-period horizon overshoots
+        (median 1695 us at p = 0.5)."""
+        errors = [
+            _run(
+                "beaconless", Topology.chain(8), seed=seed, duration_s=20.0,
+                relay_probability=p,
+            )[1].trace.steady_state_error_us()
+            for seed in range(1, 7)
+        ]
+        assert statistics.median(errors) < bound_us
 
     def test_beaconless_duty_cycle_halves_traffic(self):
         _, sparse = _run("beaconless", Topology.chain(6))

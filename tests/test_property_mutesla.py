@@ -8,10 +8,14 @@ forgeries a receiver sees, two invariants must hold:
 2. *Freshness*: a packet is only ever accepted for buffering during its
    own interval.
 
-The full-crypto backend shares one hash/HMAC memo among its receivers;
-the last two tests check that sharing changes no decision and no work
-count, and that a forged key or tag never rides on a cached success.
+The full-crypto backend shares one memo of the two uTESLA checks among
+its receivers; the last four tests check that sharing changes no
+decision, no receiver state and no work count, and that a forged key or
+tag, or a receiver with a different verified element, never rides on a
+cached entry.
 """
+
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,12 +24,14 @@ from hypothesis import strategies as st
 from repro.core.backend import FullCryptoBackend, _beacon_payload
 from repro.crypto.hashchain import DenseHashChain
 from repro.crypto.mutesla import (
+    CheckMemo,
     IntervalSchedule,
     MuTeslaReceiver,
     MuTeslaSender,
     SecuredPacket,
 )
 from repro.mac.beacon import SecureBeaconFrame
+from repro.obs.counters import count_work
 from repro.obs.events import observe_run
 
 BP = 100_000.0
@@ -148,7 +154,11 @@ RECEIVERS = (10, 11, 12, 13)
 frame_actions = st.lists(
     st.tuples(
         st.sampled_from(["honest", "tamper_tag", "flip_key", "stale", "replay"]),
-        st.sampled_from([1, 2]),
+        # which sender, modulo the number of senders
+        st.integers(0, 2),
+        # intervals advanced since the previous frame: > 1 skips intervals,
+        # so a later disclosure releases its buffer several steps back
+        st.integers(1, 3),
         # which receivers hear it (lost beacons per receiver)
         st.lists(st.booleans(), min_size=len(RECEIVERS), max_size=len(RECEIVERS)),
         st.integers(0, 15),
@@ -158,21 +168,39 @@ frame_actions = st.lists(
 )
 
 
-@given(actions=frame_actions, seed=st.integers(0, 2**16))
+def _crypto_counts(work):
+    return {k: v for k, v in work.snapshot().items() if k.startswith("crypto.")}
+
+
+@given(
+    actions=frame_actions,
+    senders=st.integers(1, 3),
+    # small caps clear the memo mid-sequence
+    cap=st.sampled_from([1, 2, 3, 5, 8, CheckMemo.MAX_ENTRIES]),
+    seed=st.integers(0, 2**16),
+)
 @settings(max_examples=40, deadline=None)
-def test_memoized_backend_matches_memo_less_receivers(actions, seed):
+def test_memoized_backend_matches_memo_less_receivers(actions, senders, cap, seed):
     schedule = IntervalSchedule(0.0, BP, N)
     backend = FullCryptoBackend(schedule, np.random.default_rng(seed))
-    for node in (1, 2):
+    nodes = tuple(range(1, senders + 1))
+    for node in nodes:
         backend.register_node(node)
     reference = {}
     for r in RECEIVERS:
         reference[r] = MuTeslaReceiver(schedule, owner=r)
-        for node in (1, 2):
+        for node in nodes:
             reference[r].register_sender(node, *backend.registry.lookup(node))
 
+    # Who hears which frame when; both sides replay the same list.
+    deliveries = []
     sent = []
-    for j, (action, sender, hears, byte) in enumerate(actions, start=1):
+    j = 0
+    for action, pick, advance, hears, byte in actions:
+        j += advance
+        if j > N:
+            break
+        sender = nodes[pick % senders]
         honest = backend.make_frame(sender, j, j * BP + 17.0)
         frame, local = honest, j * BP
         if action == "tamper_tag":
@@ -190,26 +218,100 @@ def test_memoized_backend_matches_memo_less_receivers(actions, seed):
         elif action == "replay" and sent:
             frame = sent[byte % len(sent)]
         sent.append(honest)
-        for r, heard in zip(RECEIVERS, hears):
-            if not heard:
-                continue
-            verdict = backend.process(r, frame, local)
-            expected = _reference_verdict(reference[r], frame.sender, frame, local)
-            assert tuple(verdict) == expected
+        deliveries += [(r, frame, local) for r, heard in zip(RECEIVERS, hears) if heard]
+
+    with patch.object(CheckMemo, "MAX_ENTRIES", cap), count_work() as shared:
+        verdicts = [tuple(backend.process(r, f, t)) for r, f, t in deliveries]
+    with count_work() as alone:
+        expected = [
+            _reference_verdict(reference[r], f.sender, f, t) for r, f, t in deliveries
+        ]
+    assert verdicts == expected
+    assert _crypto_counts(shared) == _crypto_counts(alone)
 
     for r in RECEIVERS:
-        for node in (1, 2):
+        for node in nodes:
+            want = reference[r].sender_stats(node)
             mine = backend._receivers.get(r)
-            if mine is None or mine.sender_stats(node) is None:
-                assert reference[r].sender_stats(node).hash_operations == 0
+            got = None if mine is None else mine.sender_stats(node)
+            if got is None:
+                assert want.hash_operations == 0 and not want.pending
                 continue
-            assert (
-                mine.sender_stats(node).hash_operations
-                == reference[r].sender_stats(node).hash_operations
-            )
-            assert mine.sender_stats(node).pending == (
-                reference[r].sender_stats(node).pending
-            )
+            assert got.hash_operations == want.hash_operations
+            assert got.verified == want.verified
+            assert sorted(got.pending) == sorted(want.pending)
+            assert got.pending == want.pending
+
+
+def test_forged_tag_under_a_cached_genuine_disclosure_is_rejected():
+    """A genuine packet and a forged copy are released by the same
+    ``(disclosed key, steps)``; the genuine entry is cached first."""
+    schedule = IntervalSchedule(0.0, BP, N)
+    backend = FullCryptoBackend(schedule, np.random.default_rng(5))
+    backend.register_node(1)
+    genuine = backend.make_frame(1, 2, 2 * BP)
+    forged = SecureBeaconFrame(
+        1, genuine.timestamp_us, 2, _flip(genuine.mac_tag, 3), genuine.disclosed_key
+    )
+    reference = {r: MuTeslaReceiver(schedule, owner=r) for r in (10, 11)}
+    for receiver in reference.values():
+        receiver.register_sender(1, *backend.registry.lookup(1))
+    # Interval 3 is lost: interval 4's key releases interval 2 one step on.
+    disclosure = backend.make_frame(1, 4, 4 * BP)
+    for r, buffered in ((10, genuine), (11, forged)):
+        for frame, local in ((buffered, 2 * BP), (disclosure, 4 * BP)):
+            want = _reference_verdict(reference[r], 1, frame, local)
+            assert tuple(backend.process(r, frame, local)) == want
+        assert (
+            backend._receivers[r].sender_stats(1).hash_operations
+            == reference[r].sender_stats(1).hash_operations
+        )
+    genuine_state = backend._receivers[10].sender_stats(1)
+    forged_state = backend._receivers[11].sender_stats(1)
+    assert (genuine_state.authenticated, genuine_state.rejected_bad_mac) == (1, 0)
+    assert (forged_state.authenticated, forged_state.rejected_bad_mac) == (0, 1)
+
+
+def test_receivers_with_different_verified_elements_share_a_frame():
+    """Receiver 10 heard every interval, receiver 11 only the first: one
+    frame checks against two verified elements, at different costs."""
+    schedule = IntervalSchedule(0.0, BP, N)
+    backend = FullCryptoBackend(schedule, np.random.default_rng(7))
+    backend.register_node(1)
+    reference = {r: MuTeslaReceiver(schedule, owner=r) for r in (10, 11)}
+    for receiver in reference.values():
+        receiver.register_sender(1, *backend.registry.lookup(1))
+
+    def deliver(r, frame, j):
+        want = _reference_verdict(reference[r], 1, frame, j * BP)
+        assert tuple(backend.process(r, frame, j * BP)) == want
+        return want
+
+    for j in (1, 2, 3):
+        frame = backend.make_frame(1, j, j * BP)
+        deliver(10, frame, j)
+        if j == 1:
+            deliver(11, frame, j)
+    last = backend.make_frame(1, 4, 4 * BP)
+    flipped = SecureBeaconFrame(
+        1, last.timestamp_us, 4, last.mac_tag, _flip(last.disclosed_key, 2)
+    )
+    # A flipped key fails against either verified element ...
+    for r in (10, 11):
+        assert deliver(r, flipped, 4) == (False, "bad_key", ())
+    # ... and the genuine key verifies against both, at different costs:
+    costs = {}
+    for r in (10, 11):
+        state = backend._receivers[r].sender_stats(1)
+        before = state.hash_operations
+        costs[r] = (deliver(r, last, 4), state.hash_operations - before)
+    # 10 checks one hash back to interval 3's key and releases it;
+    # 11 hashes three back and releases interval 1 two steps on.
+    assert costs == {10: ((True, "ok", (3,)), 1), 11: ((True, "ok", (1,)), 3 + 2)}
+    for r in (10, 11):
+        mine = backend._receivers[r].sender_stats(1)
+        want = reference[r].sender_stats(1)
+        assert (mine.verified, mine.hash_operations) == (want.verified, want.hash_operations)
 
 
 def test_warm_memo_never_admits_a_forged_key_or_tag():
