@@ -70,6 +70,14 @@ class SstspState(enum.Enum):
     REFERENCE = "reference"
 
 
+# Module-level aliases for the state checks every station makes every
+# period: a global read costs a fraction of an enum member lookup.
+_COARSE = SstspState.COARSE
+_SYNCED = SstspState.SYNCED
+_CONTENDING = SstspState.CONTENDING
+_REFERENCE = SstspState.REFERENCE
+
+
 @dataclass
 class SstspStats:
     """Per-node protocol counters (tests and analysis read these)."""
@@ -130,7 +138,7 @@ class SstspProtocol(SyncProtocol):
         self.clock = AdjustedClock(1.0, initial_offset_us)
         self.guard = GuardPolicy(config.guard_fine_us, node_id=node_id)
         self.stats = SstspStats()
-        self.state = SstspState.SYNCED if founding else SstspState.COARSE
+        self.state = _SYNCED if founding else _COARSE
         self._coarse = None if founding else CoarseSynchronizer(config, node_id=node_id)
         # Saturated silence counter: founding nodes contend immediately.
         self._silent_periods = config.l if founding else 0
@@ -156,16 +164,16 @@ class SstspProtocol(SyncProtocol):
         self._last_hw_time = hw_time
 
     def begin_period(self, period: int) -> Optional[TxIntent]:
-        if self.state is SstspState.COARSE:
+        if self.state is _COARSE:
             return None
         nominal = self._nominal_time(period)
-        if self.state is SstspState.REFERENCE:
+        if self.state is _REFERENCE:
             # The reference beacons at the start of every BP, no delay.
             return TxIntent(local_time=nominal, clock=ClockKind.ADJUSTED)
-        if self.state is SstspState.SYNCED and self._silent_periods >= self.config.l:
-            self.state = SstspState.CONTENDING
+        if self.state is _SYNCED and self._silent_periods >= self.config.l:
+            self.state = _CONTENDING
             self.stats.elections_entered += 1
-        if self.state is SstspState.CONTENDING:
+        if self.state is _CONTENDING:
             slot = int(self._rng.integers(0, self._election_window() + 1))
             return TxIntent(
                 local_time=nominal + slot * self.config.slot_time_us,
@@ -193,7 +201,7 @@ class SstspProtocol(SyncProtocol):
         self.stats.beacons_received += 1
         if not isinstance(frame, SecureBeaconFrame):
             return  # a plain TSF beacon carries no authenticator: ignore
-        if self.state is SstspState.COARSE:
+        if self.state is _COARSE:
             self._heard_in_coarse = True
             offset = rx.est_timestamp - self.clock.read_current(rx.hw_time)
             self._coarse.add_sample(offset)
@@ -239,7 +247,7 @@ class SstspProtocol(SyncProtocol):
     def end_period(
         self, period: int, heard_beacon: bool, transmitted: bool, tx_success: bool
     ) -> None:
-        if self.state is SstspState.COARSE:
+        if self.state is _COARSE:
             self._coarse.tick_period()
             if self._heard_in_coarse:
                 self._coarse_silent_periods = 0
@@ -255,7 +263,7 @@ class SstspProtocol(SyncProtocol):
                 # the slope must be preserved: shifting only the intercept
                 # moves the whole clock by exactly the measured offset.
                 self.clock = AdjustedClock(self.clock.k, self.clock.b + offset)
-                self.state = SstspState.SYNCED
+                self.state = _SYNCED
                 self._silent_periods = 0
             return
         heard_valid = self._valid_beacon_this_period
@@ -265,9 +273,9 @@ class SstspProtocol(SyncProtocol):
         else:
             self._silent_periods += 1
             self._maybe_clamp_free_run()
-        if self.state is SstspState.CONTENDING:
+        if self.state is _CONTENDING:
             if tx_success and not heard_valid:
-                self.state = SstspState.REFERENCE
+                self.state = _REFERENCE
                 logger.info(
                     "node %d became the reference at period %d",
                     self.node_id, period,
@@ -281,26 +289,26 @@ class SstspProtocol(SyncProtocol):
                 # hardware timestamp is available).
                 self._pace_reset_pending = True
             elif heard_valid:
-                self.state = SstspState.SYNCED
+                self.state = _SYNCED
                 self._election_rounds = 0
             else:
                 # Contended, nobody won, nothing heard: a failed round -
                 # the next draw backs off (bounded) to break livelock.
                 self._election_rounds += 1
-        elif self.state is SstspState.REFERENCE and heard_valid:
+        elif self.state is _REFERENCE and heard_valid:
             # Another station's beacon passed all checks: it took over
             # (post-collision double win, or a lead-transmitting insider).
-            self.state = SstspState.SYNCED
+            self.state = _SYNCED
 
     def synchronized_time(self, hw_time: float) -> float:
         return self.clock.read_current(hw_time)
 
     def is_synchronized(self) -> bool:
-        return self.state is not SstspState.COARSE
+        return self.state is not _COARSE
 
     def on_leave(self, period: int) -> None:
-        if self.state is SstspState.REFERENCE or self.state is SstspState.CONTENDING:
-            self.state = SstspState.SYNCED
+        if self.state is _REFERENCE or self.state is _CONTENDING:
+            self.state = _SYNCED
         self._silent_periods = 0
         self._election_rounds = 0
 
@@ -317,7 +325,7 @@ class SstspProtocol(SyncProtocol):
         self._coarse_silent_periods = 0
         self._heard_in_coarse = False
         self.current_ref = None
-        self.state = SstspState.COARSE
+        self.state = _COARSE
         self._coarse = CoarseSynchronizer(self.config, node_id=self.node_id)
 
     # ------------------------------------------------------------------
@@ -326,7 +334,7 @@ class SstspProtocol(SyncProtocol):
 
     def is_reference(self) -> bool:
         """Whether this node currently believes it is the reference."""
-        return self.state is SstspState.REFERENCE
+        return self.state is _REFERENCE
 
     def _nominal_time(self, period: int) -> float:
         """``T^j = T_0 + j * BP`` on the synchronized (adjusted) axis."""
@@ -395,7 +403,7 @@ class SstspProtocol(SyncProtocol):
         self._coarse = CoarseSynchronizer(self.config, node_id=self.node_id)
         self._silent_periods = self.config.l
         self.current_ref = None
-        self.state = SstspState.CONTENDING
+        self.state = _CONTENDING
         return True
 
     def _maybe_recover(self) -> None:
@@ -420,7 +428,7 @@ class SstspProtocol(SyncProtocol):
         self._election_rounds = 0
         self._coarse_silent_periods = 0
         self._heard_in_coarse = False
-        self.state = SstspState.COARSE
+        self.state = _COARSE
         self._coarse = CoarseSynchronizer(self.config, node_id=self.node_id)
 
     def _on_reference_changed(self, sender: int) -> None:

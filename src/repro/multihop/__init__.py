@@ -4,8 +4,9 @@ The paper's conclusion: "Our further work includes extending SSTSP to
 multi-hop ad hoc networks." This package is that extension, designed to
 stay within the paper's own mechanics:
 
-* the network is a general radio topology (:mod:`repro.multihop.topology`,
-  unit-disk / grid / chain builders over ``networkx``);
+* the network is a general radio topology (:mod:`repro.multihop.topology`:
+  unit-disk / grid / chain builders emit edge lists, and every graph
+  query is a breadth-first search over sorted neighbour tuples);
 * one *root* reference is elected exactly as in single-hop SSTSP;
 * synchronized nodes *relay*: each BP, a node at hop distance ``h`` from
   the root may rebroadcast a secure beacon carrying its own adjusted

@@ -44,6 +44,8 @@ from repro.protocols.base import ClockKind, RxContext, TxIntent
 from repro.protocols.tsf import TsfConfig, TsfProtocol
 from repro.sim.units import S
 
+_REFERENCE = SstspState.REFERENCE
+
 
 @dataclass(frozen=True)
 class AttackWindow:
@@ -210,7 +212,7 @@ class SstspInsiderAttacker(SstspProtocol):
             if period >= self.window.end_period:
                 self._rejoin_once(period)
             return super().begin_period(period)
-        self.state = SstspState.REFERENCE
+        self.state = _REFERENCE
         self.current_ref = self.node_id
         nominal = self._nominal_time(period)
         return TxIntent(local_time=nominal - self.lead_us, clock=ClockKind.ADJUSTED)

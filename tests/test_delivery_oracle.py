@@ -192,7 +192,11 @@ def windows(draw):
 
 
 def _build(cls, graph, phy, links, jams, seed):
-    channel = cls(phy, np.random.default_rng(seed), Topology(graph))
+    channel = cls(
+        phy,
+        np.random.default_rng(seed),
+        Topology(graph.number_of_nodes(), graph.edges()),
+    )
     for (sender, receiver), per in links.items():
         channel.set_link_per(sender, receiver, per)
     for start, length, targets in jams:

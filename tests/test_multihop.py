@@ -54,12 +54,32 @@ class TestTopology:
         assert hops == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
     def test_node_labels_validated(self):
-        import networkx as nx
+        with pytest.raises(ValueError, match="'a'"):
+            Topology(2, [("a", "b")])
 
-        graph = nx.Graph()
-        graph.add_edge("a", "b")
-        with pytest.raises(ValueError):
-            Topology(graph)
+    def test_endpoint_out_of_range_named(self):
+        with pytest.raises(ValueError, match=r"endpoint 3 is not a station id in 0\.\.2"):
+            Topology(3, [(0, 1), (1, 3)])
+
+    def test_self_loop_named(self):
+        with pytest.raises(ValueError, match="self-loop on station 1"):
+            Topology(3, [(0, 1), (1, 1)])
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_size_must_be_positive(self, n):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            Topology(n, [])
+
+    @pytest.mark.parametrize("root", [-1, 5, 2.0])
+    def test_hop_distances_root_named(self, root):
+        with pytest.raises(ValueError, match=f"root {root} is not a station id"):
+            Topology.chain(5).hop_distances(root)
+
+    def test_diameter_of_disconnected_topology_named(self):
+        topo = Topology(4, [(0, 1), (2, 3)])
+        assert not topo.is_connected()
+        with pytest.raises(ValueError, match="reaches 2 of 4 stations"):
+            topo.diameter()
 
 
 class TestSpecValidation:

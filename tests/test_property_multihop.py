@@ -17,7 +17,7 @@ class TestTopologyProperties:
     @settings(max_examples=25, deadline=None)
     def test_two_hop_neighbors_contains_one_hop(self, n, seed):
         graph = nx.gnp_random_graph(n, 0.3, seed=seed)
-        topology = Topology(graph)
+        topology = Topology(graph.number_of_nodes(), graph.edges())
         for node in range(n):
             one_hop = set(topology.neighbors(node))
             two_hop = set(topology.two_hop_neighbors(node))
@@ -29,7 +29,7 @@ class TestTopologyProperties:
     def test_hop_distances_triangle(self, n, seed):
         graph = nx.gnp_random_graph(n, 0.4, seed=seed)
         assume(nx.is_connected(graph))
-        topology = Topology(graph)
+        topology = Topology(graph.number_of_nodes(), graph.edges())
         hops = topology.hop_distances(0)
         for u, v in topology.edges():
             if u in hops and v in hops:
@@ -38,7 +38,8 @@ class TestTopologyProperties:
     @given(n=st.integers(1, 30), p=st.floats(0.0, 0.6), seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_two_hop_csr_matches_per_node_lists(self, n, p, seed):
-        topology = Topology(nx.gnp_random_graph(n, p, seed=seed))
+        graph = nx.gnp_random_graph(n, p, seed=seed)
+        topology = Topology(graph.number_of_nodes(), graph.edges())
         indptr, indices = topology.two_hop_csr()
         assert len(indptr) == n + 1
         for node in range(n):
@@ -73,7 +74,8 @@ class TestSameHopCount:
         # The vector count equals the per-station two-hop recount it
         # replaced, for every present synchronized station; absent or
         # unsynchronized stations read 0.
-        topology = Topology(nx.gnp_random_graph(n, p, seed=seed))
+        graph = nx.gnp_random_graph(n, p, seed=seed)
+        topology = Topology(graph.number_of_nodes(), graph.edges())
         runner = MultiHopRunner(MultiHopSpec(topology=topology, root=0))
         for node in runner.nodes:
             node.present = data.draw(st.booleans())
