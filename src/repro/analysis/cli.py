@@ -33,6 +33,12 @@ Subcommands
     columns ordered by label (numeric labels numerically). Writes
     ``results/analysis/<name>_trend.csv`` / ``.md``.
 
+One roll-up path serves every subcommand: :func:`summary_rows` groups
+cells per key, :func:`summary_csv_text` lays out each metric's stats
+columns from its ``(metric, field, unit, scale)`` entry,
+:func:`sweep_summary_md_text` adds the failure digest, and
+:func:`write_outputs` writes the ``<name>_<suffix>`` files.
+
 Every emitted file is **byte-stable**: floats are serialized with
 ``repr`` in CSVs and fixed formats in markdown, rows are sorted, and the
 bootstrap is seeded — so the same sweep analyzed at any worker count, or
@@ -47,32 +53,71 @@ import json
 import math
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
-from repro.analysis.stats import SummaryStats, summarize_values
+from repro.analysis.stats import CellGroup, SummaryStats, group_cells
 from repro.obs.registry import merge_snapshots, snapshot_rows
 from repro.sim.units import S
-from repro.sweep import run_sweep, sweep_options_from_args
+from repro.sweep import JobSpec, run_sweep, sweep_options_from_args
 from repro.sweep.failpolicy import JobFailure
 
 #: Subdirectory of the results dir receiving analysis tables.
 ANALYSIS_SUBDIR = "analysis"
 
+#: One summarised metric: ``(CSV column prefix, cell field, CSV unit
+#: suffix, divisor from the field's unit to the CSV's)``.
+Metric = Tuple[str, str, str, float]
 
-def ensure_analysis_dir() -> str:
-    """Create (if needed) and return ``results/analysis``."""
+#: The statistics columns that follow ``<metric>_n``, in CSV order.
+_STAT_COLUMNS = ("mean", "median", "std", "t_lo", "t_hi", "boot_lo", "boot_hi")
+
+#: ``(key, its cells, one summary per metric)``.
+SummaryRow = Tuple[Any, CellGroup, List[Optional[SummaryStats]]]
+
+TABLE1_METRICS: Tuple[Metric, ...] = (
+    ("latency", "latency_us", "s", S),
+    ("error", "error_us", "us", 1.0),
+)
+SHOOTOUT_METRICS: Tuple[Metric, ...] = (
+    ("steady", "steady_state_error_us", "us", 1.0),
+    ("convergence", "convergence_time_s", "s", 1.0),
+    ("beacons", "beacons_sent", "", 1.0),
+    ("bytes", "bytes_on_air", "", 1.0),
+)
+#: A cache hit carries ``None``: its wall time measures the pickle
+#: loader, not the simulator.
+LOG_METRICS: Tuple[Metric, ...] = (("wall", "wall_s", "s", 1.0),)
+
+
+def write_outputs(stem: str, echo: str, outputs: Sequence[Tuple[str, str]]) -> int:
+    """Write each ``(suffix, text)`` exactly (LF newlines, utf-8) to
+    ``results/analysis/<stem>_<suffix>``, print ``echo``, then one aligned
+    ``<kind> <EXT>: <path>`` line per file (``log_summary.csv`` is
+    labelled ``summary CSV``). Returns 0."""
     from repro.experiments.report import ensure_results_dir
 
-    path = os.path.join(ensure_results_dir(), ANALYSIS_SUBDIR)
-    os.makedirs(path, exist_ok=True)
-    return path
+    out_dir = os.path.join(ensure_results_dir(), ANALYSIS_SUBDIR)
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for suffix, text in outputs:
+        path = os.path.join(out_dir, f"{stem}_{suffix}")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        base, ext = os.path.splitext(suffix)
+        written.append((f"{base.rsplit('_', 1)[-1]} {ext[1:].upper()}:", path))
+    print(echo)
+    width = max(len(label) for label, _ in written)
+    for label, path in written:
+        print(f"{label:<{width}} {path}")
+    return 0
 
 
-def _write_text(path: str, text: str) -> str:
-    """Write ``text`` exactly (byte-stable: LF newlines, utf-8)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return path
+def _fail(message: str) -> int:
+    """Report bad input on one stderr line; the exit code is 1."""
+    print(message, file=sys.stderr)
+    return 1
 
 
 def _fmt(value: Optional[float], digits: int = 4) -> str:
@@ -84,8 +129,15 @@ def _fmt(value: Optional[float], digits: int = 4) -> str:
     return f"{value:.{digits}g}"
 
 
-def _ci_cell(stats_obj: SummaryStats, scale: float = 1.0) -> str:
+def _mean_cell(stats_obj: Optional[SummaryStats], scale: float = 1.0) -> str:
+    """Markdown cell of a summary's mean; 'n/a' without a summary."""
+    return _fmt(stats_obj.mean / scale) if stats_obj else "n/a"
+
+
+def _ci_cell(stats_obj: Optional[SummaryStats], scale: float = 1.0) -> str:
     """``[low, high]`` markdown cell of a summary's t interval."""
+    if stats_obj is None:
+        return "n/a"
     low, high = stats_obj.t_ci.low, stats_obj.t_ci.high
     return f"[{_fmt(low / scale if math.isfinite(low) else low)}, " \
            f"{_fmt(high / scale if math.isfinite(high) else high)}]"
@@ -109,27 +161,58 @@ def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str
     return "\n".join(lines)
 
 
-def _stat_csv_fields(stats_obj: Optional[SummaryStats], scale: float = 1.0) -> List[str]:
-    """CSV cells (repr floats) for one metric summary; blank when absent."""
-    if stats_obj is None:
-        return [""] * 8
-    def scaled(value: float) -> str:
-        return repr(value / scale if math.isfinite(value) else value)
+# ----------------------------------------------------------------------
+# the shared roll-up: grouping, stats columns, failure digest
+# ----------------------------------------------------------------------
+
+
+def summary_rows(
+    keys: Sequence[Hashable],
+    cells: Sequence[Optional[Dict[str, Any]]],
+    metrics: Sequence[Metric],
+) -> List[SummaryRow]:
+    """Group ``cells`` by ``keys`` (first-seen order; a quarantined
+    ``None`` cell counts against its key) and summarise each metric."""
+    groups = group_cells(keys, cells, [field for _, field, _, _ in metrics])
     return [
-        str(stats_obj.n),
-        scaled(stats_obj.mean),
-        scaled(stats_obj.median),
-        scaled(stats_obj.std),
-        scaled(stats_obj.t_ci.low),
-        scaled(stats_obj.t_ci.high),
-        scaled(stats_obj.bootstrap_ci.low),
-        scaled(stats_obj.bootstrap_ci.high),
+        (key, group, [group.summary(field) for _, field, _, _ in metrics])
+        for key, group in groups.items()
     ]
 
 
-# ----------------------------------------------------------------------
-# analyze table1
-# ----------------------------------------------------------------------
+def _stat_csv_fields(stats_obj: Optional[SummaryStats], scale: float = 1.0) -> List[str]:
+    """CSV cells (repr floats) for one metric summary; blank when absent."""
+    if stats_obj is None:
+        return [""] * (1 + len(_STAT_COLUMNS))
+    values = (
+        stats_obj.mean, stats_obj.median, stats_obj.std,
+        stats_obj.t_ci.low, stats_obj.t_ci.high,
+        stats_obj.bootstrap_ci.low, stats_obj.bootstrap_ci.high,
+    )
+    return [str(stats_obj.n)] + [
+        repr(value / scale if math.isfinite(value) else value) for value in values
+    ]
+
+
+def summary_csv_text(
+    lead_header: str,
+    metrics: Sequence[Metric],
+    rows: Iterable[Tuple[Sequence[str], Sequence[Optional[SummaryStats]]]],
+) -> str:
+    """A roll-up as CSV: each row's lead cells, then per metric
+    ``<metric>_n`` and the :data:`_STAT_COLUMNS` (unit-suffixed, divided
+    by the metric's scale, repr floats; blank for a missing summary)."""
+    header = [lead_header]
+    for name, _, unit, _ in metrics:
+        suffix = f"_{unit}" if unit else ""
+        header += [f"{name}_n"] + [f"{name}_{col}{suffix}" for col in _STAT_COLUMNS]
+    lines = [",".join(header)]
+    for lead, stats in rows:
+        cells = list(lead)
+        for (_, _, _, scale), stats_obj in zip(metrics, stats):
+            cells += _stat_csv_fields(stats_obj, scale)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def failures_csv_text(failures: Sequence[JobFailure]) -> str:
@@ -144,141 +227,121 @@ def failures_csv_text(failures: Sequence[JobFailure]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table1_summaries(
-    m_values: Sequence[int],
-    cells: Sequence[Optional[Dict[str, Any]]],
+def sweep_summary_md_text(
+    title: str,
+    per: str,
     replicas: int,
-) -> "List[Tuple[int, int, int, Optional[SummaryStats], Optional[SummaryStats]]]":
-    """Per-``m`` roll-up of raw Table 1 cells.
-
-    Returns ``(m, quarantined, unsynced, latency_stats, error_stats)``
-    tuples; a fully-quarantined ``m`` keeps its row with ``None`` stats
-    (downstream tables must tolerate missing cells, not raise — the
-    PR 6 contract).
-    """
-    rows = []
-    for i, m in enumerate(m_values):
-        latencies: List[Optional[float]] = []
-        errors: List[Optional[float]] = []
-        quarantined = 0
-        unsynced = 0
-        for replica in range(replicas):
-            cell = cells[i * replicas + replica]
-            if cell is None:  # quarantined cell: a None gap, not an error
-                quarantined += 1
-                continue
-            if cell["latency_us"] is None:
-                unsynced += 1
-            else:
-                latencies.append(cell["latency_us"])
-            errors.append(cell["error_us"])
-        latency_stats = summarize_values(latencies) if latencies else None
-        error_stats = summarize_values(errors) if errors else None
-        rows.append((m, quarantined, unsynced, latency_stats, error_stats))
-    return rows
-
-
-def table1_summary_csv_text(
-    rows: Sequence[Tuple[int, int, int, Optional[SummaryStats], Optional[SummaryStats]]],
-    replicas: int,
+    missing: str,
+    headers: Sequence[str],
+    body: Sequence[Sequence[str]],
+    failures: Sequence[JobFailure],
 ) -> str:
-    """The Table-1-with-CIs summary as CSV (repr floats; latency in s)."""
-    header = (
-        "m,cells,quarantined,unsynced,"
-        "latency_n,latency_mean_s,latency_median_s,latency_std_s,"
-        "latency_t_lo_s,latency_t_hi_s,latency_boot_lo_s,latency_boot_hi_s,"
-        "error_n,error_mean_us,error_median_us,error_std_us,"
-        "error_t_lo_us,error_t_hi_us,error_boot_lo_us,error_boot_hi_us"
-    )
-    lines = [header]
-    for m, quarantined, unsynced, latency_stats, error_stats in rows:
-        cells = [str(m), str(replicas), str(quarantined), str(unsynced)]
-        cells += _stat_csv_fields(latency_stats, scale=S)
-        cells += _stat_csv_fields(error_stats)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """A sweep roll-up as markdown: title, a blurb naming the replicas
+    ``per`` row and what else counts as ``missing``, the table, and the
+    failure digest."""
+    if failures:
+        digest = markdown_table(
+            ["seq", "kind", "hash", "reason", "attempts"],
+            [
+                [str(f.seq), f.kind, f.hash, f.reason, str(f.attempts)]
+                for f in sorted(failures, key=lambda f: f.seq)
+            ],
+        )
+    else:
+        digest = "No quarantined jobs."
+    parts = [
+        f"# {title}",
+        "",
+        f"Replicas per {per}: {replicas}. Intervals are two-sided 95% "
+        "(Student-t; the CSV adds the seeded-bootstrap interval). "
+        f"`missing` counts quarantined cells plus replicas {missing}.",
+        "",
+        markdown_table(headers, body),
+        "",
+        "## Failure digest",
+        "",
+        digest,
+    ]
+    return "\n".join(parts) + "\n"
+
+
+def _analyze_sweep(
+    args: argparse.Namespace,
+    build_specs: Callable[[], List[JobSpec]],
+    key: Callable[[JobSpec], Hashable],
+    metrics: Sequence[Metric],
+    csv_text: Callable[[Sequence[SummaryRow]], str],
+    md_text: Callable[[Sequence[SummaryRow], int, Sequence[JobFailure]], str],
+) -> int:
+    """Resolve a grid through the sweep and write its summary CSV and
+    markdown plus the failures CSV; a grid its builder rejects runs no
+    job and exits 1."""
+    try:
+        specs = build_specs()
+    except ValueError as exc:
+        return _fail(f"repro analyze {args.command}: {exc}")
+    result = run_sweep(f"{args.name}_analyze", specs, sweep_options_from_args(args))
+    rows = summary_rows([key(spec) for spec in specs], result.values, metrics)
+    md = md_text(rows, args.replicas, result.failures)
+    return write_outputs(args.name, md, [
+        ("summary.csv", csv_text(rows)),
+        ("summary.md", md),
+        ("failures.csv", failures_csv_text(result.failures)),
+    ])
+
+
+# ----------------------------------------------------------------------
+# analyze table1
+# ----------------------------------------------------------------------
+
+
+def table1_summary_csv_text(rows: Sequence[SummaryRow]) -> str:
+    """The Table-1-with-CIs summary as CSV (latency in s, error in us)."""
+    return summary_csv_text("m,cells,quarantined,unsynced", TABLE1_METRICS, [
+        ([str(m), str(g.cells), str(g.quarantined), str(g.gaps("latency_us"))], stats)
+        for m, g, stats in rows
+    ])
 
 
 def table1_summary_md_text(
-    rows: Sequence[Tuple[int, int, int, Optional[SummaryStats], Optional[SummaryStats]]],
+    rows: Sequence[SummaryRow],
     replicas: int,
     failures: Sequence[JobFailure],
 ) -> str:
     """The Table-1-with-CIs view as markdown, plus the failure digest."""
     from repro.experiments.table1 import PAPER_ROWS
 
-    headers = [
-        "m", "latency (s)", "latency 95% CI (s)",
-        "error (us)", "error 95% CI (us)",
-        "paper latency (s)", "paper error (us)", "n", "missing",
-    ]
     body: List[List[str]] = []
-    for m, quarantined, unsynced, latency_stats, error_stats in rows:
+    for m, group, (latency, error) in rows:
         paper_latency, paper_error = PAPER_ROWS.get(m, (None, None))
         body.append([
-            str(m),
-            _fmt(latency_stats.mean / S) if latency_stats else "n/a",
-            _ci_cell(latency_stats, scale=S) if latency_stats else "n/a",
-            _fmt(error_stats.mean) if error_stats else "n/a",
-            _ci_cell(error_stats) if error_stats else "n/a",
-            _fmt(paper_latency),
-            _fmt(paper_error),
-            str(error_stats.n if error_stats else 0),
-            str(quarantined + unsynced),
+            str(m), _mean_cell(latency, S), _ci_cell(latency, S),
+            _mean_cell(error), _ci_cell(error),
+            _fmt(paper_latency), _fmt(paper_error),
+            str(error.n if error else 0),
+            str(group.quarantined + group.gaps("latency_us")),
         ])
-    parts = [
-        "# Table 1 with confidence intervals",
-        "",
-        f"Replicas per m: {replicas}. Intervals are two-sided 95% "
-        "(Student-t; the CSV adds the seeded-bootstrap interval). "
-        "`missing` counts quarantined cells plus replicas that never "
-        "reached the 25 us threshold.",
-        "",
-        markdown_table(headers, body),
-        "",
-        "## Failure digest",
-        "",
-    ]
-    if failures:
-        parts.append(markdown_table(
-            ["seq", "kind", "hash", "reason", "attempts"],
-            [
-                [str(f.seq), f.kind, f.hash, f.reason, str(f.attempts)]
-                for f in sorted(failures, key=lambda f: f.seq)
-            ],
-        ))
-    else:
-        parts.append("No quarantined jobs.")
-    return "\n".join(parts) + "\n"
+    return sweep_summary_md_text(
+        "Table 1 with confidence intervals", "m", replicas,
+        "that never reached the 25 us threshold",
+        ["m", "latency (s)", "latency 95% CI (s)",
+         "error (us)", "error 95% CI (us)",
+         "paper latency (s)", "paper error (us)", "n", "missing"],
+        body, failures,
+    )
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.experiments.table1 import cell_specs
 
-    replicas = args.replicas
-    specs = cell_specs(
-        args.m_values, args.nodes, args.duration, args.seed, replicas
+    return _analyze_sweep(
+        args,
+        lambda: cell_specs(
+            args.m_values, args.nodes, args.duration, args.seed, args.replicas
+        ),
+        lambda spec: spec.params_dict()["m"],
+        TABLE1_METRICS, table1_summary_csv_text, table1_summary_md_text,
     )
-    result = run_sweep(f"{args.name}_analyze", specs, sweep_options_from_args(args))
-    rows = table1_summaries(args.m_values, result.values, replicas)
-    out_dir = ensure_analysis_dir()
-    csv_text = table1_summary_csv_text(rows, replicas)
-    md_text = table1_summary_md_text(rows, replicas, result.failures)
-    csv_path = _write_text(
-        os.path.join(out_dir, f"{args.name}_summary.csv"), csv_text
-    )
-    md_path = _write_text(
-        os.path.join(out_dir, f"{args.name}_summary.md"), md_text
-    )
-    failures_path = _write_text(
-        os.path.join(out_dir, f"{args.name}_failures.csv"),
-        failures_csv_text(result.failures),
-    )
-    print(md_text)
-    print(f"summary CSV:  {csv_path}")
-    print(f"summary MD:   {md_path}")
-    print(f"failures CSV: {failures_path}")
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -286,189 +349,65 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-#: (protocol, scenario, cells, quarantined, unconverged, metric stats...)
-ShootoutRow = Tuple[
-    str, str, int, int, int,
-    Optional[SummaryStats], Optional[SummaryStats],
-    Optional[SummaryStats], Optional[SummaryStats],
-]
+def shootout_key(spec: JobSpec) -> Tuple[str, str]:
+    """A shootout cell's ``(protocol, scenario)`` row key, named as its
+    payload names them."""
+    params = spec.params_dict()
+    return str(params["protocol"]), str(params.get("name", spec.kind))
 
 
-def shootout_summaries(
-    payloads: Sequence[Optional[Dict[str, Any]]],
-    keys: Optional[Sequence[Tuple[str, str]]] = None,
-) -> List[ShootoutRow]:
-    """Per-(protocol, scenario) roll-up of raw shootout cells.
-
-    ``keys`` is the parallel (protocol, scenario) sequence from the spec
-    grid; with it, quarantined cells (``None`` payloads) count against
-    their own group. Groups stay in first-seen (spec) order —
-    protocol-major, then scenario — so the summary bytes don't depend on
-    dict iteration accidents. Quarantined and never-converged replicas
-    are counted, not raised on (the PR 6 missing-cells contract:
-    fully-quarantined groups keep their row with ``None`` stats).
-    """
-    order: List[Tuple[str, str]] = []
-    groups: Dict[Tuple[str, str], Dict[str, List[Any]]] = {}
-
-    def group_for(key: Tuple[str, str]) -> Dict[str, List[Any]]:
-        if key not in groups:
-            order.append(key)
-            groups[key] = {
-                "steady": [], "convergence": [], "beacons": [], "bytes": [],
-                "quarantined": [],
-            }
-        return groups[key]
-
-    for i, payload in enumerate(payloads):
-        if payload is None:
-            if keys is not None and i < len(keys):
-                group_for(keys[i])["quarantined"].append(1)
-            continue
-        group = group_for((str(payload["protocol"]), str(payload["scenario"])))
-        group["steady"].append(payload["steady_state_error_us"])
-        group["convergence"].append(payload["convergence_time_s"])
-        group["beacons"].append(payload["beacons_sent"])
-        group["bytes"].append(payload["bytes_on_air"])
-    rows: List[ShootoutRow] = []
-    for key in order:
-        group = groups[key]
-        quarantined = len(group["quarantined"])
-        cells = len(group["steady"]) + quarantined
-        convergences = [c for c in group["convergence"] if c is not None]
-        unconverged = len(group["steady"]) - len(convergences)
-
-        def stats(values: List[Any]) -> Optional[SummaryStats]:
-            cleaned = [float(v) for v in values if v is not None]
-            return summarize_values(cleaned) if cleaned else None
-
-        rows.append(
-            (
-                key[0], key[1], cells, quarantined, unconverged,
-                stats(group["steady"]),
-                stats(convergences),
-                stats(group["beacons"]),
-                stats(group["bytes"]),
-            )
-        )
-    return rows
-
-
-def shootout_summary_csv_text(rows: Sequence[ShootoutRow]) -> str:
+def shootout_summary_csv_text(rows: Sequence[SummaryRow]) -> str:
     """The shootout-with-CIs summary as CSV (repr floats)."""
-    header = "protocol,scenario,cells,quarantined,unconverged"
-    for metric, unit in (
-        ("steady", "us"), ("convergence", "s"),
-        ("beacons", ""), ("bytes", ""),
-    ):
-        suffix = f"_{unit}" if unit else ""
-        header += (
-            f",{metric}_n,{metric}_mean{suffix},{metric}_median{suffix},"
-            f"{metric}_std{suffix},{metric}_t_lo{suffix},"
-            f"{metric}_t_hi{suffix},{metric}_boot_lo{suffix},"
-            f"{metric}_boot_hi{suffix}"
-        )
-    lines = [header]
-    for protocol, scenario, cells, quarantined, unconverged, steady, conv, beacons, nbytes in rows:
-        fields = [protocol, scenario, str(cells), str(quarantined), str(unconverged)]
-        fields += _stat_csv_fields(steady)
-        fields += _stat_csv_fields(conv)
-        fields += _stat_csv_fields(beacons)
-        fields += _stat_csv_fields(nbytes)
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return summary_csv_text(
+        "protocol,scenario,cells,quarantined,unconverged", SHOOTOUT_METRICS, [
+            (list(key) + [str(g.cells), str(g.quarantined),
+                          str(g.gaps("convergence_time_s"))], stats)
+            for key, g, stats in rows
+        ],
+    )
 
 
 def shootout_summary_md_text(
-    rows: Sequence[ShootoutRow],
+    rows: Sequence[SummaryRow],
     replicas: int,
     failures: Sequence[JobFailure],
 ) -> str:
     """The shootout roll-up as markdown, plus the failure digest."""
-    headers = [
-        "protocol", "scenario", "steady err (us)", "steady 95% CI (us)",
-        "converge (s)", "converge 95% CI (s)", "beacons", "bytes on air",
-        "n", "missing",
-    ]
     body: List[List[str]] = []
-    for protocol, scenario, cells, quarantined, unconverged, steady, conv, beacons, nbytes in rows:
+    for (protocol, scenario), group, (steady, conv, beacons, nbytes) in rows:
         body.append([
-            protocol,
-            scenario,
-            _fmt(steady.mean) if steady else "n/a",
-            _ci_cell(steady) if steady else "n/a",
-            _fmt(conv.mean) if conv else "n/a",
-            _ci_cell(conv) if conv else "n/a",
-            _fmt(beacons.mean) if beacons else "n/a",
-            _fmt(nbytes.mean) if nbytes else "n/a",
-            str(cells),
-            str(quarantined + unconverged),
+            protocol, scenario,
+            _mean_cell(steady), _ci_cell(steady), _mean_cell(conv), _ci_cell(conv),
+            _mean_cell(beacons), _mean_cell(nbytes),
+            str(group.cells),
+            str(group.quarantined + group.gaps("convergence_time_s")),
         ])
-    parts = [
-        "# Multi-hop shootout with confidence intervals",
-        "",
-        f"Replicas per (protocol, scenario): {replicas}. Intervals are "
-        "two-sided 95% (Student-t; the CSV adds the seeded-bootstrap "
-        "interval). `missing` counts quarantined cells plus replicas "
+    return sweep_summary_md_text(
+        "Multi-hop shootout with confidence intervals",
+        "(protocol, scenario)", replicas,
         "whose network-wide error never settled under the convergence "
-        "threshold.",
-        "",
-        markdown_table(headers, body),
-        "",
-        "## Failure digest",
-        "",
-    ]
-    if failures:
-        parts.append(markdown_table(
-            ["seq", "kind", "hash", "reason", "attempts"],
-            [
-                [str(f.seq), f.kind, f.hash, f.reason, str(f.attempts)]
-                for f in sorted(failures, key=lambda f: f.seq)
-            ],
-        ))
-    else:
-        parts.append("No quarantined jobs.")
-    return "\n".join(parts) + "\n"
+        "threshold",
+        ["protocol", "scenario", "steady err (us)", "steady 95% CI (us)",
+         "converge (s)", "converge 95% CI (s)", "beacons", "bytes on air",
+         "n", "missing"],
+        body, failures,
+    )
 
 
 def _cmd_shootout(args: argparse.Namespace) -> int:
     from repro.experiments.shootout import shootout_specs
 
-    protocols = (
-        [p.strip() for p in args.protocols.split(",") if p.strip()]
-        if args.protocols
-        else None
+    return _analyze_sweep(
+        args,
+        lambda: shootout_specs(
+            protocols=args.protocols,
+            seed=args.seed,
+            quick=args.quick,
+            replicas=args.replicas,
+        ),
+        shootout_key,
+        SHOOTOUT_METRICS, shootout_summary_csv_text, shootout_summary_md_text,
     )
-    specs = shootout_specs(
-        protocols=protocols,
-        seed=args.seed,
-        quick=args.quick,
-        replicas=args.replicas,
-    )
-    result = run_sweep(f"{args.name}_analyze", specs, sweep_options_from_args(args))
-    keys = [
-        (str(s.params_dict()["protocol"]), str(s.params_dict().get("name", "")))
-        for s in specs
-    ]
-    rows = shootout_summaries(result.values, keys)
-    out_dir = ensure_analysis_dir()
-    csv_text = shootout_summary_csv_text(rows)
-    md_text = shootout_summary_md_text(rows, args.replicas, result.failures)
-    csv_path = _write_text(
-        os.path.join(out_dir, f"{args.name}_summary.csv"), csv_text
-    )
-    md_path = _write_text(
-        os.path.join(out_dir, f"{args.name}_summary.md"), md_text
-    )
-    failures_path = _write_text(
-        os.path.join(out_dir, f"{args.name}_failures.csv"),
-        failures_csv_text(result.failures),
-    )
-    print(md_text)
-    print(f"summary CSV:  {csv_path}")
-    print(f"summary MD:   {md_path}")
-    print(f"failures CSV: {failures_path}")
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -477,56 +416,53 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
 
 
 def read_run_log(path: str) -> List[Dict[str, Any]]:
-    """All records of one sweep run log (JSONL, in file order)."""
+    """All records of one sweep run log (JSONL, in file order).
+
+    Raises ``ValueError`` naming ``path`` when it cannot be read as
+    text, and its line number for a line that is not a JSON object.
+    """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+                if not isinstance(record, dict):
+                    raise ValueError(f"{path}:{lineno}: not a JSON object")
+                records.append(record)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return records
 
 
-def log_kind_rows(
-    records: Sequence[Dict[str, Any]],
-) -> List[Tuple[str, int, int, Optional[SummaryStats]]]:
-    """Per-kind ``(kind, jobs, cache_hits, miss_wall_stats)`` rows.
-
-    Wall-time statistics cover executed (cache-miss) jobs only — a hit's
-    wall time measures the pickle loader, not the simulator.
-    """
-    jobs: Dict[str, int] = {}
-    hits: Dict[str, int] = {}
-    walls: Dict[str, List[float]] = {}
-    for record in records:
-        if record.get("event") != "job":
-            continue
-        kind = record.get("kind", "?")
-        jobs[kind] = jobs.get(kind, 0) + 1
-        if record.get("cache") == "hit":
-            hits[kind] = hits.get(kind, 0) + 1
-        else:
-            walls.setdefault(kind, []).append(float(record.get("wall_s", 0.0)))
-    rows: List[Tuple[str, int, int, Optional[SummaryStats]]] = []
-    for kind in sorted(jobs):
-        wall_values = walls.get(kind, [])
-        rows.append((
-            kind,
-            jobs[kind],
-            hits.get(kind, 0),
-            summarize_values(wall_values) if wall_values else None,
-        ))
-    return rows
+def log_kind_rows(records: Sequence[Dict[str, Any]]) -> List[SummaryRow]:
+    """Per-kind rows over the ``job`` records, sorted by kind; wall-time
+    statistics cover executed (cache-miss) jobs only."""
+    jobs = [record for record in records if record.get("event") == "job"]
+    rows = summary_rows(
+        [record.get("kind", "?") for record in jobs],
+        [
+            {"wall_s": None if record.get("cache") == "hit"
+             else float(record.get("wall_s", 0.0))}
+            for record in jobs
+        ],
+        LOG_METRICS,
+    )
+    return sorted(rows, key=lambda row: row[0])
 
 
 def log_resilience_counts(records: Sequence[Dict[str, Any]]) -> Dict[str, int]:
-    """Counts of the PR 6 resilience events in one run log."""
-    counts = {
-        "job_retry": 0,
-        "job_quarantined": 0,
-        "worker_crash": 0,
-        "sweep_interrupted": 0,
-    }
+    """Counts of the sweep's resilience events in one run log."""
+    counts = dict.fromkeys(
+        ("job_retry", "job_quarantined", "worker_crash", "sweep_interrupted"), 0
+    )
     for record in records:
         event = record.get("event")
         if event in counts:
@@ -544,23 +480,17 @@ def log_merged_metrics(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def log_summary_csv_text(
-    kind_rows: Sequence[Tuple[str, int, int, Optional[SummaryStats]]],
+    kind_rows: Sequence[SummaryRow],
     resilience: Dict[str, int],
 ) -> str:
-    """Per-kind roll-up CSV plus resilience counter rows."""
-    header = (
-        "kind,jobs,cache_hits,executed,"
-        "wall_n,wall_mean_s,wall_median_s,wall_std_s,"
-        "wall_t_lo_s,wall_t_hi_s,wall_boot_lo_s,wall_boot_hi_s"
-    )
-    lines = [header]
-    for kind, jobs, hits, wall_stats in kind_rows:
-        cells = [kind, str(jobs), str(hits), str(jobs - hits)]
-        cells += _stat_csv_fields(wall_stats)
-        lines.append(",".join(cells))
+    """Per-kind roll-up CSV plus ``#<event>,<count>`` resilience rows."""
+    rows: List[Tuple[List[str], List[Optional[SummaryStats]]]] = []
+    for kind, group, stats in kind_rows:
+        hits = group.gaps("wall_s")
+        rows.append(([kind, str(group.cells), str(hits), str(group.cells - hits)], stats))
     for key in sorted(resilience):
-        lines.append(f"#{key},{resilience[key]},,,,,,,,,,")
-    return "\n".join(lines) + "\n"
+        rows.append(([f"#{key}", str(resilience[key]), "", ""], [None]))
+    return summary_csv_text("kind,jobs,cache_hits,executed", LOG_METRICS, rows)
 
 
 def log_metrics_csv_text(metrics: Dict[str, Any]) -> str:
@@ -573,11 +503,20 @@ def log_metrics_csv_text(metrics: Dict[str, Any]) -> str:
 
 def log_summary_md_text(
     source: str,
-    kind_rows: Sequence[Tuple[str, int, int, Optional[SummaryStats]]],
+    kind_rows: Sequence[SummaryRow],
     resilience: Dict[str, int],
     metrics: Dict[str, Any],
 ) -> str:
     """The run-log roll-up as markdown."""
+    body = []
+    for kind, group, (wall,) in kind_rows:
+        hits = group.gaps("wall_s")
+        body.append([
+            kind, str(group.cells), str(hits), str(group.cells - hits),
+            _mean_cell(wall),
+            _fmt(wall.median) if wall else "n/a",
+            _ci_cell(wall),
+        ])
     parts = [
         "# Sweep run-log summary",
         "",
@@ -588,15 +527,7 @@ def log_summary_md_text(
         markdown_table(
             ["kind", "jobs", "cache hits", "executed",
              "wall mean (s)", "wall median (s)", "wall 95% CI (s)"],
-            [
-                [
-                    kind, str(jobs), str(hits), str(jobs - hits),
-                    _fmt(wall.mean) if wall else "n/a",
-                    _fmt(wall.median) if wall else "n/a",
-                    _ci_cell(wall) if wall else "n/a",
-                ]
-                for kind, jobs, hits, wall in kind_rows
-            ],
+            body,
         ),
         "",
         "## Resilience",
@@ -621,33 +552,26 @@ def log_summary_md_text(
 
 
 def _cmd_log(args: argparse.Namespace) -> int:
-    records = read_run_log(args.log)
+    try:
+        records = read_run_log(args.log)
+    except ValueError as exc:
+        return _fail(f"repro analyze log: {exc}")
     name = args.name
     if name is None:
         name = os.path.splitext(os.path.basename(args.log))[0]
     kind_rows = log_kind_rows(records)
     resilience = log_resilience_counts(records)
     metrics = log_merged_metrics(records)
-    out_dir = ensure_analysis_dir()
     # Basename only: the emitted bytes must not depend on where the log
     # happened to live (the golden-fixture tests byte-compare them).
     md_text = log_summary_md_text(
         os.path.basename(args.log), kind_rows, resilience, metrics
     )
-    csv_path = _write_text(
-        os.path.join(out_dir, f"{name}_log_summary.csv"),
-        log_summary_csv_text(kind_rows, resilience),
-    )
-    metrics_path = _write_text(
-        os.path.join(out_dir, f"{name}_log_metrics.csv"),
-        log_metrics_csv_text(metrics),
-    )
-    md_path = _write_text(os.path.join(out_dir, f"{name}_log_summary.md"), md_text)
-    print(md_text)
-    print(f"summary CSV: {csv_path}")
-    print(f"metrics CSV: {metrics_path}")
-    print(f"summary MD:  {md_path}")
-    return 0
+    return write_outputs(name, md_text, [
+        ("log_summary.csv", log_summary_csv_text(kind_rows, resilience)),
+        ("log_metrics.csv", log_metrics_csv_text(metrics)),
+        ("log_summary.md", md_text),
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -690,6 +614,12 @@ def load_bench_trajectory(
     return loaded
 
 
+def _work_total(entry: Dict[str, Any]) -> str:
+    """A BENCH record's total counted ops; '' before counters existed."""
+    work = entry.get("work") or {}
+    return str(sum(int(count) for count in work.values())) if work else ""
+
+
 def bench_trend_md_text(
     trajectory: Sequence[Tuple[str, str, Dict[str, Any]]],
 ) -> str:
@@ -700,33 +630,20 @@ def bench_trend_md_text(
     blank before the counters existed) over every loaded BENCH file.
     """
     labels = [label for label, _, _ in trajectory]
-    names = sorted(
-        {
-            name
-            for _, _, payload in trajectory
-            for name in payload["benchmarks"]
-        }
-    )
-
-    def record(payload: Dict[str, Any], name: str) -> Optional[Dict[str, Any]]:
-        entry = payload["benchmarks"].get(name)
-        return entry if isinstance(entry, dict) else None
-
+    names = sorted({name for _, _, payload in trajectory for name in payload["benchmarks"]})
     wall_rows = []
     work_rows = []
     for name in names:
         wall_cells = [name]
         work_cells = [name]
         for _, _, payload in trajectory:
-            entry = record(payload, name)
-            if entry is None:
+            entry = payload["benchmarks"].get(name)
+            if not isinstance(entry, dict):
                 wall_cells.append("-")
                 work_cells.append("-")
                 continue
             wall_cells.append(_fmt(float(entry["median_s"]) * 1e3))
-            work = entry.get("work") or {}
-            total_ops = sum(int(work[key]) for key in sorted(work))
-            work_cells.append(str(total_ops) if work else "-")
+            work_cells.append(_work_total(entry) or "-")
         wall_rows.append(wall_cells)
         work_rows.append(work_cells)
 
@@ -762,21 +679,15 @@ def bench_trend_csv_text(
         table = payload["benchmarks"]
         for name in sorted(table):
             entry = table[name]
-            work = entry.get("work") or {}
-            total_ops = sum(int(work[key]) for key in sorted(work))
-            lines.append(
-                ",".join(
-                    [
-                        label,
-                        name,
-                        repr(float(entry["median_s"])),
-                        repr(float(entry["mean_s"])),
-                        repr(float(entry["min_s"])),
-                        str(int(entry["rounds"])),
-                        str(total_ops) if work else "",
-                    ]
-                )
-            )
+            lines.append(",".join([
+                label,
+                name,
+                repr(float(entry["median_s"])),
+                repr(float(entry["mean_s"])),
+                repr(float(entry["min_s"])),
+                str(int(entry["rounds"])),
+                _work_total(entry),
+            ]))
     return "\n".join(lines) + "\n"
 
 
@@ -785,23 +696,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not paths:
         paths = discover_bench_files(args.root)
     if not paths:
-        print(f"no BENCH_*.json files found under {args.root!r}",
-              file=sys.stderr)
-        return 1
+        return _fail(f"no BENCH_*.json files found under {args.root!r}")
     trajectory = load_bench_trajectory(paths)
-    out_dir = ensure_analysis_dir()
     md_text = bench_trend_md_text(trajectory)
-    csv_path = _write_text(
-        os.path.join(out_dir, f"{args.name}_trend.csv"),
-        bench_trend_csv_text(trajectory),
-    )
-    md_path = _write_text(
-        os.path.join(out_dir, f"{args.name}_trend.md"), md_text
-    )
-    print(md_text)
-    print(f"trend CSV: {csv_path}")
-    print(f"trend MD:  {md_path}")
-    return 0
+    return write_outputs(args.name, md_text, [
+        ("trend.csv", bench_trend_csv_text(trajectory)),
+        ("trend.md", md_text),
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -811,6 +712,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro analyze`` parser (table1 / shootout / log / bench)."""
+    from repro.experiments.shootout import protocol_list
     from repro.experiments.table1 import _parse_m_values
     from repro.sweep import add_sweep_arguments
 
@@ -859,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed replicas per cell (default 3; more replicas, tighter CIs)",
     )
     p_shootout.add_argument(
-        "--protocols", default=None,
+        "--protocols", type=protocol_list, default=None,
         help="comma-separated protocol subset (default: every registered one)",
     )
     p_shootout.add_argument(

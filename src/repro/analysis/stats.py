@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,6 +181,57 @@ def summarize_values(
         t_ci=t_interval(kept),
         bootstrap_ci=bootstrap_ci_mean(kept, resamples=resamples, seed=seed),
     )
+
+
+@dataclass
+class CellGroup:
+    """The sweep cells that share one roll-up key.
+
+    ``values`` maps each grouped field to its value in every live cell,
+    in cell order, ``None`` included; a quarantined cell counts in
+    ``cells`` and ``quarantined`` and adds no values.
+    """
+
+    cells: int
+    quarantined: int
+    values: Dict[str, List[Any]]
+
+    def gaps(self, name: str) -> int:
+        """Live cells whose ``name`` value is ``None``."""
+        return sum(1 for value in self.values[name] if value is None)
+
+    def summary(self, name: str) -> Optional[SummaryStats]:
+        """:func:`summarize_values` over the non-``None`` ``name``
+        values; ``None`` when there are none."""
+        present = [value for value in self.values[name] if value is not None]
+        return summarize_values(present) if present else None
+
+
+def group_cells(
+    keys: Sequence[Hashable],
+    cells: Sequence[Optional[Mapping[str, Any]]],
+    fields: Sequence[str],
+) -> Dict[Hashable, CellGroup]:
+    """Group sweep cells by key, keeping each of ``fields`` per cell.
+
+    ``keys[i]`` is the key of ``cells[i]``; groups keep first-seen key
+    order. A ``None`` cell (a quarantined job) counts against its own
+    key, so a fully quarantined key keeps its group with no values.
+    """
+    if len(keys) != len(cells):
+        raise ValueError(f"{len(keys)} keys for {len(cells)} cells")
+    groups: Dict[Hashable, CellGroup] = {}
+    for key, cell in zip(keys, cells):
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = CellGroup(0, 0, {name: [] for name in fields})
+        group.cells += 1
+        if cell is None:
+            group.quarantined += 1
+            continue
+        for name in fields:
+            group.values[name].append(cell[name])
+    return groups
 
 
 @dataclass(frozen=True)

@@ -158,9 +158,9 @@ class SstspConfig:
         if self.slot_time_us <= 0:
             raise ValueError("slot_time_us must be > 0")
         if self.l < 1:
-            raise ValueError("l must be >= 1")
+            raise ValueError(f"l must be >= 1, got {self.l}")
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.guard_fine_us <= 0 or self.guard_coarse_us <= 0:
             raise ValueError("guard times must be > 0")
         if self.guard_fine_us > self.guard_coarse_us:

@@ -136,12 +136,18 @@ def shootout_specs(
 
     Row order (protocol-major, then scenario, then replica) is the CSV
     row order — the orchestrator returns values in spec order regardless
-    of worker count, which is what keeps the bytes stable.
+    of worker count, which is what keeps the bytes stable. An empty
+    ``protocols`` or an unregistered name raises ``ValueError`` before
+    any spec exists.
     """
-    from repro.protocols.multihop_base import available_multihop_protocols
+    from repro.protocols.multihop_base import (
+        available_multihop_protocols,
+        check_multihop_protocols,
+    )
 
     if protocols is None:
         protocols = available_multihop_protocols()
+    check_multihop_protocols(protocols)
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     specs = []
@@ -203,6 +209,11 @@ def rows_to_csv(rows: Sequence[Dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def protocol_list(text: str) -> List[str]:
+    """The ``--protocols`` value: comma-separated names, blanks dropped."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def main(argv=None) -> None:
     """CLI entry point: ``python -m repro shootout``."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -216,24 +227,22 @@ def main(argv=None) -> None:
         help="seed replicas per (protocol, scenario) cell",
     )
     parser.add_argument(
-        "--protocols", default=None,
+        "--protocols", type=protocol_list, default=None,
         help="comma-separated protocol subset (default: every registered one)",
     )
     add_sweep_arguments(parser)
     args = parser.parse_args(argv)
 
-    protocols = (
-        [p.strip() for p in args.protocols.split(",") if p.strip()]
-        if args.protocols
-        else None
-    )
-    rows = run(
-        protocols=protocols,
-        seed=args.seed,
-        quick=args.quick,
-        replicas=args.replicas,
-        sweep=sweep_options_from_args(args),
-    )
+    try:
+        specs = shootout_specs(
+            protocols=args.protocols,
+            seed=args.seed,
+            quick=args.quick,
+            replicas=args.replicas,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    rows = run_sweep("shootout", specs, sweep_options_from_args(args)).values
     csv_path = save_rows_csv(rows)
     print("=== Multi-hop protocol shootout ===")
     print()

@@ -33,8 +33,9 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from repro.analysis.stats import group_cells
 from repro.experiments.report import ensure_results_dir, format_table
-from repro.experiments.scenarios import TABLE1_INITIAL_OFFSET_US
+from repro.experiments.scenarios import TABLE1_INITIAL_OFFSET_US, quick_spec
 from repro.sim.units import S
 from repro.sweep import (
     JobSpec,
@@ -64,7 +65,20 @@ def cell_specs(
     replicas: int,
 ) -> list:
     """The frozen job specs of the m x replica grid (m outer, replica
-    inner — the original serial loop order)."""
+    inner — the original serial loop order).
+
+    Raises ``ValueError`` naming the bad field before any job exists:
+    ``replicas < 1``, a repeated or non-positive m, or a scenario that
+    ``ScenarioSpec`` rejects (``n < 2``, a duration shorter than one
+    beacon period).
+    """
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    scenario = quick_spec(n, seed=seed, duration_s=duration_s)
+    for i, m in enumerate(m_values):
+        if m in m_values[:i]:
+            raise ValueError(f"m values must be distinct, got {m} more than once")
+        scenario.sstsp_config(m=m)  # SstspConfig rejects m < 1
     specs = []
     for point in expand_grid({"m": list(m_values), "replica": list(range(replicas))}):
         specs.append(
@@ -100,20 +114,17 @@ def run(
     log says why). With the default raise policy nothing changes.
     """
     specs = cell_specs(m_values, n, duration_s, seed, replicas)
-    cells = run_sweep("table1", specs, sweep).values
+    groups = group_cells(
+        [spec.params_dict()["m"] for spec in specs],
+        run_sweep("table1", specs, sweep).values,
+        ("latency_us", "error_us"),
+    )
     rows: Dict[int, Table1Row] = {}
-    for i, m in enumerate(m_values):
-        latencies = []
-        errors = []
-        for replica in range(replicas):
-            cell = cells[i * replicas + replica]
-            if cell is None:  # quarantined cell: no measurement to fold in
-                continue
-            if cell["latency_us"] is not None:
-                latencies.append(cell["latency_us"] / S)
-            errors.append(cell["error_us"])
-        if not errors:
+    for m, group in groups.items():
+        errors = group.values["error_us"]
+        if not errors:  # every replica quarantined
             continue
+        latencies = [v / S for v in group.values["latency_us"] if v is not None]
         rows[m] = Table1Row(
             m=m,
             latency_s=sum(latencies) / len(latencies) if latencies else None,
@@ -169,6 +180,10 @@ def main(argv=None) -> None:
     replicas = args.replicas
     if replicas is None:
         replicas = 1 if args.quick else 3
+    try:
+        cell_specs(args.m_values, args.nodes, args.duration, args.seed, replicas)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     rows = run(
         m_values=args.m_values,

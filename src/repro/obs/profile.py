@@ -78,7 +78,7 @@ class SpanProfiler:
         self._clock: Callable[[], float] = (
             clock if clock is not None else time.perf_counter
         )
-        #: Open spans: ``[name, start, child_time]`` frames.
+        #: Open spans: ``[path, node, start, child_time]`` frames.
         self._stack: List[List[Any]] = []
         self._origin: Optional[float] = None
         #: path tuple -> ``[count, total, self_time]`` (seconds).
@@ -91,36 +91,46 @@ class SpanProfiler:
         return _SpanSection(self, name)
 
     def enter_span(self, name: str) -> None:
-        """Open a span (prefer the :meth:`span` context manager)."""
+        """Open a span (prefer the :meth:`span` context manager).
+
+        The span's path and node are resolved here, after its start is
+        read, so that work counts in the span's own time; closing it
+        then costs O(1) after its end is read (the rest of that is
+        charged to the parent).
+        """
         now = self._clock()
         if self._origin is None:
             self._origin = now
-        self._stack.append([name, now, 0.0])
-
-    def exit_span(self) -> None:
-        """Close the innermost open span and attribute its time."""
-        now = self._clock()
-        name, start, child_time = self._stack.pop()
-        dur_s = now - start
-        path = tuple(frame[0] for frame in self._stack) + (name,)
+        path = self._stack[-1][0] + (name,) if self._stack else (name,)
         node = self._nodes.get(path)
         if node is None:
             node = [0, 0.0, 0.0]
             self._nodes[path] = node
+        self._stack.append([path, node, now, 0.0])
+
+    def exit_span(self) -> None:
+        """Close the innermost open span and attribute its time."""
+        now = self._clock()
+        path, node, start, child_time = self._stack.pop()
+        dur_s = now - start
         node[0] += 1
         node[1] += dur_s
         node[2] += dur_s - child_time
         if self._stack:
-            self._stack[-1][2] += dur_s
-        origin = self._origin if self._origin is not None else start
-        self._spans.append((path, start - origin, dur_s))
+            self._stack[-1][3] += dur_s
+        self._spans.append((path, start - self._origin, dur_s))
 
     # -- reporting -----------------------------------------------------
+
+    def _closed_paths(self) -> List[Tuple[str, ...]]:
+        """Sorted paths of the nodes with at least one closed span (a
+        node exists from its first span's entry)."""
+        return sorted(path for path, node in self._nodes.items() if node[0])
 
     def _by_name(self, field: int) -> Dict[str, Any]:
         """One node field summed over every path ending in each name."""
         sums: Dict[str, Any] = {}
-        for path in sorted(self._nodes):
+        for path in self._closed_paths():
             sums[path[-1]] = sums.get(path[-1], 0) + self._nodes[path][field]
         return {name: sums[name] for name in sorted(sums)}
 
@@ -153,7 +163,7 @@ class SpanProfiler:
         """
         roots: List[Dict[str, Any]] = []
         index: Dict[Tuple[str, ...], Dict[str, Any]] = {}
-        for path in sorted(self._nodes):
+        for path in self._closed_paths():
             count, total, self_time = self._nodes[path]
             node: Dict[str, Any] = {
                 "name": path[-1],

@@ -513,18 +513,24 @@ def available_multihop_protocols() -> Tuple[str, ...]:
     return tuple(MULTIHOP_PROTOCOLS)
 
 
+def check_multihop_protocols(names: Sequence[str]) -> None:
+    """Raise ``ValueError``, listing the registered names, when
+    ``names`` is empty or holds a name that is not registered."""
+    known = ", ".join(sorted(MULTIHOP_PROTOCOLS))
+    if not names:
+        raise ValueError(f"no multi-hop protocol given (known: {known})")
+    for name in names:
+        if name not in MULTIHOP_PROTOCOLS:
+            raise ValueError(f"unknown multi-hop protocol {name!r} (known: {known})")
+
+
 def resolve_multihop_protocol(name: str) -> Type[MultiHopProtocol]:
     """The protocol class registered under ``name``."""
     cached = _RESOLVED.get(name)
     if cached is not None:
         return cached
-    try:
-        target = MULTIHOP_PROTOCOLS[name]
-    except KeyError:
-        known = ", ".join(sorted(MULTIHOP_PROTOCOLS))
-        raise ValueError(
-            f"unknown multi-hop protocol {name!r} (known: {known})"
-        ) from None
+    check_multihop_protocols((name,))
+    target = MULTIHOP_PROTOCOLS[name]
     module_name, _, attr = target.partition(":")
     cls = getattr(import_module(module_name), attr)
     if not (isinstance(cls, type) and issubclass(cls, MultiHopProtocol)):

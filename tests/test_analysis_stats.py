@@ -24,6 +24,7 @@ from repro.analysis.stats import (
     BOOTSTRAP_SEED,
     bootstrap_ci_mean,
     clean_values,
+    group_cells,
     paired_stats,
     summarize_values,
     t975,
@@ -245,3 +246,20 @@ class TestInvariants:
         assert t975(1000) == pytest.approx(1.96)
         with pytest.raises(ValueError):
             t975(0)
+
+
+class TestGroupCells:
+    def test_first_seen_order_gaps_and_quarantine(self):
+        cells = [{"x": 1.0}, None, {"x": None}, {"x": 3.0}, None]
+        groups = group_cells(["b", "a", "b", "b", "a"], cells, ["x"])
+        assert list(groups) == ["b", "a"]
+        b, a = groups["b"], groups["a"]
+        assert (b.cells, b.quarantined, b.values["x"]) == (3, 0, [1.0, None, 3.0])
+        assert b.gaps("x") == 1 and b.summary("x").mean == 2.0
+        # a fully quarantined key keeps its group, with no values
+        assert (a.cells, a.quarantined, a.values["x"]) == (2, 2, [])
+        assert a.summary("x") is None
+
+    def test_keys_must_match_cells(self):
+        with pytest.raises(ValueError, match="2 keys for 1 cells"):
+            group_cells(["a", "b"], [{"x": 1.0}], ["x"])

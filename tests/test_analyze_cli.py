@@ -12,6 +12,10 @@ Regenerating the goldens (only after an intentional format change)::
         --no-cache
     cp /tmp/regen/analysis/table1_summary.csv \
         tests/data/analyze_table1/golden_summary.csv   # etc.
+
+The shootout, bench and ``results/table1.csv`` goldens come from
+``SHOOTOUT_ARGS``, ``BENCH_FILES`` and ``TABLE1_ARGS`` below in the same
+way (``repro table1`` takes the same grid flags as ``analyze table1``).
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from repro.sweep.failpolicy import INJECT_ENV_VAR
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_TABLE1 = os.path.join(DATA_DIR, "analyze_table1")
 GOLDEN_LOG = os.path.join(DATA_DIR, "analyze_log")
+GOLDEN_SHOOTOUT = os.path.join(DATA_DIR, "analyze_shootout")
+GOLDEN_BENCH = os.path.join(DATA_DIR, "analyze_bench")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The grid the table1 goldens were generated from (small enough for CI,
 #: large enough that both m rows have live statistics).
@@ -37,6 +44,17 @@ TABLE1_ARGS = [
 #: Matches exactly one job_key of the grid above (m=1, replica seed
 #: 1003); a count far above --retries forces quarantine.
 INJECT_ONE_CELL = '"m":1,"n":12,"seed":1003:9'
+
+#: Two protocols, two replicas, quick durations: about a second serially.
+SHOOTOUT_ARGS = [
+    "shootout", "--quick", "--replicas", "2", "--protocols", "sstsp,coop",
+    "--seed", "3", "--no-cache",
+]
+
+#: The committed benchmark trajectory.
+BENCH_FILES = [
+    os.path.join(REPO_ROOT, f"BENCH_{label}.json") for label in (7, 8, 10)
+]
 
 
 def read_bytes(path: str) -> bytes:
@@ -52,12 +70,15 @@ def run_table1(tmp_path, monkeypatch, subdir: str, extra):
     return results / "analysis"
 
 
-def assert_outputs_match(out_dir, golden_dir: str) -> None:
-    pairs = [
-        ("table1_summary.csv", "golden_summary.csv"),
-        ("table1_summary.md", "golden_summary.md"),
-        ("table1_failures.csv", "golden_failures.csv"),
-    ]
+def assert_outputs_match(out_dir, golden_dir: str, stem: str = "table1") -> None:
+    assert_files_match(out_dir, golden_dir, [
+        (f"{stem}_summary.csv", "golden_summary.csv"),
+        (f"{stem}_summary.md", "golden_summary.md"),
+        (f"{stem}_failures.csv", "golden_failures.csv"),
+    ])
+
+
+def assert_files_match(out_dir, golden_dir: str, pairs) -> None:
     for produced, golden in pairs:
         assert read_bytes(str(out_dir / produced)) == read_bytes(
             os.path.join(golden_dir, golden)
@@ -76,6 +97,23 @@ class TestTable1Golden:
             tmp_path, monkeypatch, "parallel", ["--no-cache", "--workers", "4"]
         )
         assert_outputs_match(out, GOLDEN_TABLE1)
+
+    def test_table1_command_csv_matches_golden(self, tmp_path, monkeypatch):
+        # `repro table1` over the same grid: its mean-per-m rows.
+        from repro.experiments import table1
+
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        table1.main(TABLE1_ARGS[1:] + ["--no-cache"])
+        assert read_bytes(str(tmp_path / "table1.csv")) == read_bytes(
+            os.path.join(GOLDEN_TABLE1, "golden_table1.csv")
+        )
+
+
+class TestShootoutGolden:
+    def test_matches_committed_golden(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        assert cli.main(SHOOTOUT_ARGS) == 0
+        assert_outputs_match(tmp_path / "analysis", GOLDEN_SHOOTOUT, "shootout")
 
 
 class TestResumeDeterminism:
@@ -110,6 +148,84 @@ class TestResumeDeterminism:
             tmp_path, monkeypatch, "resumed", common + ["--resume"]
         )
         assert_outputs_match(resumed, GOLDEN_TABLE1)
+
+
+class TestFullyQuarantinedM:
+    """Every replica of m=1 fails: ``repro table1`` drops the row, while
+    ``analyze table1`` keeps it with blank statistics."""
+
+    INJECT_ALL_M1 = '"m":1,"n":12,:9'
+    FLAGS = ["--no-cache", "--on-error", "quarantine", "--retries", "0"]
+
+    def test_table1_drops_the_row_and_analyze_keeps_it(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import table1
+
+        monkeypatch.setenv(INJECT_ENV_VAR, self.INJECT_ALL_M1)
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        table1.main(TABLE1_ARGS[1:] + self.FLAGS)
+        golden = read_bytes(os.path.join(GOLDEN_TABLE1, "golden_table1.csv"))
+        rows = read_bytes(str(tmp_path / "table1.csv")).splitlines()
+        assert rows == [golden.splitlines()[0], golden.splitlines()[2]]
+
+        assert cli.main(TABLE1_ARGS + self.FLAGS) == 0
+        summary = read_bytes(str(tmp_path / "analysis" / "table1_summary.csv"))
+        golden = read_bytes(os.path.join(GOLDEN_TABLE1, "golden_summary.csv"))
+        lines = summary.splitlines()
+        assert lines[1] == b"1,2,2,0" + b"," * 16
+        assert lines[2] == golden.splitlines()[2]
+        failures = read_bytes(str(tmp_path / "analysis" / "table1_failures.csv"))
+        assert failures.count(b"\n") == 3  # header + both m=1 cells
+
+
+class TestBadInput:
+    """Bad input fails at the boundary with one line naming it."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--replicas", "0"], "replicas must be >= 1, got 0"),
+        (["--nodes", "0"], "n must be >= 2"),
+        (["-m", "2,2"], "m values must be distinct, got 2 more than once"),
+    ])
+    def test_table1_grid(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        assert cli.main(TABLE1_ARGS + ["--no-cache"] + flags) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep_logs").exists()  # no job ran
+
+    @pytest.mark.parametrize("protocols, message", [
+        ("foo", "unknown multi-hop protocol 'foo' (known: "),
+        (",", "no multi-hop protocol given (known: "),
+    ])
+    def test_shootout_protocols(
+        self, tmp_path, monkeypatch, capsys, protocols, message
+    ):
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        args = SHOOTOUT_ARGS[:5] + [protocols] + SHOOTOUT_ARGS[6:]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep_logs").exists()
+
+    def test_log_unreadable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe\n")
+        for name in ("absent.jsonl", "binary.jsonl", ""):
+            path = str(tmp_path / name)  # "" names the directory
+            assert cli.main(["log", path]) == 1
+            err = capsys.readouterr().err
+            assert path in err and err.count("\n") == 1
+
+    def test_log_malformed_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        path = tmp_path / "broken.jsonl"
+        with open(os.path.join(GOLDEN_LOG, "demo_sweep.jsonl"), "rb") as fh:
+            good = fh.read().splitlines()
+        path.write_bytes(b"\n".join(good[:2] + [b'{"event": "job",'] + good[2:]))
+        assert cli.main(["log", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3:" in err and err.count("\n") == 1
 
 
 class TestLogGolden:
@@ -155,6 +271,14 @@ class TestHelpers:
 
 class TestBenchTrend:
     """``repro analyze bench``: the BENCH_*.json trajectory roll-up."""
+
+    def test_committed_trajectory_matches_golden(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        assert cli.main(["bench"] + BENCH_FILES) == 0
+        assert_files_match(tmp_path / "analysis", GOLDEN_BENCH, [
+            ("bench_trend.csv", "golden_trend.csv"),
+            ("bench_trend.md", "golden_trend.md"),
+        ])
 
     @staticmethod
     def _write_bench(root, label, medians, work=None):

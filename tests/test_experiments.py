@@ -66,6 +66,28 @@ class TestExperimentRuns:
         assert rows[1].latency_s < rows[3].latency_s
         assert rows[3].error_us < rows[1].error_us
 
+    @pytest.mark.parametrize("field, kwargs, message", [
+        ("replicas", {"replicas": 0}, "replicas must be >= 1, got 0"),
+        ("n", {"n": 0}, "n must be >= 2 (a network needs two stations), got 0"),
+        ("m", {"m_values": (1, 3, 1)}, "m values must be distinct, got 1 more than once"),
+    ])
+    def test_table1_grid_rejected_before_any_job(
+        self, tmp_path, monkeypatch, capsys, field, kwargs, message
+    ):
+        grid = dict(m_values=(1, 3), n=30, duration_s=20.0, seed=1, replicas=1)
+        grid.update(kwargs)
+        with pytest.raises(ValueError) as error:
+            table1.cell_specs(**grid)
+        assert message in str(error.value)
+        flags = {"replicas": ["--replicas", "0"], "n": ["--nodes", "0"],
+                 "m": ["-m", "1,3,1"]}[field]
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exit_info:
+            table1.main(flags + ["--no-cache"])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep_logs").exists()
+
     def test_fig3_shape(self):
         result = fig3.run(n=30, quick=True, seed=2)
         maxima = result.phase_maxima()

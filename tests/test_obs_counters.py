@@ -395,6 +395,49 @@ class TestSpanProfiler:
         assert outer["ts"] == 0.0 and outer["dur"] == 4e6
         assert outer["cat"] == "root"
 
+    def test_no_path_work_between_a_childs_end_and_its_parents(self):
+        # Everything charged to a span's self time lies between clock
+        # reads; a node lookup logged between the inner span's end and
+        # the outer span's end would land in the outer span's self time.
+        log = []
+
+        def clock():
+            log.append("clock")
+            return float(len(log))
+
+        class LoggedNodes(dict):
+            def get(self, key, default=None):
+                log.append("lookup")
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                log.append("lookup")
+                return super().__getitem__(key)
+
+        profiler = SpanProfiler(clock=clock)
+        profiler._nodes = LoggedNodes()
+        with profiler.span("outer"):
+            with profiler.span("inner"):
+                pass
+        clocks = [i for i, entry in enumerate(log) if entry == "clock"]
+        assert len(clocks) == 4  # outer start, inner start, inner end, outer end
+        assert "lookup" not in log[clocks[2]:clocks[3]], log
+        assert log.count("lookup") == 2, log  # one per span
+        (outer,) = profiler.span_tree()
+        (inner,) = outer["children"]
+        assert outer["self_s"] + inner["total_s"] == outer["total_s"]
+
+    def test_open_spans_are_not_reported(self):
+        clock = _FakeClock()
+        profiler = SpanProfiler(clock=clock)
+        profiler.enter_span("outer")
+        with profiler.span("inner"):
+            clock.now = 1.0
+        assert profiler.counts() == {"inner": 1}
+        assert [node["name"] for node in profiler.span_tree()] == ["inner"]
+        profiler.exit_span()
+        assert profiler.counts() == {"inner": 1, "outer": 1}
+
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
         clock = _FakeClock()
         profiler = SpanProfiler(clock=clock)

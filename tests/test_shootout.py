@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from repro.analysis.cli import (
-    shootout_summaries,
+    SHOOTOUT_METRICS,
     shootout_summary_csv_text,
     shootout_summary_md_text,
+    summary_rows,
 )
 from repro.experiments.shootout import (
     CONVERGENCE_THRESHOLD_US,
     convergence_time_s,
+    main as shootout_main,
     rows_to_csv,
     run,
     shootout_specs,
@@ -87,6 +89,27 @@ class TestSpecGrid:
         with pytest.raises(ValueError, match="replicas"):
             shootout_specs(MINI_SCENARIOS, replicas=0)
 
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(
+            ValueError, match=r"unknown multi-hop protocol 'foo' \(known: "
+        ):
+            shootout_specs(MINI_SCENARIOS, protocols=["sstsp", "foo"])
+
+    def test_empty_protocol_list_rejected(self):
+        with pytest.raises(ValueError, match="no multi-hop protocol given"):
+            shootout_specs(MINI_SCENARIOS, protocols=[])
+
+    @pytest.mark.parametrize("protocols", ["foo", ","])
+    def test_cli_rejects_protocols_before_any_job(
+        self, tmp_path, monkeypatch, capsys, protocols
+    ):
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exit_info:
+            shootout_main(["--quick", "--protocols", protocols])
+        assert exit_info.value.code == 2
+        assert "multi-hop protocol" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_logs").exists()
+
 
 class TestCsvRendering:
     def test_none_renders_empty_and_floats_repr(self):
@@ -127,6 +150,12 @@ def _payload(protocol, scenario, steady, convergence, beacons=10, nbytes=100):
     }
 
 
+def shootout_summaries(payloads, keys=None):
+    if keys is None:
+        keys = [(p["protocol"], p["scenario"]) for p in payloads]
+    return summary_rows(keys, payloads, SHOOTOUT_METRICS)
+
+
 class TestAnalyzeRollup:
     def test_groups_in_first_seen_order_with_cis(self):
         payloads = [
@@ -135,21 +164,22 @@ class TestAnalyzeRollup:
             _payload("coop", "mini", 5.0, None),
         ]
         rows = shootout_summaries(payloads)
-        assert [(r[0], r[1]) for r in rows] == [("sstsp", "mini"), ("coop", "mini")]
-        sstsp = rows[0]
-        assert sstsp[2] == 2 and sstsp[3] == 0 and sstsp[4] == 0
-        assert sstsp[5].mean == 11.0  # steady
-        assert sstsp[6].n == 2  # convergence
-        coop = rows[1]
-        assert coop[4] == 1  # never converged
-        assert coop[6] is None  # no convergence stats at all
+        assert [key for key, _, _ in rows] == [("sstsp", "mini"), ("coop", "mini")]
+        _, sstsp, (steady, convergence, _, _) = rows[0]
+        assert sstsp.cells == 2 and sstsp.quarantined == 0
+        assert sstsp.gaps("convergence_time_s") == 0
+        assert steady.mean == 11.0
+        assert convergence.n == 2
+        _, coop, (_, convergence, _, _) = rows[1]
+        assert coop.gaps("convergence_time_s") == 1  # never converged
+        assert convergence is None  # no convergence stats at all
 
     def test_quarantined_cells_attribute_via_keys(self):
         keys = [("sstsp", "mini"), ("sstsp", "mini")]
         payloads = [_payload("sstsp", "mini", 10.0, 1.0), None]
-        rows = shootout_summaries(payloads, keys)
-        assert rows[0][2] == 2  # cells
-        assert rows[0][3] == 1  # quarantined
+        (_, group, _), = shootout_summaries(payloads, keys)
+        assert group.cells == 2
+        assert group.quarantined == 1
 
     def test_summary_texts_are_stable_bytes(self):
         payloads = [
