@@ -19,14 +19,13 @@ row values at any worker count.
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, Optional, Sequence
 
 
 from repro.analysis.metrics import sync_latency_us
 from repro.core.adjustment import reference_change_ratio
 from repro.core.config import SstspConfig
-from repro.experiments.report import format_table
+from repro.experiments.report import experiment_parser, format_table
 from repro.experiments.scenarios import TABLE1_INITIAL_OFFSET_US, quick_spec
 from repro.fastlane import run_sstsp_vectorized
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent
@@ -153,7 +152,7 @@ def sweep_m(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("ablations", __doc__)
     parser.add_argument("--quick", action="store_true", help="fewer points")
     parser.add_argument("--seed", type=int, default=3)
     add_sweep_arguments(parser)

@@ -32,7 +32,6 @@ the same seed reproduces identical per-plan outcomes.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from repro.analysis.metrics import INDUSTRY_THRESHOLD_US
 from repro.core.config import SstspConfig
-from repro.experiments.report import format_table
+from repro.experiments.report import experiment_parser, format_table
 from repro.experiments.scenarios import PAPER_PHY
 from repro.faults import FaultInjector, FaultPlan, random_plan
 from repro.network.ibss import ScenarioSpec, build_network
@@ -344,7 +343,7 @@ def outcome_fingerprint(outcome: PlanOutcome) -> Dict:
 
 def main(argv=None) -> None:
     """CLI entry point: run the soak and print the per-plan table."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("chaos", __doc__)
     parser.add_argument("--plans", type=int, default=10, help="number of plans")
     parser.add_argument("--seed", type=int, default=7, help="master seed")
     parser.add_argument("--nodes", type=int, default=12, help="stations per run")

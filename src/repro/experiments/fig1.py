@@ -10,13 +10,13 @@ summary statistics per network size.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.metrics import INDUSTRY_THRESHOLD_US, SyncTrace
 from repro.experiments.report import (
     downsample_rows,
+    experiment_parser,
     format_table,
     save_trace_csv,
     trace_chart,
@@ -86,7 +86,7 @@ def run(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("fig1", __doc__)
     parser.add_argument("--quick", action="store_true", help="60 s smoke run")
     parser.add_argument("--nodes", type=int, nargs="+", default=[100, 300])
     parser.add_argument("--seed", type=int, default=1)

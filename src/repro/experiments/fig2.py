@@ -9,13 +9,13 @@ the vectorised SSTSP engine with m = 4.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.metrics import SyncTrace
 from repro.experiments.report import (
     downsample_rows,
+    experiment_parser,
     format_table,
     save_trace_csv,
     trace_chart,
@@ -75,7 +75,7 @@ def run(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("fig2", __doc__)
     parser.add_argument("--quick", action="store_true", help="60 s smoke run")
     parser.add_argument("--nodes", type=int, default=500)
     parser.add_argument("-m", type=int, default=4, dest="m")

@@ -10,13 +10,13 @@ attack, with recovery afterwards.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.metrics import SyncTrace
 from repro.experiments.report import (
     downsample_rows,
+    experiment_parser,
     format_table,
     save_trace_csv,
     trace_chart,
@@ -82,7 +82,7 @@ def run(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("fig3", __doc__)
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--nodes", type=int, default=100)
     parser.add_argument("--seed", type=int, default=1)

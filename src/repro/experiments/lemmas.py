@@ -9,7 +9,6 @@ networks and prints them next to the formulas' values.
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict
 
 import numpy as np
@@ -20,7 +19,7 @@ from repro.core.adjustment import (
     reference_change_ratio,
 )
 from repro.core.config import SstspConfig
-from repro.experiments.report import format_table
+from repro.experiments.report import experiment_parser, format_table
 from repro.experiments.scenarios import TABLE1_INITIAL_OFFSET_US, quick_spec
 from repro.fastlane import run_sstsp_vectorized
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent
@@ -72,7 +71,7 @@ def measure_reference_change(m: int, l: int = 1, n: int = 15, seed: int = 4) -> 
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("lemmas", __doc__)
     parser.add_argument("--quick", action="store_true", help="fewer m values")
     args = parser.parse_args(argv)
     m_values = (2, 4) if args.quick else (1, 2, 3, 4, 5)

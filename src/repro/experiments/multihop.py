@@ -12,13 +12,12 @@ the ``results/multihop.csv`` bytes are identical at any worker count.
 
 from __future__ import annotations
 
-import argparse
 import os
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.report import ensure_results_dir, format_table
+from repro.experiments.report import ensure_results_dir, experiment_parser, format_table
 from repro.sweep import (
     JobSpec,
     SweepOptions,
@@ -222,7 +221,7 @@ def save_rows_csv(rows: Sequence[Dict[str, Any]], name: str = "multihop") -> str
 
 def main(argv=None) -> None:
     """CLI entry point: ``python -m repro multihop``."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("multihop", __doc__)
     parser.add_argument(
         "--quick", action="store_true",
         help="trim scenario durations to ~8 simulated seconds",

@@ -12,7 +12,6 @@ than restated:
 
 from __future__ import annotations
 
-import argparse
 
 from repro.analysis.overhead import (
     beacon_overhead,
@@ -22,7 +21,7 @@ from repro.analysis.overhead import (
     traffic_overhead,
 )
 from repro.crypto.primitives import HASH_BYTES
-from repro.experiments.report import format_table
+from repro.experiments.report import experiment_parser, format_table
 from repro.phy.params import OFDM_54MBPS
 
 
@@ -41,7 +40,7 @@ def run(chain_length: int = 10_000, samples: int = 256):
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("overhead", __doc__)
     parser.add_argument("--chain-length", type=int, default=10_000)
     parser.add_argument("--quick", action="store_true",
                         help="shorter chain (1024) for smoke runs")

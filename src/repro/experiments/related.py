@@ -11,11 +11,10 @@ prints the accuracy/traffic comparison behind that argument.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from repro.experiments.report import format_table
+from repro.experiments.report import experiment_parser, format_table
 from repro.experiments.scenarios import quick_spec
 from repro.network.ibss import build_network
 
@@ -57,7 +56,7 @@ def run(
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("related", __doc__)
     parser.add_argument("--quick", action="store_true", help="single size")
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)

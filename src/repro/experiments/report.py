@@ -8,6 +8,7 @@ repository (``results/``) for external plotting.
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -16,6 +17,19 @@ import numpy as np
 
 from repro.analysis.metrics import SyncTrace
 from repro.sim.units import S
+
+
+def experiment_parser(name: str, doc: Optional[str]) -> argparse.ArgumentParser:
+    """The argument parser of ``repro <name>``.
+
+    Its usage lines and errors name the subcommand, and ``--help``
+    describes it with the summary line of the module docstring ``doc``
+    (the rest of a docstring carries reST markup that argparse would
+    print verbatim).
+    """
+    summary = (doc or "").strip().partition("\n")[0]
+    return argparse.ArgumentParser(prog=f"repro {name}", description=summary)
+
 
 #: Default output directory for CSV series when ``SSTSP_RESULTS_DIR``
 #: is unset.

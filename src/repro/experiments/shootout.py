@@ -23,14 +23,13 @@ time (earliest sample from which the network-wide error stays under
 
 from __future__ import annotations
 
-import argparse
 import os
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.multihop import DEFAULT_SCENARIOS
-from repro.experiments.report import ensure_results_dir, format_table
+from repro.experiments.report import ensure_results_dir, experiment_parser, format_table
 from repro.sweep import (
     JobSpec,
     SweepOptions,
@@ -216,7 +215,7 @@ def protocol_list(text: str) -> List[str]:
 
 def main(argv=None) -> None:
     """CLI entry point: ``python -m repro shootout``."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("shootout", __doc__)
     parser.add_argument(
         "--quick", action="store_true",
         help="trim scenario durations to ~8 simulated seconds",

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.stats import group_cells
-from repro.experiments.report import ensure_results_dir, format_table
+from repro.experiments.report import ensure_results_dir, experiment_parser, format_table
 from repro.experiments.scenarios import TABLE1_INITIAL_OFFSET_US, quick_spec
 from repro.sim.units import S
 from repro.sweep import (
@@ -158,7 +158,7 @@ def _parse_m_values(text: str) -> Sequence[int]:
 
 def main(argv=None) -> None:
     """CLI entry point; prints the reproduced rows/series."""
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = experiment_parser("table1", __doc__)
     parser.add_argument("--quick", action="store_true", help="single replica")
     parser.add_argument("--nodes", type=int, default=100)
     parser.add_argument("--seed", type=int, default=1)

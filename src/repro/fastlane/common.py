@@ -14,6 +14,13 @@ from repro.obs.counters import count
 from repro.sim.rng import RngRegistry
 
 
+#: Size of one block of draws on the ``slots`` or the ``channel`` stream.
+#: Small enough that a block stays in cache and adds little to the peak
+#: resident set (16 periods of slots at n = 501), large enough that the
+#: per-call cost of a draw is spread over many periods.
+DRAW_BLOCK_BYTES = 64 * 1024
+
+
 def _no_reference() -> int:
     return -1
 
@@ -28,6 +35,13 @@ class VectorLane:
     draw kind the engines make has exactly one site here:
     :meth:`draw_slots` on the ``slots`` stream, :meth:`loss_mask` and
     :meth:`jitter` on the ``channel`` stream.
+
+    The lane owns both streams, so it draws them in blocks of
+    :data:`DRAW_BLOCK_BYTES`: one ``integers`` call yields the slot rows
+    of many periods, and loss coins and jitter read one cursor over a
+    block of ``random`` doubles. Each value is the one a per-call draw
+    would have given (``tests/test_vector_draws.py``); what a block
+    draws beyond the end of a run is never read.
     """
 
     def __init__(self, spec: ScenarioSpec, keep_values: bool) -> None:
@@ -52,17 +66,27 @@ class VectorLane:
         self.recorder = TraceRecorder(keep_values=keep_values)
         self.churn = ChurnApplier(spec.churn_schedule(rngs))
         self._slots = rngs.get("slots")
+        self._slot_w: Optional[int] = None
+        self._slot_block = np.empty((0, self.n))
+        self._slot_row = 0
         self._channel = rngs.get("channel")
+        self._doubles = np.empty(0)
+        self._cursor = 0
+        jitter = spec.phy.timestamp_jitter_us
+        # Generator.uniform(low, high) is low + (high - low) * random()
+        self._jitter_low, self._jitter_span = -jitter, jitter - -jitter
         self._hw = np.empty(self.n)
 
     def attack_active(self, period: int) -> bool:
         """Whether the attacker attacks in ``period``."""
         return self.window is not None and self.window.active(period)
 
-    def hw_at(self, true_time: float) -> np.ndarray:
-        """Hardware clock of every node at one instant, in one reused
-        buffer (valid until the next call)."""
-        return self.clocks.read_all(true_time, out=self._hw)
+    def hw_at(
+        self, true_time: float, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Hardware clock of every node at one instant, in ``out`` or else
+        in one reused buffer (valid until the next call)."""
+        return self.clocks.read_all(true_time, out=self._hw if out is None else out)
 
     def apply_churn(
         self, period: int, reference: Callable[[], int] = _no_reference
@@ -87,6 +111,8 @@ class VectorLane:
         present stations, ascending) and the metric members."""
         self.present_ids = np.flatnonzero(self.present)
         self._members = self.present & self.metric_mask
+        # a beacon's winner is always present
+        self._receivers = self.present_ids.size - 1
 
     def _is_present(self, node: int) -> Optional[bool]:
         if not 0 <= node < self.n:
@@ -94,9 +120,33 @@ class VectorLane:
         return bool(self.present[node])
 
     def draw_slots(self, w: int) -> np.ndarray:
-        """One backoff slot in ``[0, w]`` per node (``slots`` stream)."""
+        """One backoff slot in ``[0, w]`` per node (``slots`` stream), as
+        a read-only row of the current block."""
         count("mac.slot_draws", self.n)
-        return self._slots.integers(0, w + 1, size=self.n).astype(np.float64)
+        if self._slot_w is None:
+            self._slot_w = w
+        elif w != self._slot_w:
+            raise ValueError(f"the slot block was drawn with w={self._slot_w}, not w={w}")
+        row = self._slot_row
+        if row == len(self._slot_block):
+            rows = max(1, min(DRAW_BLOCK_BYTES // (8 * self.n), self.spec.periods))
+            block = self._slots.integers(0, w + 1, size=(rows, self.n))
+            self._slot_block = block.astype(np.float64)
+            self._slot_block.flags.writeable = False
+            row = 0
+        self._slot_row = row + 1
+        return self._slot_block[row]
+
+    def _take(self, k: int) -> np.ndarray:
+        """The next ``k`` doubles of the ``channel`` stream."""
+        start = self._cursor
+        end = start + k
+        if end > self._doubles.size:
+            fresh = self._channel.random(max(k, DRAW_BLOCK_BYTES // 8))
+            self._doubles = np.concatenate((self._doubles[start:], fresh))
+            start, end = 0, k
+        self._cursor = end
+        return self._doubles[start:end]
 
     def loss_mask(self, winner: int) -> np.ndarray:
         """Receivers of ``winner``'s beacon: the present nodes other than
@@ -104,23 +154,22 @@ class VectorLane:
         receive = self.present.copy()
         receive[winner] = False
         # pre-loss receivers, as BroadcastChannel.broadcast counts them
-        count("phy.delivery_attempt", int(np.count_nonzero(receive)))
+        count("phy.delivery_attempt", self._receivers)
         per = self.spec.phy.packet_error_rate
         if per > 0.0:
             if self.spec.phy.loss_model == "per_transmission":
                 count("phy.per_draw")
-                if self._channel.random() < per:
+                if self._take(1)[0] < per:
                     receive[:] = False
             else:
                 count("phy.per_draw", self.n)
-                receive &= self._channel.random(self.n) >= per
+                receive &= self._take(self.n) >= per
         return receive
 
     def jitter(self) -> np.ndarray:
         """One receive timestamping error per node (``channel`` stream)."""
-        jitter = self.spec.phy.timestamp_jitter_us
         count("phy.ts_jitter_draw", self.n)
-        return self._channel.uniform(-jitter, jitter, size=self.n)
+        return self._jitter_low + self._jitter_span * self._take(self.n)
 
     def sample(
         self,

@@ -1,10 +1,12 @@
 """Vectorised SSTSP engine.
 
 The reference node is a scalar; *receiver* state is arrays: the active
-adjusted-clock segment ``(k, b)``, the pending (unauthenticated) sample,
-the two newest authenticated samples, silence counters, and the coarse
-re-acquisition accumulators for returning nodes. One beacon period is a
-handful of fused numpy expressions over all nodes.
+adjusted-clock segment ``(k, b)``, the sample history (the pending,
+unauthenticated sample and the two newest authenticated ones, stacked in
+one array so a release moves them all in one masked copy), silence
+counters, and the coarse re-acquisition accumulators for returning
+nodes. One beacon period is a handful of fused numpy expressions over
+all nodes.
 
 Crypto decisions are the modeled backend's logic inlined: honest and
 insider beacons carry genuine chain material (accepted), the interval
@@ -59,17 +61,18 @@ class _VectorSstsp:
         # Adjusted clocks: c_i(hw) = k_i * hw + b_i.
         self.k = np.ones(n)
         self.b = np.zeros(n)
-        # Pending (unauthenticated) observation per node.
-        self.pend_j = np.full(n, -1, dtype=np.int64)
-        self.pend_t = np.zeros(n)
-        self.pend_ts = np.zeros(n)
-        # Two newest authenticated samples per node.
-        self.j1 = np.full(n, -1, dtype=np.int64)
-        self.t1 = np.zeros(n)
-        self.ts1 = np.zeros(n)
-        self.j2 = np.full(n, -1, dtype=np.int64)
-        self.t2 = np.zeros(n)
-        self.ts2 = np.zeros(n)
+        # Sample history, three rows (interval j, hardware time t at
+        # reception, timestamp estimate ts) per sample: the pending
+        # (unauthenticated) one, then the two newest authenticated ones.
+        # An interval is a whole number of periods (exact in float64);
+        # -1 marks no sample.
+        self.hist = np.zeros((9, n))
+        self.hist[::3] = -1.0
+        self.pend_j = self.hist[0]
+        self.j1, self.t1, self.ts1 = self.hist[3:6]
+        self.j2, self.t2, self.ts2 = self.hist[6:9]
+        # The pending sample of this beacon: (period, hw, est) rows.
+        self._observed = np.empty((3, n))
         self.silent = np.full(n, config.l, dtype=np.int64)
         self.last_ref = np.full(n, -1, dtype=np.int64)
         # Coarse re-acquisition (returning nodes / recovery extension).
@@ -78,6 +81,7 @@ class _VectorSstsp:
         self.coarse_cnt = np.zeros(n, dtype=np.int64)
         self.consecutive_rejections = np.zeros(n, dtype=np.int64)
         self.recoveries = 0
+        self._coarse_changed()
 
         self.ref: Optional[int] = None
         self.reference_changes = 0
@@ -99,25 +103,38 @@ class _VectorSstsp:
         self.in_coarse[node] = True
         self.coarse_sum[node] = 0.0
         self.coarse_cnt[node] = 0
-        self.pend_j[node] = -1
-        self.j1[node] = -1
-        self.j2[node] = -1
+        self.hist[::3, node] = -1.0
         self.silent[node] = 0
         self.last_ref[node] = -1
+        self._coarse_changed()
+
+    def _coarse_changed(self) -> None:
+        """Recompute the masks that change only on churn or a coarse
+        transition: :attr:`_synced` (present and not re-acquiring) and
+        the sample mask (None while no node is in coarse)."""
+        self._any_coarse = bool(self.in_coarse.any())
+        if self._any_coarse:
+            self._sample_mask: Optional[np.ndarray] = ~self.in_coarse
+            self._synced = self.lane.present & self._sample_mask
+        else:
+            self._sample_mask = None
+            self._synced = self.lane.present.copy()
 
     # -- one period -------------------------------------------------------
 
     def run(self) -> VectorSstspResult:
         cfg = self.config
         lane = self.lane
-        present = lane.present
         bp = cfg.beacon_period_us
         for period in range(1, self.spec.periods + 1):
-            for action, node in lane.apply_churn(period, self._churn_reference):
+            changes = lane.apply_churn(period, self._churn_reference)
+            for action, node in changes:
                 if action == "return":
                     self._on_return(node)
                 elif node == self.ref:
                     self.ref = None
+            if changes:
+                self._coarse_changed()
 
             attack_active = lane.attack_active(period)
             winner, timestamp, tx_true = self._transmitter(period, attack_active)
@@ -126,8 +143,7 @@ class _VectorSstsp:
                 self._deliver(period, winner, timestamp, tx_true, attack_active)
                 self._last_beacon_true = tx_true
             else:
-                eligible = present & ~self.in_coarse
-                self.silent[eligible] += 1
+                self.silent += self._synced
                 self._last_beacon_true += bp
 
             # Sample at a fixed phase relative to the *beacon* grid, not the
@@ -145,7 +161,7 @@ class _VectorSstsp:
             lane.sample(
                 sample_time,
                 values,
-                ~self.in_coarse,
+                self._sample_mask,
                 self.ref if self.ref is not None else -1,
             )
         return VectorSstspResult(
@@ -187,7 +203,7 @@ class _VectorSstsp:
         # retake the channel from an attacker whose claimed timeline has
         # receded after guard rejections.
         present = self.lane.present
-        contenders = present & ~self.in_coarse & (self.silent >= cfg.l)
+        contenders = self._synced & (self.silent >= cfg.l)
         if self.ref is not None:
             contenders[self.ref] = False
         local = nominal + self.lane.draw_slots(cfg.w) * cfg.slot_time_us
@@ -200,7 +216,7 @@ class _VectorSstsp:
             contenders[attacker] = True
             # scheduled on the *claimed* (shaved) timeline
             local[attacker] = nominal - lead + self._shave_total(period)
-        ids = np.flatnonzero(contenders)
+        ids = contenders.nonzero()[0]  # np.flatnonzero, less its ravel
         if ids.size == 0:
             return None, 0.0, 0.0
         hw_targets = (local[ids] - self.b[ids]) / self.k[ids]
@@ -240,41 +256,47 @@ class _VectorSstsp:
         attack_active: bool = False,
     ) -> None:
         # Runs once per beacon on n-element arrays: masked copies use
-        # np.putmask and mask tests np.count_nonzero, the cheapest numpy
-        # forms of each at n in the hundreds.
+        # np.putmask/np.copyto and mask tests np.count_nonzero, the
+        # cheapest numpy forms of each at n in the hundreds.
         cfg = self.config
         latency = cfg.rx_latency_us
-        hw = self.lane.hw_at(tx_true + latency)
+        observed = self._observed
+        observed[0] = period
+        hw = self.lane.hw_at(tx_true + latency, out=observed[1])
         local = self.k * hw + self.b
 
         delivered = self.lane.loss_mask(winner)
-        est = timestamp + latency + self.lane.jitter()
+        est = np.add(self.lane.jitter(), timestamp + latency, out=observed[2])
 
         # uTESLA interval safety check on each receiver's adjusted clock.
         interval_ok = np.rint((local - cfg.t0_us) / cfg.beacon_period_us) == period
         guard_ok = np.abs(est - local) <= cfg.guard_fine_us
 
         # Coarse re-acquisition: returning nodes average raw offsets.
-        coarse_rx = delivered & self.in_coarse
-        if np.count_nonzero(coarse_rx):
-            offsets = est - local
-            self.coarse_sum[coarse_rx] += offsets[coarse_rx]
-            self.coarse_cnt[coarse_rx] += 1
-            done = coarse_rx & (self.coarse_cnt >= cfg.coarse_min_samples)
-            if done.any():
-                self.b[done] += self.coarse_sum[done] / self.coarse_cnt[done]
-                self.in_coarse[done] = False
-                self.silent[done] = 0
-                local = self.k * hw + self.b  # the (k, b) update reads it
+        heard = delivered & interval_ok
+        if self._any_coarse:
+            coarse_rx = delivered & self.in_coarse
+            if np.count_nonzero(coarse_rx):
+                offsets = est - local
+                self.coarse_sum[coarse_rx] += offsets[coarse_rx]
+                self.coarse_cnt[coarse_rx] += 1
+                done = coarse_rx & (self.coarse_cnt >= cfg.coarse_min_samples)
+                if done.any():
+                    self.b[done] += self.coarse_sum[done] / self.coarse_cnt[done]
+                    self.in_coarse[done] = False
+                    self.silent[done] = 0
+                    self._coarse_changed()
+                    local = self.k * hw + self.b  # the (k, b) update reads it
+            heard &= self._synced  # delivered is within present already
 
-        valid = delivered & ~self.in_coarse & interval_ok & guard_ok
+        valid = heard & guard_ok
         if attack_active and self.attacker_idx is not None:
             valid[self.attacker_idx] = False  # attacker ignores beacons
         # Optional recovery extension: persistent guard rejections send a
         # node back to the coarse phase (see SstspConfig).
         threshold = cfg.recovery_rejection_threshold
         if threshold is not None:
-            rejected = delivered & ~self.in_coarse & interval_ok & ~guard_ok
+            rejected = heard & ~guard_ok
             self.consecutive_rejections[rejected] += 1
             self.consecutive_rejections[valid] = 0
             recover = rejected & (self.consecutive_rejections >= threshold)
@@ -283,31 +305,24 @@ class _VectorSstsp:
                 self.consecutive_rejections[recover] = 0
                 for node in np.flatnonzero(recover):
                     self._on_return(int(node))  # same reset as a re-joiner
-        self.silent[valid] = 0
-        missed = self.lane.present & ~self.in_coarse & ~valid
+        np.putmask(self.silent, valid, 0)
+        missed = self._synced & ~valid
         missed[winner] = False  # the transmitter does not count itself silent
         self.silent += missed
 
+        hist = self.hist
         # Reference change: discard samples learned from the old reference.
         changed = valid & (self.last_ref != winner)
         if np.count_nonzero(changed):
-            self.pend_j[changed] = -1
-            self.j1[changed] = -1
-            self.j2[changed] = -1
+            np.copyto(hist[::3], -1.0, where=changed)
             self.last_ref[changed] = winner
 
-        # Delayed authentication: any pending interval < current releases.
+        # Delayed authentication: any pending interval < current releases,
+        # each sample moving one place down the history.
         release = valid & (self.pend_j >= 0) & (self.pend_j < period)
         if np.count_nonzero(release):
-            np.putmask(self.j2, release, self.j1)
-            np.putmask(self.t2, release, self.t1)
-            np.putmask(self.ts2, release, self.ts1)
-            np.putmask(self.j1, release, self.pend_j)
-            np.putmask(self.t1, release, self.pend_t)
-            np.putmask(self.ts1, release, self.pend_ts)
-        self.pend_j[valid] = period
-        np.putmask(self.pend_t, valid, hw)
-        np.putmask(self.pend_ts, valid, est)
+            np.copyto(hist[3:], hist[:6], where=release)
+        np.copyto(hist[:3], observed, where=valid)
 
         # The (k, b) update of equations (2)-(5), fully vectorised.
         can_adjust = (

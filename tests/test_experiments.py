@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.metrics import TraceRecorder
 from repro.experiments import fig1, fig2, fig3, fig4, lemmas, overhead, table1
+from repro.experiments.cli import EXPERIMENTS
 from repro.experiments.cli import main as cli_main
 from repro.experiments.multihop import job_multihop_run
 from repro.experiments.report import (
@@ -146,6 +147,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(argv)
         assert "{ablations,chaos" not in capsys.readouterr().out
+
+    def test_usage_errors_name_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["table1", "-m", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro table1 ")
+        assert "repro table1: error: m must be >= 1, got 0" in err
+        assert "__main__.py" not in err
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_experiment_help_is_plain(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: repro {name} ")
+        assert ":class:" not in out and ":mod:" not in out and "``" not in out
 
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,11 @@ same RNG draws in the same order, same events, same clock samples.
 The ``sstsp-attack`` case runs a 600 us/BP insider against a 300 us fine
 guard with ``recovery_rejection_threshold=2``, so the lane's recovery
 path (persistent guard rejections send a node back to coarse
-re-acquisition) fires.
+re-acquisition) fires. ``sstsp-quiet`` runs without jitter or loss: no
+loss coin is drawn, yet the zero-width jitter still takes n doubles per
+beacon. ``tsf-rxloss`` flips a per-receiver coin at PER 0.2 under paper
+churn for 350 s, so coins and jitter interleave on the channel stream
+over many draws.
 
 Regenerate (only legitimate before a behaviour-changing change, with the
 old code still in the tree)::
@@ -54,6 +58,16 @@ _LOSS = ScenarioSpec(
     phy=PhyParams(loss_model="per_transmission", packet_error_rate=0.05),
 )
 _VALUES = ScenarioSpec(n=30, seed=5, duration_s=30.0, initial_offset_us=112.0)
+# no loss coins, but a zero-width jitter still takes n doubles per beacon
+_QUIET = ScenarioSpec(
+    n=30, seed=5, duration_s=30.0,
+    phy=PhyParams(timestamp_jitter_us=0.0, packet_error_rate=0.0),
+)
+# per-receiver coins and jitter interleave on the channel stream under churn
+_RXLOSS = ScenarioSpec(
+    n=30, seed=5, duration_s=350.0, churn="paper",
+    phy=PhyParams(loss_model="per_receiver", packet_error_rate=0.2),
+)
 
 #: case name -> zero-argument run returning the lane's result
 CASES: Dict[str, Callable[[], object]] = {
@@ -62,6 +76,7 @@ CASES: Dict[str, Callable[[], object]] = {
     "tsf-attack": lambda: run_tsf_vectorized(_ATTACK),
     "tsf-loss": lambda: run_tsf_vectorized(_LOSS),
     "tsf-values": lambda: run_tsf_vectorized(_VALUES, keep_values=True),
+    "tsf-rxloss": lambda: run_tsf_vectorized(_RXLOSS),
     "sstsp-plain": lambda: run_sstsp_vectorized(_PLAIN),
     "sstsp-churn": lambda: run_sstsp_vectorized(_CHURN),
     "sstsp-attack": lambda: run_sstsp_vectorized(
@@ -69,6 +84,7 @@ CASES: Dict[str, Callable[[], object]] = {
         _ATTACK.sstsp_config(guard_fine_us=300.0, recovery_rejection_threshold=2),
     ),
     "sstsp-loss": lambda: run_sstsp_vectorized(_LOSS),
+    "sstsp-quiet": lambda: run_sstsp_vectorized(_QUIET),
     "sstsp-values": lambda: run_sstsp_vectorized(_VALUES, keep_values=True),
 }
 
