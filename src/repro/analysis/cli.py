@@ -5,8 +5,7 @@ Subcommands
 
 ``table1``
     Re-resolve the Table 1 ``m x replica`` grid through the sweep
-    orchestrator (a warm cache serves every cell without executing
-    anything) and emit the **Table-1-with-CIs** view: per-``m`` mean /
+    orchestrator and emit the **Table-1-with-CIs** view: per-``m`` mean /
     median / Student-t and seeded-bootstrap 95% intervals over the
     replicas, side by side with the paper's numbers, plus a
     failure/quarantine digest from the PR 6 failure records. Writes
@@ -14,7 +13,7 @@ Subcommands
     ``<name>_failures.csv``.
 ``shootout``
     Re-resolve the multi-hop shootout grid (protocol x scenario x
-    replica; see :mod:`repro.experiments.shootout`) and roll each
+    replica) and roll each
     (protocol, scenario) group's replicas into accuracy / convergence /
     beacon-traffic / bytes-on-air means with the same CI machinery.
     Writes ``results/analysis/<name>_summary.csv`` / ``.md`` and
@@ -32,6 +31,10 @@ Subcommands
     per-benchmark wall-time medians and deterministic work totals,
     columns ordered by label (numeric labels numerically). Writes
     ``results/analysis/<name>_trend.csv`` / ``.md``.
+
+``table1`` and ``shootout`` take their grid flags from the experiment
+module (``add_grid_arguments`` / ``grid_specs``), so with the flags of a
+``repro <exp>`` run a warm cache serves every cell without executing.
 
 One roll-up path serves every subcommand: :func:`summary_rows` groups
 cells per key, :func:`summary_csv_text` lays out each metric's stats
@@ -267,22 +270,24 @@ def sweep_summary_md_text(
 
 def _analyze_sweep(
     args: argparse.Namespace,
-    build_specs: Callable[[], List[JobSpec]],
+    grid_specs: Callable[[argparse.Namespace], List[JobSpec]],
     key: Callable[[JobSpec], Hashable],
     metrics: Sequence[Metric],
     csv_text: Callable[[Sequence[SummaryRow]], str],
     md_text: Callable[[Sequence[SummaryRow], int, Sequence[JobFailure]], str],
 ) -> int:
-    """Resolve a grid through the sweep and write its summary CSV and
-    markdown plus the failures CSV; a grid its builder rejects runs no
-    job and exits 1."""
+    """Resolve the grid ``args`` name through the sweep and write its
+    summary CSV and markdown plus the failures CSV; a grid
+    ``grid_specs`` rejects runs no job and exits 1."""
+    from repro.experiments.report import replica_count
+
     try:
-        specs = build_specs()
+        specs = grid_specs(args)
     except ValueError as exc:
         return _fail(f"repro analyze {args.command}: {exc}")
     result = run_sweep(f"{args.name}_analyze", specs, sweep_options_from_args(args))
     rows = summary_rows([key(spec) for spec in specs], result.values, metrics)
-    md = md_text(rows, args.replicas, result.failures)
+    md = md_text(rows, replica_count(args), result.failures)
     return write_outputs(args.name, md, [
         ("summary.csv", csv_text(rows)),
         ("summary.md", md),
@@ -332,14 +337,10 @@ def table1_summary_md_text(
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments.table1 import cell_specs
+    from repro.experiments.table1 import grid_specs
 
     return _analyze_sweep(
-        args,
-        lambda: cell_specs(
-            args.m_values, args.nodes, args.duration, args.seed, args.replicas
-        ),
-        lambda spec: spec.params_dict()["m"],
+        args, grid_specs, lambda spec: spec.params_dict()["m"],
         TABLE1_METRICS, table1_summary_csv_text, table1_summary_md_text,
     )
 
@@ -395,17 +396,10 @@ def shootout_summary_md_text(
 
 
 def _cmd_shootout(args: argparse.Namespace) -> int:
-    from repro.experiments.shootout import shootout_specs
+    from repro.experiments.shootout import grid_specs
 
     return _analyze_sweep(
-        args,
-        lambda: shootout_specs(
-            protocols=args.protocols,
-            seed=args.seed,
-            quick=args.quick,
-            replicas=args.replicas,
-        ),
-        shootout_key,
+        args, grid_specs, shootout_key,
         SHOOTOUT_METRICS, shootout_summary_csv_text, shootout_summary_md_text,
     )
 
@@ -712,8 +706,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro analyze`` parser (table1 / shootout / log / bench)."""
-    from repro.experiments.shootout import protocol_list
-    from repro.experiments.table1 import _parse_m_values
+    from repro.experiments import shootout, table1
     from repro.sweep import add_sweep_arguments
 
     parser = argparse.ArgumentParser(
@@ -722,54 +715,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_table1 = sub.add_parser(
-        "table1", help="Table-1-with-CIs view over the m x replica grid"
-    )
-    p_table1.add_argument("--nodes", type=int, default=100)
-    p_table1.add_argument("--seed", type=int, default=1)
-    p_table1.add_argument(
-        "-m", "--m-values", type=_parse_m_values, default=(1, 2, 3, 4, 5),
-        dest="m_values", metavar="M1,M2,...",
-        help="comma-separated m values (default 1,2,3,4,5)",
-    )
-    p_table1.add_argument(
-        "--duration", type=float, default=60.0, metavar="S",
-        help="scenario duration per cell in seconds",
-    )
-    p_table1.add_argument(
-        "--replicas", type=int, default=3,
-        help="replicas per m (default 3; more replicas, tighter CIs)",
-    )
-    p_table1.add_argument(
-        "--name", default="table1",
-        help="output stem under results/analysis/ (default table1)",
-    )
-    add_sweep_arguments(p_table1)
-    p_table1.set_defaults(func=_cmd_table1)
-
-    p_shootout = sub.add_parser(
-        "shootout",
-        help="per-(protocol, scenario) CIs over the multi-hop shootout grid",
-    )
-    p_shootout.add_argument("--seed", type=int, default=1)
-    p_shootout.add_argument(
-        "--quick", action="store_true",
-        help="trim scenario durations to ~8 simulated seconds",
-    )
-    p_shootout.add_argument(
-        "--replicas", type=int, default=3,
-        help="seed replicas per cell (default 3; more replicas, tighter CIs)",
-    )
-    p_shootout.add_argument(
-        "--protocols", type=protocol_list, default=None,
-        help="comma-separated protocol subset (default: every registered one)",
-    )
-    p_shootout.add_argument(
-        "--name", default="shootout",
-        help="output stem under results/analysis/ (default shootout)",
-    )
-    add_sweep_arguments(p_shootout)
-    p_shootout.set_defaults(func=_cmd_shootout)
+    for name, experiment, func, help_text in (
+        ("table1", table1, _cmd_table1,
+         "Table-1-with-CIs view over the m x replica grid"),
+        ("shootout", shootout, _cmd_shootout,
+         "per-(protocol, scenario) CIs over the multi-hop shootout grid"),
+    ):
+        p_sweep = sub.add_parser(name, help=help_text)
+        experiment.add_grid_arguments(p_sweep)
+        p_sweep.add_argument(
+            "--name", default=name,
+            help=f"output stem under results/analysis/ (default {name})",
+        )
+        add_sweep_arguments(p_sweep)
+        p_sweep.set_defaults(func=func)
 
     p_log = sub.add_parser(
         "log", help="roll one sweep run log (JSONL) into summary tables"

@@ -12,12 +12,11 @@ the ``results/multihop.csv`` bytes are identical at any worker count.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.report import ensure_results_dir, experiment_parser, format_table
+from repro.experiments.report import experiment_parser, format_table, write_rows_csv
 from repro.sweep import (
     JobSpec,
     SweepOptions,
@@ -58,6 +57,13 @@ DEFAULT_SCENARIOS: Sequence[Dict[str, Any]] = (
         "duration_s": 30.0,
         "seed": 5,
     },
+)
+
+#: ``results/multihop.csv`` columns.
+_CSV_COLUMNS = (
+    "name", "nodes", "root", "root_changes", "beacons_sent", "collisions",
+    "max_hop", "final_present", "steady_state_error_us", "peak_error_us",
+    "hop1_error_us", "deepest_hop_error_us",
 )
 
 #: Spec fields forwarded verbatim from job params to MultiHopSpec.
@@ -157,19 +163,25 @@ def job_multihop_run(job: JobSpec) -> Dict[str, Any]:
     }
 
 
+def scenario_params(scenario: Mapping[str, Any], quick: bool) -> Dict[str, Any]:
+    """A scenario's job params; ``quick`` caps its duration at 8
+    simulated seconds."""
+    params = dict(scenario)
+    if quick:
+        params["duration_s"] = min(float(params.get("duration_s", 30.0)), 8.0)
+    return params
+
+
 def scenario_specs(
     scenarios: Sequence[Mapping[str, Any]] = DEFAULT_SCENARIOS,
     seed: int = 1,
     quick: bool = False,
 ) -> List[JobSpec]:
     """Freeze the scenario grid into sweep job specs."""
-    specs = []
-    for scenario in scenarios:
-        params = dict(scenario)
-        if quick:
-            params["duration_s"] = min(float(params.get("duration_s", 30.0)), 8.0)
-        specs.append(JobSpec.make("multihop_run", params, root_seed=seed))
-    return specs
+    return [
+        JobSpec.make("multihop_run", scenario_params(scenario, quick), root_seed=seed)
+        for scenario in scenarios
+    ]
 
 
 def run(
@@ -181,42 +193,6 @@ def run(
     """Run the scenario suite; returns payloads in scenario order."""
     specs = scenario_specs(scenarios, seed=seed, quick=quick)
     return run_sweep("multihop", specs, sweep).values
-
-
-def save_rows_csv(rows: Sequence[Dict[str, Any]], name: str = "multihop") -> str:
-    """Write the scenario payloads as CSV; ``repr`` floats keep the bytes
-    a pure function of the values (the parallel-determinism contract)."""
-    path = os.path.join(ensure_results_dir(), f"{name}.csv")
-    lines = [
-        "name,nodes,root,root_changes,beacons_sent,collisions,max_hop,"
-        "final_present,steady_state_error_us,peak_error_us,hop1_error_us,"
-        "deepest_hop_error_us"
-    ]
-    for row in rows:
-        per_hop = row["per_hop_error_us"]
-        hop1 = per_hop.get(1)
-        deepest = per_hop[max(per_hop)] if per_hop else None
-        lines.append(
-            ",".join(
-                [
-                    str(row["name"]),
-                    str(row["nodes"]),
-                    str(row["root"]),
-                    str(row["root_changes"]),
-                    str(row["beacons_sent"]),
-                    str(row["collisions"]),
-                    str(row["max_hop"]),
-                    str(row["final_present"]),
-                    repr(row["steady_state_error_us"]),
-                    repr(row["peak_error_us"]),
-                    "" if hop1 is None else repr(hop1),
-                    "" if deepest is None else repr(deepest),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
 
 
 def main(argv=None) -> None:
@@ -231,14 +207,13 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
 
     rows = run(seed=args.seed, quick=args.quick, sweep=sweep_options_from_args(args))
-    csv_path = save_rows_csv(rows)
-    print("=== Multi-hop SSTSP scenario suite ===")
-    print()
+    csv_rows = []
     table_rows = []
     for row in rows:
         per_hop = row["per_hop_error_us"]
         hop1 = per_hop.get(1)
         deepest = per_hop[max(per_hop)] if per_hop else None
+        csv_rows.append(dict(row, hop1_error_us=hop1, deepest_hop_error_us=deepest))
         table_rows.append(
             (
                 row["name"],
@@ -251,6 +226,9 @@ def main(argv=None) -> None:
                 row["root_changes"],
             )
         )
+    csv_path = write_rows_csv("multihop", _CSV_COLUMNS, csv_rows)
+    print("=== Multi-hop SSTSP scenario suite ===")
+    print()
     print(
         format_table(
             ["scenario", "n", "max hop", "hop-1 err", "deepest err",

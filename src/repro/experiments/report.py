@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,25 @@ def experiment_parser(name: str, doc: Optional[str]) -> argparse.ArgumentParser:
     """
     summary = (doc or "").strip().partition("\n")[0]
     return argparse.ArgumentParser(prog=f"repro {name}", description=summary)
+
+
+def add_replica_arguments(
+    parser: argparse.ArgumentParser, quick_help: str, per: str
+) -> None:
+    """Declare a replicated grid's ``--quick`` and ``--replicas`` flags;
+    :func:`replica_count` resolves them."""
+    parser.add_argument("--quick", action="store_true", help=quick_help)
+    parser.add_argument(
+        "--replicas", type=int, default=None, metavar="R",
+        help=f"seed replicas per {per} (default 3, or 1 with --quick)",
+    )
+
+
+def replica_count(args: argparse.Namespace) -> int:
+    """The replicas per cell: ``--replicas``, else 3, or 1 with ``--quick``."""
+    if args.replicas is not None:
+        return args.replicas
+    return 1 if args.quick else 3
 
 
 #: Default output directory for CSV series when ``SSTSP_RESULTS_DIR``
@@ -52,6 +71,37 @@ def save_trace_csv(trace: SyncTrace, name: str) -> str:
     """Write a trace to ``results/<name>.csv``; returns the path."""
     path = os.path.join(ensure_results_dir(), f"{name}.csv")
     trace.save_csv(path)
+    return path
+
+
+def rows_csv_text(
+    columns: Sequence[str], rows: Iterable[Mapping[str, Any]]
+) -> str:
+    """Result rows as CSV text: ``None`` empty, floats ``repr``, anything
+    else ``str`` — the bytes are a pure function of the values (the
+    parallel-determinism contract)."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = []
+        for column in columns:
+            value = row[column]
+            if value is None:
+                cells.append("")
+            elif isinstance(value, float):
+                cells.append(repr(value))
+            else:
+                cells.append(str(value))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def write_rows_csv(
+    name: str, columns: Sequence[str], rows: Iterable[Mapping[str, Any]]
+) -> str:
+    """Write :func:`rows_csv_text` to ``results/<name>.csv``; returns the path."""
+    path = os.path.join(ensure_results_dir(), f"{name}.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(rows_csv_text(columns, rows))
     return path
 
 

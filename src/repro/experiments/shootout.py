@@ -4,8 +4,8 @@ Runs every registered :class:`~repro.protocols.multihop_base.MultiHopProtocol`
 (the paper's SSTSP relaying plus the related-work competitors: Huan-style
 beaconless one-way dissemination and Hu–Servetto-style cooperative spatial
 averaging) across the shared multi-hop scenario suite
-(:data:`repro.experiments.multihop.DEFAULT_SCENARIOS`), optionally over
-several seed replicas.
+(:data:`repro.experiments.multihop.DEFAULT_SCENARIOS`) over seed
+replicas (three by default, one with ``--quick``).
 
 Each (protocol, scenario, replica) cell is one content-addressed
 :class:`~repro.sweep.spec.JobSpec`, so the shootout inherits the
@@ -23,13 +23,19 @@ time (earliest sample from which the network-wide error stays under
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.multihop import DEFAULT_SCENARIOS
-from repro.experiments.report import ensure_results_dir, experiment_parser, format_table
+from repro.experiments.multihop import DEFAULT_SCENARIOS, scenario_params
+from repro.experiments.report import (
+    add_replica_arguments,
+    experiment_parser,
+    format_table,
+    replica_count,
+    rows_csv_text,
+    write_rows_csv,
+)
 from repro.sweep import (
     JobSpec,
     SweepOptions,
@@ -37,6 +43,9 @@ from repro.sweep import (
     run_sweep,
     sweep_options_from_args,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import argparse
 
 #: A run "converged" at the earliest sample from which every later
 #: network-wide max-difference sample stays below this bound. 50 us sits
@@ -49,10 +58,11 @@ CONVERGENCE_THRESHOLD_US: float = 50.0
 _REPLICA_SEED_STRIDE = 101
 
 _CSV_COLUMNS = (
-    "protocol,scenario,replica,seed,nodes,max_hop,final_present,"
-    "root_changes,beacons_sent,collisions,beacon_bytes,bytes_on_air,"
-    "airtime_on_air_us,convergence_time_s,steady_state_error_us,"
-    "peak_error_us,hop1_error_us,deepest_hop_error_us"
+    "protocol", "scenario", "replica", "seed", "nodes", "max_hop",
+    "final_present", "root_changes", "beacons_sent", "collisions",
+    "beacon_bytes", "bytes_on_air", "airtime_on_air_us",
+    "convergence_time_s", "steady_state_error_us", "peak_error_us",
+    "hop1_error_us", "deepest_hop_error_us",
 )
 
 
@@ -153,16 +163,12 @@ def shootout_specs(
     for protocol in protocols:
         for scenario in scenarios:
             for replica in range(replicas):
-                params = dict(scenario)
+                params = scenario_params(scenario, quick)
                 params["protocol"] = protocol
                 params["replica"] = replica
                 params["seed"] = (
                     int(params.get("seed", 1)) + replica * _REPLICA_SEED_STRIDE
                 )
-                if quick:
-                    params["duration_s"] = min(
-                        float(params.get("duration_s", 30.0)), 8.0
-                    )
                 specs.append(JobSpec.make("shootout_run", params, root_seed=seed))
     return specs
 
@@ -182,30 +188,9 @@ def run(
     return run_sweep("shootout", specs, sweep).values
 
 
-def save_rows_csv(rows: Sequence[Dict[str, Any]], name: str = "shootout") -> str:
-    """Write the shootout payloads as CSV; ``repr`` floats keep the bytes
-    a pure function of the values (the parallel-determinism contract)."""
-    path = os.path.join(ensure_results_dir(), f"{name}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(rows_to_csv(rows))
-    return path
-
-
 def rows_to_csv(rows: Sequence[Dict[str, Any]]) -> str:
-    """Render payload rows to the canonical CSV text."""
-    lines = [_CSV_COLUMNS]
-    for row in rows:
-        cells = []
-        for column in _CSV_COLUMNS.split(","):
-            value = row[column]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(repr(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """Render payload rows to the canonical ``results/shootout.csv`` text."""
+    return rows_csv_text(_CSV_COLUMNS, rows)
 
 
 def protocol_list(text: str) -> List[str]:
@@ -213,36 +198,49 @@ def protocol_list(text: str) -> List[str]:
     return [name.strip() for name in text.split(",") if name.strip()]
 
 
+def add_grid_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the protocol x scenario x replica grid flags of
+    ``repro shootout`` and ``repro analyze shootout``;
+    :func:`grid_specs` resolves them."""
+    add_replica_arguments(
+        parser,
+        "single replica, scenario durations trimmed to ~8 simulated seconds",
+        "(protocol, scenario) cell",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=1, help="sweep root seed (default 1)"
+    )
+    parser.add_argument(
+        "--protocols", type=protocol_list, default=None, metavar="P1,P2,...",
+        help="comma-separated protocol subset (default: every registered one)",
+    )
+
+
+def grid_specs(args: argparse.Namespace) -> List[JobSpec]:
+    """The :func:`shootout_specs` grid the :func:`add_grid_arguments`
+    flags name over :data:`DEFAULT_SCENARIOS`; raises ``ValueError``
+    naming a bad field."""
+    return shootout_specs(
+        protocols=args.protocols,
+        seed=args.seed,
+        quick=args.quick,
+        replicas=replica_count(args),
+    )
+
+
 def main(argv=None) -> None:
     """CLI entry point: ``python -m repro shootout``."""
     parser = experiment_parser("shootout", __doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="trim scenario durations to ~8 simulated seconds",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="sweep root seed")
-    parser.add_argument(
-        "--replicas", type=int, default=1,
-        help="seed replicas per (protocol, scenario) cell",
-    )
-    parser.add_argument(
-        "--protocols", type=protocol_list, default=None,
-        help="comma-separated protocol subset (default: every registered one)",
-    )
+    add_grid_arguments(parser)
     add_sweep_arguments(parser)
     args = parser.parse_args(argv)
 
     try:
-        specs = shootout_specs(
-            protocols=args.protocols,
-            seed=args.seed,
-            quick=args.quick,
-            replicas=args.replicas,
-        )
+        specs = grid_specs(args)
     except ValueError as exc:
         parser.error(str(exc))
     rows = run_sweep("shootout", specs, sweep_options_from_args(args)).values
-    csv_path = save_rows_csv(rows)
+    csv_path = write_rows_csv("shootout", _CSV_COLUMNS, rows)
     print("=== Multi-hop protocol shootout ===")
     print()
     table_rows = []

@@ -29,12 +29,17 @@ count.
 from __future__ import annotations
 
 import argparse
-import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.stats import group_cells
-from repro.experiments.report import ensure_results_dir, experiment_parser, format_table
+from repro.experiments.report import (
+    add_replica_arguments,
+    experiment_parser,
+    format_table,
+    replica_count,
+    write_rows_csv,
+)
 from repro.experiments.scenarios import TABLE1_INITIAL_OFFSET_US, quick_spec
 from repro.sim.units import S
 from repro.sweep import (
@@ -55,6 +60,10 @@ class Table1Row:
     m: int
     latency_s: Optional[float]
     error_us: float
+
+
+#: ``results/table1.csv`` columns: the :class:`Table1Row` fields.
+_CSV_COLUMNS = ("m", "latency_s", "error_us")
 
 
 def cell_specs(
@@ -113,7 +122,14 @@ def run(
     returned rows (the quarantine report in the sweep summary and run
     log says why). With the default raise policy nothing changes.
     """
-    specs = cell_specs(m_values, n, duration_s, seed, replicas)
+    return sweep_rows(cell_specs(m_values, n, duration_s, seed, replicas), sweep)
+
+
+def sweep_rows(
+    specs: Sequence[JobSpec], sweep: Optional[SweepOptions] = None
+) -> Dict[int, Table1Row]:
+    """Run ``specs`` (a :func:`cell_specs` grid) and average each m's
+    replicas into its row (see :func:`run`)."""
     groups = group_cells(
         [spec.params_dict()["m"] for spec in specs],
         run_sweep("table1", specs, sweep).values,
@@ -134,16 +150,8 @@ def run(
 
 
 def save_rows_csv(rows: Dict[int, Table1Row], name: str = "table1") -> str:
-    """Write the measured rows as CSV; ``repr`` floats keep the bytes a
-    pure function of the values (the parallel-determinism contract)."""
-    path = os.path.join(ensure_results_dir(), f"{name}.csv")
-    lines = ["m,latency_s,error_us"]
-    for m, row in sorted(rows.items()):
-        latency = "" if row.latency_s is None else repr(row.latency_s)
-        lines.append(f"{m},{latency},{row.error_us!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    """Write the measured rows, in m order, to ``results/<name>.csv``."""
+    return write_rows_csv(name, _CSV_COLUMNS, [vars(rows[m]) for m in sorted(rows)])
 
 
 def _parse_m_values(text: str) -> Sequence[int]:
@@ -156,12 +164,18 @@ def _parse_m_values(text: str) -> Sequence[int]:
     return values
 
 
-def main(argv=None) -> None:
-    """CLI entry point; prints the reproduced rows/series."""
-    parser = experiment_parser("table1", __doc__)
-    parser.add_argument("--quick", action="store_true", help="single replica")
-    parser.add_argument("--nodes", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=1)
+def add_grid_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the m x replica grid flags of ``repro table1`` and
+    ``repro analyze table1``; :func:`grid_specs` resolves them."""
+    add_replica_arguments(parser, "single replica", "m")
+    parser.add_argument(
+        "--nodes", type=int, default=100, metavar="N",
+        help="stations per network (default 100)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=1,
+        help="sweep root seed (default 1)",
+    )
     parser.add_argument(
         "-m", "--m-values", type=_parse_m_values, default=(1, 2, 3, 4, 5),
         dest="m_values", metavar="M1,M2,...",
@@ -169,30 +183,30 @@ def main(argv=None) -> None:
     )
     parser.add_argument(
         "--duration", type=float, default=60.0, metavar="S",
-        help="scenario duration per cell in seconds",
+        help="scenario duration per cell in seconds (default 60)",
     )
-    parser.add_argument(
-        "--replicas", type=int, default=None,
-        help="replicas per m (default 3, or 1 with --quick)",
+
+
+def grid_specs(args: argparse.Namespace) -> List[JobSpec]:
+    """The :func:`cell_specs` grid the :func:`add_grid_arguments` flags
+    name; raises ``ValueError`` naming a bad field."""
+    return cell_specs(
+        args.m_values, args.nodes, args.duration, args.seed, replica_count(args)
     )
+
+
+def main(argv=None) -> None:
+    """CLI entry point; prints the reproduced rows/series."""
+    parser = experiment_parser("table1", __doc__)
+    add_grid_arguments(parser)
     add_sweep_arguments(parser)
     args = parser.parse_args(argv)
-    replicas = args.replicas
-    if replicas is None:
-        replicas = 1 if args.quick else 3
     try:
-        cell_specs(args.m_values, args.nodes, args.duration, args.seed, replicas)
+        specs = grid_specs(args)
     except ValueError as exc:
         parser.error(str(exc))
 
-    rows = run(
-        m_values=args.m_values,
-        n=args.nodes,
-        duration_s=args.duration,
-        seed=args.seed,
-        replicas=replicas,
-        sweep=sweep_options_from_args(args),
-    )
+    rows = sweep_rows(specs, sweep_options_from_args(args))
     csv_path = save_rows_csv(rows)
     print("=== Table 1: maximum clock difference & synchronization latency vs m ===")
     print()

@@ -17,14 +17,11 @@ beacon transmission every BP while everyone else competes only every
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.clocks.oscillator import TsfTimer
-from repro.mac.beacon import BeaconFrame
-from repro.protocols.base import RxContext, TxIntent
-from repro.protocols.tsf import TsfConfig, TsfProtocol
+from repro.protocols.tsf import GatedTsfProtocol, TsfConfig
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class AtspConfig(TsfConfig):
             raise ValueError("promote_after must be >= 1")
 
 
-class AtspProtocol(TsfProtocol):
+class AtspProtocol(GatedTsfProtocol):
     """One station's ATSP driver."""
 
     protocol_name = "atsp"
@@ -60,22 +57,11 @@ class AtspProtocol(TsfProtocol):
         self.config: AtspConfig = config
         self.interval = 1  # everyone starts eager, like TSF
         self.unbeaten_streak = 0
-        self._beaten_this_period = False
         # Random phase so stations with equal intervals do not sync up.
         self._countdown = int(rng.integers(0, self.interval + 1))
 
-    def begin_period(self, period: int) -> Optional[TxIntent]:
-        if self._countdown > 0:
-            self._countdown -= 1
-            return None
-        self._countdown = self.interval - 1
-        return super().begin_period(period)
-
-    def on_beacon(self, frame: BeaconFrame, rx: RxContext) -> None:
-        before = self.adoptions
-        super().on_beacon(frame, rx)
-        if self.adoptions > before:
-            self._beaten_this_period = True
+    def current_interval(self) -> int:
+        return self.interval
 
     def end_period(
         self, period: int, heard_beacon: bool, transmitted: bool, tx_success: bool

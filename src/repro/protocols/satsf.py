@@ -20,14 +20,11 @@ TSF-compatible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.clocks.oscillator import TsfTimer
-from repro.mac.beacon import BeaconFrame
-from repro.protocols.base import RxContext, TxIntent
-from repro.protocols.tsf import TsfConfig, TsfProtocol
+from repro.protocols.tsf import GatedTsfProtocol, TsfConfig
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,7 @@ class SatsfConfig(TsfConfig):
             raise ValueError("fft_max must be >= 1")
 
 
-class SatsfProtocol(TsfProtocol):
+class SatsfProtocol(GatedTsfProtocol):
     """One station's SATSF driver."""
 
     protocol_name = "satsf"
@@ -58,22 +55,11 @@ class SatsfProtocol(TsfProtocol):
         super().__init__(node_id, timer, config, rng)
         self.config: SatsfConfig = config
         self.fft = 1
-        self._beaten_this_period = False
         self._unbeaten_run = 0
         self._countdown = int(rng.integers(0, 2))
 
-    def begin_period(self, period: int) -> Optional[TxIntent]:
-        if self._countdown > 0:
-            self._countdown -= 1
-            return None
-        self._countdown = self.fft - 1
-        return super().begin_period(period)
-
-    def on_beacon(self, frame: BeaconFrame, rx: RxContext) -> None:
-        before = self.adoptions
-        super().on_beacon(frame, rx)
-        if self.adoptions > before:
-            self._beaten_this_period = True
+    def current_interval(self) -> int:
+        return self.fft
 
     def end_period(
         self, period: int, heard_beacon: bool, transmitted: bool, tx_success: bool

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.clocks.oscillator import TsfTimer
-from repro.mac.beacon import BeaconFrame
-from repro.protocols.base import RxContext, TxIntent
-from repro.protocols.tsf import TsfConfig, TsfProtocol
+from repro.protocols.tsf import GatedTsfProtocol, TsfConfig
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ class TatspConfig(TsfConfig):
             raise ValueError("tier3_beats must be >= 1")
 
 
-class TatspProtocol(TsfProtocol):
+class TatspProtocol(GatedTsfProtocol):
     """One station's TATSP driver."""
 
     protocol_name = "tatsp"
@@ -60,9 +57,7 @@ class TatspProtocol(TsfProtocol):
         super().__init__(node_id, timer, config, rng)
         self.config: TatspConfig = config
         self.tier = 1  # optimistic start, like ATSP's I = 1
-        self._beaten_this_period = False
         self._beat_history: deque = deque(maxlen=config.window)
-        self._countdown = 0
 
     def current_interval(self) -> int:
         """Contention interval implied by the current tier."""
@@ -71,19 +66,6 @@ class TatspProtocol(TsfProtocol):
         if self.tier == 2:
             return self.config.tier2_interval
         return self.config.tier3_interval
-
-    def begin_period(self, period: int) -> Optional[TxIntent]:
-        if self._countdown > 0:
-            self._countdown -= 1
-            return None
-        self._countdown = self.current_interval() - 1
-        return super().begin_period(period)
-
-    def on_beacon(self, frame: BeaconFrame, rx: RxContext) -> None:
-        before = self.adoptions
-        super().on_beacon(frame, rx)
-        if self.adoptions > before:
-            self._beaten_this_period = True
 
     def end_period(
         self, period: int, heard_beacon: bool, transmitted: bool, tx_success: bool

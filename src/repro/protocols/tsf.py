@@ -108,3 +108,35 @@ class TsfProtocol(SyncProtocol):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TsfProtocol(node={self.node_id}, sent={self.beacons_sent})"
+
+
+class GatedTsfProtocol(TsfProtocol):
+    """A TSF station that contends only every :meth:`current_interval`
+    BPs and notes whether it was beaten (adopted a later received
+    timestamp) in the current BP — the machinery ATSP, TATSP and SATSF
+    share.
+
+    A subclass sets the initial ``_countdown`` (BPs to sit out before
+    its first contention), and its ``end_period`` reads and clears
+    ``_beaten_this_period`` to adapt the interval.
+    """
+
+    _countdown = 0
+    _beaten_this_period = False
+
+    def current_interval(self) -> int:
+        """BPs from one contention to the next (1 = every BP)."""
+        raise NotImplementedError
+
+    def begin_period(self, period: int) -> Optional[TxIntent]:
+        if self._countdown > 0:
+            self._countdown -= 1
+            return None
+        self._countdown = self.current_interval() - 1
+        return super().begin_period(period)
+
+    def on_beacon(self, frame: BeaconFrame, rx: RxContext) -> None:
+        before = self.adoptions
+        super().on_beacon(frame, rx)
+        if self.adoptions > before:
+            self._beaten_this_period = True

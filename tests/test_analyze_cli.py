@@ -20,6 +20,7 @@ way (``repro table1`` takes the same grid flags as ``analyze table1``).
 
 from __future__ import annotations
 
+import argparse
 import os
 
 import pytest
@@ -226,6 +227,96 @@ class TestBadInput:
         assert cli.main(["log", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}:3:" in err and err.count("\n") == 1
+
+
+class _GridResolved(Exception):
+    """Raised in place of running a sweep: the grid is all a test needs."""
+
+
+def _stop_at_sweep(monkeypatch, module, seen):
+    """Make ``module.run_sweep`` record its specs' hashes and stop."""
+    def fake_run_sweep(name, specs, options=None):
+        seen["hashes"] = [spec.spec_hash() for spec in specs]
+        raise _GridResolved
+
+    monkeypatch.setattr(module, "run_sweep", fake_run_sweep)
+
+
+def experiment_grid(monkeypatch, module, argv):
+    """``(spec hashes, parser)`` of ``repro <exp> argv``; nothing runs."""
+    from repro.experiments.report import experiment_parser
+
+    seen = {}
+
+    def recording_parser(name, doc):
+        seen["parser"] = experiment_parser(name, doc)
+        return seen["parser"]
+
+    monkeypatch.setattr(module, "experiment_parser", recording_parser)
+    _stop_at_sweep(monkeypatch, module, seen)
+    with pytest.raises(_GridResolved):
+        module.main(argv)
+    return seen["hashes"], seen["parser"]
+
+
+def analyze_grid(monkeypatch, command, argv):
+    """``(spec hashes, subparser)`` of ``repro analyze <command> argv``."""
+    seen = {}
+    _stop_at_sweep(monkeypatch, cli, seen)
+    with pytest.raises(_GridResolved):
+        cli.main([command] + argv)
+    sub = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return seen["hashes"], sub.choices[command]
+
+
+def option_strings(parser):
+    return {option for action in parser._actions for option in action.option_strings}
+
+
+class TestGridParity:
+    """``repro <exp>`` and ``repro analyze <exp>`` resolve the same grid
+    from the same flags, so an analyze pass after a run is all cache
+    hits."""
+
+    TABLE1_EXPLICIT = [
+        "--nodes", "12", "--seed", "3", "-m", "1,2", "--duration", "5",
+        "--replicas", "2",
+    ]
+    SHOOTOUT_EXPLICIT = [
+        "--seed", "3", "--replicas", "2", "--protocols", "sstsp,coop", "--quick",
+    ]
+
+    @pytest.mark.parametrize("argv", [[], ["--quick"], TABLE1_EXPLICIT])
+    def test_table1(self, monkeypatch, argv):
+        from repro.experiments import table1
+
+        hashes, parser = experiment_grid(monkeypatch, table1, argv)
+        analyzed, subparser = analyze_grid(monkeypatch, "table1", argv)
+        assert analyzed == hashes
+        assert option_strings(subparser) - {"--name"} == option_strings(parser)
+        replicas = 1 if argv == ["--quick"] else 3
+        grid = ((1, 2, 3, 4, 5), 100, 60.0, 1, replicas)
+        if argv == self.TABLE1_EXPLICIT:
+            grid = ((1, 2), 12, 5.0, 3, 2)
+        assert hashes == [spec.spec_hash() for spec in table1.cell_specs(*grid)]
+
+    @pytest.mark.parametrize("argv", [[], ["--quick"], SHOOTOUT_EXPLICIT])
+    def test_shootout(self, monkeypatch, argv):
+        from repro.experiments import shootout
+
+        hashes, parser = experiment_grid(monkeypatch, shootout, argv)
+        analyzed, subparser = analyze_grid(monkeypatch, "shootout", argv)
+        assert analyzed == hashes
+        assert option_strings(subparser) - {"--name"} == option_strings(parser)
+        grid = dict(quick=argv == ["--quick"], replicas=1 if argv else 3)
+        if argv == self.SHOOTOUT_EXPLICIT:
+            grid = dict(protocols=["sstsp", "coop"], seed=3, quick=True, replicas=2)
+        assert hashes == [
+            spec.spec_hash() for spec in shootout.shootout_specs(**grid)
+        ]
 
 
 class TestLogGolden:
