@@ -283,9 +283,10 @@ def _analyze_sweep(
 
     try:
         specs = grid_specs(args)
+        sweep = sweep_options_from_args(args)
     except ValueError as exc:
         return _fail(f"repro analyze {args.command}: {exc}")
-    result = run_sweep(f"{args.name}_analyze", specs, sweep_options_from_args(args))
+    result = run_sweep(f"{args.name}_analyze", specs, sweep)
     rows = summary_rows([key(spec) for spec in specs], result.values, metrics)
     md = md_text(rows, replica_count(args), result.failures)
     return write_outputs(args.name, md, [

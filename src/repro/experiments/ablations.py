@@ -35,8 +35,8 @@ from repro.sweep import (
     JobSpec,
     SweepOptions,
     add_sweep_arguments,
+    parse_sweep_args,
     run_sweep,
-    sweep_options_from_args,
 )
 
 
@@ -156,8 +156,7 @@ def main(argv=None) -> None:
     parser.add_argument("--quick", action="store_true", help="fewer points")
     parser.add_argument("--seed", type=int, default=3)
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
-    sweep = sweep_options_from_args(args)
+    args, sweep = parse_sweep_args(parser, argv)
 
     guards = (300.0, 600.0) if args.quick else (150.0, 300.0, 600.0, 1_200.0)
     print("=== Ablation: guard time vs insider drag ===")

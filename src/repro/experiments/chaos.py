@@ -50,8 +50,8 @@ from repro.sweep import (
     JobSpec,
     SweepOptions,
     add_sweep_arguments,
+    parse_sweep_args,
     run_sweep,
-    sweep_options_from_args,
 )
 
 
@@ -369,7 +369,7 @@ def main(argv=None) -> None:
         help="re-election bound after a reference crash (periods)",
     )
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    args, sweep = parse_sweep_args(parser, argv)
     limits = ChaosLimits(
         tail_bound_us=args.bound_us,
         converged_bound_us=args.converged_us,
@@ -378,7 +378,7 @@ def main(argv=None) -> None:
 
     outcomes = run_chaos(
         args.plans, args.seed, n=args.nodes, periods=args.periods, limits=limits,
-        sweep=sweep_options_from_args(args),
+        sweep=sweep,
     )
     rows = []
     for o in outcomes:

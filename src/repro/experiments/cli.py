@@ -20,6 +20,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import sys
 from typing import Callable, Dict, List, Tuple
@@ -27,10 +28,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.experiments import (
     ablations,
     chaos,
-    fig1,
-    fig2,
-    fig3,
-    fig4,
+    figures,
     lemmas,
     multihop,
     overhead,
@@ -40,10 +38,7 @@ from repro.experiments import (
 )
 
 EXPERIMENTS: Dict[str, Callable[[List[str]], None]] = {
-    "fig1": fig1.main,
-    "fig2": fig2.main,
-    "fig3": fig3.main,
-    "fig4": fig4.main,
+    **{name: functools.partial(figures.main, name) for name in figures.FIGURES},
     "table1": table1.main,
     "multihop": multihop.main,
     "shootout": shootout.main,

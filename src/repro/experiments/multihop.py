@@ -21,8 +21,8 @@ from repro.sweep import (
     JobSpec,
     SweepOptions,
     add_sweep_arguments,
+    parse_sweep_args,
     run_sweep,
-    sweep_options_from_args,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily at run time
@@ -204,9 +204,9 @@ def main(argv=None) -> None:
     )
     parser.add_argument("--seed", type=int, default=1, help="sweep root seed")
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    args, sweep = parse_sweep_args(parser, argv)
 
-    rows = run(seed=args.seed, quick=args.quick, sweep=sweep_options_from_args(args))
+    rows = run(seed=args.seed, quick=args.quick, sweep=sweep)
     csv_rows = []
     table_rows = []
     for row in rows:

@@ -40,8 +40,8 @@ from repro.sweep import (
     JobSpec,
     SweepOptions,
     add_sweep_arguments,
+    parse_sweep_args,
     run_sweep,
-    sweep_options_from_args,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -233,13 +233,13 @@ def main(argv=None) -> None:
     parser = experiment_parser("shootout", __doc__)
     add_grid_arguments(parser)
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    args, sweep = parse_sweep_args(parser, argv)
 
     try:
         specs = grid_specs(args)
     except ValueError as exc:
         parser.error(str(exc))
-    rows = run_sweep("shootout", specs, sweep_options_from_args(args)).values
+    rows = run_sweep("shootout", specs, sweep).values
     csv_path = write_rows_csv("shootout", _CSV_COLUMNS, rows)
     print("=== Multi-hop protocol shootout ===")
     print()

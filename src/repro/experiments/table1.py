@@ -47,8 +47,8 @@ from repro.sweep import (
     SweepOptions,
     add_sweep_arguments,
     expand_grid,
+    parse_sweep_args,
     run_sweep,
-    sweep_options_from_args,
 )
 
 #: Rows the paper reports, for side-by-side printing.
@@ -200,13 +200,13 @@ def main(argv=None) -> None:
     parser = experiment_parser("table1", __doc__)
     add_grid_arguments(parser)
     add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
+    args, sweep = parse_sweep_args(parser, argv)
     try:
         specs = grid_specs(args)
     except ValueError as exc:
         parser.error(str(exc))
 
-    rows = sweep_rows(specs, sweep_options_from_args(args))
+    rows = sweep_rows(specs, sweep)
     csv_path = save_rows_csv(rows)
     print("=== Table 1: maximum clock difference & synchronization latency vs m ===")
     print()

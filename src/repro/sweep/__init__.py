@@ -47,6 +47,7 @@ from repro.sweep.orchestrator import (
     SweepOptions,
     SweepResult,
     add_sweep_arguments,
+    parse_sweep_args,
     run_sweep,
     sweep_options_from_args,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "default_manifest_path",
     "derive_seed",
     "expand_grid",
+    "parse_sweep_args",
     "register_job",
     "resolve_job",
     "run_sweep",

@@ -256,6 +256,20 @@ def sweep_options_from_args(args: argparse.Namespace) -> SweepOptions:
     )
 
 
+def parse_sweep_args(
+    parser: argparse.ArgumentParser, argv: Optional[Sequence[str]] = None
+) -> Tuple[argparse.Namespace, SweepOptions]:
+    """Parse ``argv`` with an experiment's ``parser`` (built with
+    :func:`add_sweep_arguments`) and resolve its sweep options; a flag
+    combination :class:`SweepOptions` rejects is a usage error (exit 2),
+    raised before any job runs or any run log is opened."""
+    args = parser.parse_args(argv)
+    try:
+        return args, sweep_options_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _default_log_path(name: str) -> str:
     root = os.environ.get("SSTSP_RESULTS_DIR", "results")
     return os.path.join(root, "sweep_logs", f"{name}.jsonl")

@@ -4,7 +4,7 @@ with the right shape at quick scale, and the reporting helpers behave."""
 import pytest
 
 from repro.analysis.metrics import TraceRecorder
-from repro.experiments import fig1, fig2, fig3, fig4, lemmas, overhead, table1
+from repro.experiments import figures, lemmas, overhead, table1
 from repro.experiments.cli import EXPERIMENTS
 from repro.experiments.cli import main as cli_main
 from repro.experiments.multihop import job_multihop_run
@@ -52,14 +52,14 @@ class TestReportHelpers:
 
 class TestExperimentRuns:
     def test_fig1_shape(self):
-        result = fig1.run(n_values=(20, 80), quick=True, seed=2)
+        result = figures.run("fig1", n_values=(20, 80), quick=True, seed=2)
         rows = list(result.summary_rows())
         assert len(rows) == 2
         errs = {n: t.steady_state_error_us() for n, t in result.traces.items()}
         assert errs[80] > errs[20] * 0.8  # monotone-ish growth at quick scale
 
     def test_fig2_shape(self):
-        result = fig2.run(n=80, m=4, quick=True, seed=2)
+        result = figures.run("fig2", n_values=(80,), m=4, quick=True, seed=2)
         assert result.trace.steady_state_error_us() < 12.0
 
     def test_table1_shape(self):
@@ -90,12 +90,12 @@ class TestExperimentRuns:
         assert not (tmp_path / "sweep_logs").exists()
 
     def test_fig3_shape(self):
-        result = fig3.run(n=30, quick=True, seed=2)
+        result = figures.run("fig3", n_values=(30,), quick=True, seed=2)
         maxima = result.phase_maxima()
         assert maxima["during"] > maxima["before"]
 
     def test_fig4_shape(self):
-        result = fig4.run(n=60, m=4, quick=True, seed=2)
+        result = figures.run("fig4", n_values=(60,), m=4, quick=True, seed=2)
         maxima = result.phase_maxima()
         assert maxima["during"] < 150.0
         assert result.drag_us() < 0.0
@@ -172,6 +172,38 @@ class TestCli:
         assert exc.value.code == 0
         assert "sstsp-experiment" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--resume", "--no-cache"], "--resume requires the result cache"),
+        (["--retries", "-1", "--on-error", "retry"], "max_retries must be >= 0"),
+    ], ids=["workers", "resume", "retries"])
+    @pytest.mark.parametrize("command", [
+        ["fig1", "--quick"], ["fig2", "--quick"], ["fig3", "--quick"],
+        ["fig4", "--quick"], ["table1", "--quick"], ["multihop", "--quick"],
+        ["shootout", "--quick"], ["ablations", "--quick"],
+        ["chaos", "--plans", "1"],
+        ["analyze", "table1", "--quick"], ["analyze", "shootout", "--quick"],
+    ], ids=lambda command: "-".join(command[:2] if command[0] == "analyze" else command[:1]))
+    def test_bad_sweep_flags_are_input_errors(
+        self, capsys, tmp_path, monkeypatch, command, flags, message
+    ):
+        """A bad sweep flag combination is reported like any other bad
+        input of the subcommand - never a traceback - and runs nothing."""
+        monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path))
+        if command[0] == "analyze":
+            assert cli_main(command + flags) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"repro analyze {command[1]}: {message}")
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli_main(command + flags)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"repro {command[0]}: error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sweep_logs").exists()
+
 
     def test_fig2_quick_writes_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SSTSP_RESULTS_DIR", str(tmp_path / "r"))
@@ -181,7 +213,7 @@ class TestCli:
 
         importlib.reload(report)
         try:
-            fig2.main(["--quick", "--nodes", "40"])
+            figures.main("fig2", ["--quick", "--nodes", "40"])
             out = capsys.readouterr().out
             assert "steady-state error" in out
             assert (tmp_path / "r" / "fig2_sstsp_n40_m4.csv").exists()
