@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import paper_rows
+from slotted import draw_slots, resolve_slotted
 
-from repro.mac.contention import draw_slots, resolve_contention, resolve_slotted
+from repro.mac.contention import resolve_contention
 
 N_WINDOWS = 300
 

@@ -24,7 +24,9 @@ sync re-acquisition does) is immediately visible through the chain.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
+
+import numpy as np
 
 from repro.clocks.adjusted import AdjustedClock
 from repro.clocks.oscillator import HardwareClock
@@ -69,25 +71,40 @@ class ClockChain:
         return self.hw.true_time_at(hw_value)
 
 
-def adjusted_at_all(chains: Sequence[ClockChain], true_time: float) -> List[float]:
-    """:meth:`ClockChain.adjusted_at` of every chain at one true time.
+def adjusted_at_all(
+    rate: np.ndarray,
+    offset: np.ndarray,
+    k: np.ndarray,
+    b: np.ndarray,
+    true_time: float,
+) -> np.ndarray:
+    """:meth:`ClockChain.adjusted_at` of many chains at one true time.
 
-    Each value is ``k * (initial_offset + rate * true_time) + b`` over the
-    chain's live oscillator and active segment, the same operations in
-    the same order as the single read, so the results are bit-identical;
-    ``clock.adjusted_at`` is counted once per chain.
+    The chains come as parallel arrays: each oscillator's ``rate`` and
+    ``offset`` (``initial_offset``) and each active segment's ``k`` and
+    ``b``. Each value is ``k * (offset + rate * true_time) + b``, the
+    same operations in the same order as the single read, so the results
+    are bit-identical; ``clock.adjusted_at`` is counted once per chain.
     """
-    if not chains:
-        return []
-    count("clock.adjusted_at", len(chains))
-    values = []
-    for chain in chains:
-        hw = chain.hw
-        adjusted = chain.adjusted
-        values.append(
-            adjusted.k * (hw.initial_offset + hw.rate * true_time) + adjusted.b
-        )
-    return values
+    if len(rate):
+        count("clock.adjusted_at", len(rate))
+    return k * (offset + rate * true_time) + b
+
+
+def true_at_adjusted_all(
+    rate: np.ndarray,
+    offset: np.ndarray,
+    k: np.ndarray,
+    b: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """:meth:`ClockChain.true_at_adjusted` of many chains (parallel
+    arrays as for :func:`adjusted_at_all`), each at its own adjusted
+    reading in ``values``: bit-identical to the single conversions, with
+    ``clock.true_at_adjusted`` counted once per chain."""
+    if len(rate):
+        count("clock.true_at_adjusted", len(rate))
+    return ((values - b) / k - offset) / rate
 
 
 def invert_affine_fixed_point(

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
+import numpy as np
+
 
 class AdjustmentSample(NamedTuple):
     """One authenticated reference observation.
@@ -88,18 +90,60 @@ def solve_adjustment(
         raise DegenerateSamplesError(
             f"non-increasing sample pair: d_hw={d_hw}, d_ts={d_ts}"
         )
-    # (4): hardware microseconds per reference microsecond.
-    rate = d_hw / d_ts
-    # Expected local hardware time of beacon j+m, by extrapolating the
-    # reference timeline through the newest sample: (t_i^{j+m})^*.
-    t_target = newest.local_hw_time + rate * (target_ref_time - newest.ref_timestamp)
+    t_target = _target_hw_time(
+        newest.local_hw_time, newest.ref_timestamp, d_hw, d_ts, target_ref_time
+    )
     if t_target <= t_now:
         raise DegenerateSamplesError(
             f"target hardware time {t_target} not after t_now {t_now}"
         )
-    # (2): continuity - the new segment passes through the current point.
+    return _segment_through(prev_k, prev_b, t_now, t_target, target_ref_time)
+
+
+def solve_adjustments(
+    prev_k: np.ndarray,
+    prev_b: np.ndarray,
+    t_now: np.ndarray,
+    newest_hw: np.ndarray,
+    newest_ts: np.ndarray,
+    older_hw: np.ndarray,
+    older_ts: np.ndarray,
+    target_ref_time: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`solve_adjustment` for many stations at once, element-wise.
+
+    Each argument is an array (or a scalar broadcast against them); the
+    samples come as parallel hardware-time and reference-time arrays.
+    Returns ``(k, b, ok)``: ``ok`` is False on the rows where
+    :func:`solve_adjustment` would raise :class:`DegenerateSamplesError`,
+    and ``k``/``b`` on those rows are meaningless. Every other row
+    carries the bits the scalar call returns: the same operations on the
+    same values.
+    """
+    d_ts = newest_ts - older_ts
+    d_hw = newest_hw - older_hw
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_target = _target_hw_time(
+            newest_hw, newest_ts, d_hw, d_ts, target_ref_time
+        )
+        ok = (d_ts > 0.0) & (d_hw > 0.0) & (t_target > t_now)
+        k, b = _segment_through(prev_k, prev_b, t_now, t_target, target_ref_time)
+    return k, b, ok
+
+
+def _target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time):
+    """(4) then (5): the expected local hardware time of beacon ``j+m``,
+    ``(t_i^{j+m})^*``, extrapolating the reference timeline through the
+    newest sample at the pair's rate (hardware microseconds per reference
+    microsecond)."""
+    rate = d_hw / d_ts
+    return newest_hw + rate * (target_ref_time - newest_ts)
+
+
+def _segment_through(prev_k, prev_b, t_now, t_target, target_ref_time):
+    """(2) and (3): the segment through the continuity point at ``t_now``
+    and the convergence target ``(t_target, target_ref_time)``."""
     c_now = prev_k * t_now + prev_b
-    # (3) + (5): the new segment passes through the convergence target.
     k = (target_ref_time - c_now) / (t_target - t_now)
     b = c_now - k * t_now
     return k, b

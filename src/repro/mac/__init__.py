@@ -13,9 +13,7 @@ from repro.mac.beacon import BeaconFrame, SecureBeaconFrame
 from repro.mac.contention import (
     ContentionResult,
     Transmission,
-    draw_slots,
     resolve_contention,
-    resolve_slotted,
 )
 
 __all__ = [
@@ -23,7 +21,5 @@ __all__ = [
     "SecureBeaconFrame",
     "ContentionResult",
     "Transmission",
-    "draw_slots",
     "resolve_contention",
-    "resolve_slotted",
 ]

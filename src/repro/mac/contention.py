@@ -32,9 +32,7 @@ not n of them.
 Both lanes call the one cascade: the OO runner directly, the vectorised
 fast lane through :func:`repro.fastlane.common.resolve_window`, which
 settles a one-candidate window (no contention to resolve) without the
-cascade but with the same work counts and event. The
-slot-granular rule itself (:func:`resolve_slotted`) is kept for the
-contention ablation.
+cascade but with the same work counts and event.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs.counters import count
-from repro.obs.events import emit
+from repro.obs.events import emit, tracing_enabled
 
 
 @dataclass(frozen=True)
@@ -243,14 +241,15 @@ def partition_domains(
 class NeighborhoodResult:
     """Outcome of spatial carrier sensing over one beacon window."""
 
-    #: ``(station, start_time)`` of every transmission that went on air,
-    #: in start-time order; every other candidate sensed the medium busy
-    #: and cancelled.
-    kept: List[Tuple[int, float]] = field(default_factory=list)
+    #: Positions (into the candidate ``ids``/``times``) of every
+    #: transmission that went on air, in start-time order (ties in input
+    #: order); every other candidate sensed the medium busy and cancelled.
+    kept: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
 def resolve_neighborhood(
-    candidates: Sequence[Tuple[int, float]],
+    ids: Sequence[int],
+    times: Sequence[float],
     airtime_us: float,
     hears: Callable[[int], Iterable[int]],
 ) -> NeighborhoodResult:
@@ -263,8 +262,10 @@ def resolve_neighborhood(
     can still collide at a receiver. This resolver generalises the
     busy-medium rule to arbitrary per-station hearing sets:
 
-    * candidates are processed in scheduled-time order (ties in input
-      order, matching the deterministic engines);
+    * candidates (parallel ``ids``/``times``, lists or arrays, as for
+      :func:`resolve_contention`) are processed in scheduled-time order,
+      ties in input order (``np.argsort(kind="stable")``), matching the
+      deterministic engines;
     * a station whose medium is busy at its scheduled instant cancels
       (relays do not defer: they retry next period's window);
     * a transmission marks every station in ``hears(sender)`` busy until
@@ -276,58 +277,33 @@ def resolve_neighborhood(
     """
     if airtime_us <= 0:
         raise ValueError("airtime_us must be > 0")
+    if len(ids) != len(times):
+        raise ValueError(
+            f"ids has {len(ids)} entries but times has {len(times)}"
+        )
     count("mac.neighborhood_round")
-    count("mac.contention_candidates", len(candidates))
-    result = NeighborhoodResult()
+    count("mac.contention_candidates", len(ids))
+    time_arr = np.asarray(times, dtype=float)
+    order = np.argsort(time_arr, kind="stable")
+    contenders = len(ids)
+    tracing = tracing_enabled()
+    kept: List[int] = []
     busy_until: Dict[int, float] = {}
-    for station, start in sorted(candidates, key=lambda c: c[1]):
+    for position, station, start in zip(
+        order.tolist(), np.asarray(ids)[order].tolist(), time_arr[order].tolist()
+    ):
         if busy_until.get(station, -math.inf) > start:
             continue
-        result.kept.append((station, start))
-        emit(
-            "contention_win",
-            t_us=start,
-            node=station,
-            contenders=len(candidates),
-        )
+        kept.append(position)
+        if tracing:
+            emit(
+                "contention_win",
+                t_us=start,
+                node=station,
+                contenders=contenders,
+            )
         end = start + airtime_us
         for neighbor in hears(station):
             if end > busy_until.get(neighbor, -math.inf):
                 busy_until[neighbor] = end
-    return result
-
-
-def draw_slots(
-    stations: Sequence[int],
-    w: int,
-    rng: np.random.Generator,
-) -> Dict[int, int]:
-    """Draw one uniform backoff slot in ``[0, w]`` per station.
-
-    The standard defines the beacon generation window as ``w + 1`` slots,
-    with the delay uniform over them.
-    """
-    if w < 0:
-        raise ValueError(f"w must be >= 0, got {w}")
-    if not stations:
-        return {}
-    count("mac.slot_draws", len(stations))
-    slots = rng.integers(0, w + 1, size=len(stations))
-    return {station: int(slot) for station, slot in zip(stations, slots)}
-
-
-def resolve_slotted(slots: Dict[int, int]) -> Tuple[Optional[int], bool]:
-    """Classic slot-granular rule: the unique minimum slot wins.
-
-    Returns ``(winner, collided)``: ``winner`` is the station holding the
-    unique smallest slot or None; ``collided`` is True when two or more
-    stations shared the smallest slot (no beacon that window). Only the
-    contention ablation uses it; both lanes run the cascade above.
-    """
-    if not slots:
-        return None, False
-    min_slot = min(slots.values())
-    holders = [s for s, slot in slots.items() if slot == min_slot]
-    if len(holders) == 1:
-        return holders[0], False
-    return None, True
+    return NeighborhoodResult(np.array(kept, dtype=np.intp))

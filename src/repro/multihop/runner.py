@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.metrics import SyncTrace, TraceRecorder
 from repro.clocks.adjusted import AdjustedClock
-from repro.clocks.chain import ClockChain, adjusted_at_all
+from repro.clocks.oscillator import HardwareClock
 from repro.clocks.population import ClockPopulation
 from repro.mac.contention import resolve_neighborhood
 from repro.multihop.topology import Topology
@@ -68,14 +68,13 @@ from repro.network.runner import NetworkRunner
 from repro.obs.counters import work_lane
 from repro.obs.events import emit, tracing_enabled
 from repro.obs.profile import span
-from repro.phy.channel import SpatialBroadcastChannel
+from repro.phy.channel import SpatialBroadcastChannel, WindowDelivery
 from repro.phy.params import PhyParams
 from repro.protocols.multihop_base import (
     MultiHopContext,
-    MultiHopFrame,
-    MultiHopProtocol,
     resolve_multihop_protocol,
 )
+from repro.protocols.multihop_table import PeriodFrames, RelayTable
 from repro.sim.rng import RngRegistry
 from repro.sim.units import S
 
@@ -201,11 +200,24 @@ class MultiHopSpec:
 
 
 class RelayNode(Node):
-    """A multi-hop station: a kernel :class:`Node` whose protocol is a
-    :class:`MultiHopProtocol`, with the relay fields surfaced for
-    tests/diagnostics."""
+    """A multi-hop station: a kernel :class:`Node` whose presence and
+    relay fields live in the run's
+    :class:`~repro.protocols.multihop_table.RelayTable` row, surfaced
+    for tests/diagnostics."""
 
-    __slots__ = ()
+    __slots__ = ("_table",)
+
+    def __init__(self, node_id: int, hw: HardwareClock, table: RelayTable) -> None:
+        self._table = table
+        super().__init__(node_id, hw)
+
+    @property  # type: ignore[override]
+    def present(self) -> bool:
+        return bool(self._table.present[self.node_id])
+
+    @present.setter
+    def present(self, value: bool) -> None:
+        self._table.present[self.node_id] = value
 
     @property
     def hop(self) -> Optional[int]:
@@ -266,14 +278,13 @@ class MultiHopRunner(Lane):
         channel = SpatialBroadcastChannel(
             self.phy, self.rngs.get("channel"), spec.topology
         )
-        chains = [
-            ClockChain(population.clock(i)) for i in range(self.n)
-        ]
-        stations = self._protocol_cls.build(spec, chains)
+        hws = [population.clock(i) for i in range(self.n)]
+        #: Every station's relay state, as arrays (the state of record).
+        self.table = self._protocol_cls.build(spec, hws)
         nodes: List[Node] = []
         for i in range(self.n):
-            node = RelayNode(i, chains[i].hw)
-            node.protocol = stations[i]
+            node = RelayNode(i, hws[i], self.table)
+            node.protocol = self.table.stations[i]
             nodes.append(node)
         super().__init__(
             nodes,
@@ -290,16 +301,18 @@ class MultiHopRunner(Lane):
                 + spec.propagation_delay_us
             ),
             channel=self.channel,
-            nodes=self.nodes,
+            table=self.table,
         )
         self.root = spec.root
-        self._state(self.root).hop = 0
+        self.table.hop[self.root] = 0
         self._last_valid_root = spec.root
         self.root_changes = 0
         self.beacons_sent = 0
         self.collisions = 0
         self.recorder = TraceRecorder()
-        self._per_hop_errors: Dict[int, List[float]] = {}
+        # (hop distance, error vs the root) arrays of each sampled period
+        self._hop_errors: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._root_hops: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Lane hooks
@@ -316,9 +329,6 @@ class MultiHopRunner(Lane):
         if node_id == self.root:
             self.root = -1  # orphaned; first-hop children will elect
 
-    def _state(self, node_id: int) -> MultiHopProtocol:
-        return self._by_id[node_id].protocol
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -330,13 +340,16 @@ class MultiHopRunner(Lane):
             inner = self._protocol_cls.degenerate_runner(spec)
             if inner is not None:
                 return self._run_degenerate(inner)
+        self.table.gather_clocks()
         with work_lane(f"multihop/{self.protocol_name}"):
             for period in range(1, spec.periods + 1):
                 self._run_period(period)
-        per_hop = {
-            hop: float(np.median(values))
-            for hop, values in sorted(self._per_hop_errors.items())
-        }
+        per_hop: Dict[int, float] = {}
+        if self._hop_errors:
+            hops = np.concatenate([hop for hop, _ in self._hop_errors])
+            errors = np.concatenate([error for _, error in self._hop_errors])
+            for hop in np.unique(hops).tolist():
+                per_hop[hop] = float(np.median(errors[hops == hop]))
         hop_of = (
             spec.topology.hop_distances(self.root) if self.root >= 0 else {}
         )
@@ -351,25 +364,34 @@ class MultiHopRunner(Lane):
         )
 
     def _run_period(self, period: int) -> None:
+        table = self.table
         with span("multihop.period"):
             with span("multihop.churn"):
                 self.apply_churn(period)
             stalled, partition = self._period_faults(period)
+            if self.injector is not None:
+                table.gather_clocks()  # clock faults mutate oscillators
             # A crashed root orphans the tree exactly like a departed one.
-            if self.root >= 0 and not self._by_id[self.root].present:
+            if self.root >= 0 and not table.present[self.root]:
                 self.root = -1
+            # present and not stalled: the stations that take part
+            active = table.present.copy()
+            if stalled:
+                active[sorted(stalled)] = False
+            groups = None
+            if partition is not None:
+                groups = np.full(self.n, -1, dtype=np.intp)
+                for node_id, group in sorted(partition.items()):
+                    groups[node_id] = group
             with span("multihop.collect"):
-                transmissions = self._collect_transmissions(
-                    period, stalled, partition
-                )
+                frames = self._collect_transmissions(period, active, groups)
             with span("multihop.receptions"):
-                receptions = self._resolve_receptions(
-                    transmissions, stalled, partition
-                )
+                delivery = self._resolve_receptions(frames, active, groups)
             with span("multihop.process"):
-                accepted = self._process_receptions(period, receptions)
+                with span("protocols.mh_receive"):
+                    accepted = table.receive(period, frames, delivery, self.ctx)
             with span("multihop.end_period"):
-                self._end_period(period, accepted, stalled)
+                self._end_period(period, accepted, active)
             with span("multihop.sample"):
                 self._sample_metrics(period)
             if self.injector is not None:
@@ -447,192 +469,142 @@ class MultiHopRunner(Lane):
     # ------------------------------------------------------------------
 
     def _collect_transmissions(
-        self,
-        period: int,
-        stalled: frozenset,
-        partition: Optional[Dict[int, int]],
-    ) -> List[MultiHopFrame]:
+        self, period: int, active: np.ndarray, groups: Optional[np.ndarray]
+    ) -> PeriodFrames:
+        """The period's TX intents, mapped to the true-time axis and put
+        through carrier sensing: the frames that go on air."""
         spec = self.spec
+        table = self.table
         nominal = period * spec.beacon_period_us
-        out: List[MultiHopFrame] = []
-        self.ctx.new_period(
-            self.root, self.root < 0 or not self._by_id[self.root].present
+        self.ctx.new_period(self.root, self.root < 0)
+        ids, delays = table.tx_intents(period, active, self.ctx)
+        # The intents' schedule lives on the stations' synchronized
+        # clocks; map it to the true-time axis through the chain.
+        with span("clocks.chain"):
+            tx_true = table.true_at_adjusted(ids, nominal + delays)
+        hops = table.frame_hops(ids, self.root)
+        kept = self._carrier_sense(ids, tx_true, groups)
+        frames = PeriodFrames(
+            ids[kept], hops[kept], tx_true[kept], delays[kept], nominal, period
         )
-        for i in range(self.n):
-            node = self._by_id[i]
-            if not node.present or i in stalled:
-                continue
-            state = node.protocol
-            delay = state.begin_period(period, self.ctx)
-            if delay is None:
-                continue
-            # The intent's schedule lives on the station's synchronized
-            # clock; map it to the true-time axis through the chain.
-            tx_true = state.chain.true_at_adjusted(nominal + delay)
-            out.append(state.make_frame(period, delay, tx_true, self.ctx))
-        return self._carrier_sense(out, partition)
+        self.beacons_sent += len(kept)
+        if tracing_enabled():
+            for sender, hop, t_us in zip(
+                frames.sender.tolist(), frames.hop.tolist(), frames.tx_true.tolist()
+            ):
+                emit(
+                    "beacon_tx",
+                    t_us=t_us,
+                    node=sender,
+                    period=period,
+                    hop=hop,
+                    proto=self.protocol_name,
+                )
+        return frames
 
     def _carrier_sense(
-        self,
-        candidates: List[MultiHopFrame],
-        partition: Optional[Dict[int, int]],
-    ) -> List[MultiHopFrame]:
+        self, ids: np.ndarray, tx_true: np.ndarray, groups: Optional[np.ndarray]
+    ) -> np.ndarray:
         """802.11 deferral/cancellation over the hearing graph: a relay
         whose backoff expires while an *audible* neighbour's transmission
         is on the air cancels (it just received that beacon). Mutually
         hidden transmitters still collide downstream - that is physics,
         handled at the receivers. A partition fault cuts hearing across
-        groups."""
+        groups. Returns the positions of the frames that go on air, in
+        start-time order."""
         spec = self.spec
         airtime = spec.airtime_slots * spec.slot_time_us
-        by_sender = {tx.sender: tx for tx in candidates}
+        neighbors = spec.topology.neighbors
+        hears = neighbors
+        if groups is not None:
+            labels = groups
 
-        def hears(sender: int):
-            neighbors = spec.topology.neighbors(sender)
-            if partition is None:
-                return neighbors
-            group = partition.get(sender)
-            return [n for n in neighbors if partition.get(n) == group]
+            def hears(sender: int):
+                group = labels[sender]
+                return [n for n in neighbors(sender) if labels[n] == group]
 
-        result = resolve_neighborhood(
-            [(tx.sender, tx.tx_true) for tx in candidates], airtime, hears
-        )
-        self.beacons_sent += len(result.kept)
-        kept = [by_sender[sender] for sender, _start in result.kept]
-        if tracing_enabled():
-            for tx in kept:
-                emit(
-                    "beacon_tx",
-                    t_us=tx.tx_true,
-                    node=tx.sender,
-                    period=tx.interval,
-                    hop=tx.hop,
-                    proto=self.protocol_name,
-                )
-        return kept
+        return resolve_neighborhood(ids, tx_true, airtime, hears).kept
 
     def _resolve_receptions(
-        self,
-        transmissions: List[MultiHopFrame],
-        stalled: frozenset,
-        partition: Optional[Dict[int, int]],
-    ) -> Dict[int, List[MultiHopFrame]]:
+        self, frames: PeriodFrames, active: np.ndarray, groups: Optional[np.ndarray]
+    ) -> WindowDelivery:
         """Per-receiver spatial reception through the shared channel."""
         spec = self.spec
-        airtime = spec.airtime_slots * spec.slot_time_us
-        by_sender = {tx.sender: tx for tx in transmissions}
-        receivers = [
-            i
-            for i in range(self.n)
-            if self._by_id[i].present and i not in stalled
-        ]
-        audible = None
-        if partition is not None:
-            groups = partition
-
-            def audible(receiver: int, sender: int) -> bool:
-                return groups.get(receiver) == groups.get(sender)
-
         delivery = self.channel.deliver_window(
-            [(tx.sender, tx.tx_true) for tx in transmissions],
-            receivers,
-            airtime,
+            frames.sender,
+            frames.tx_true,
+            np.flatnonzero(active),
+            spec.airtime_slots * spec.slot_time_us,
             size_bytes=self._protocol_cls.beacon_bytes,
-            audible=audible,
+            groups=groups,
         )
         self.collisions += delivery.collisions
-        return {
-            receiver: [by_sender[s] for s in senders]
-            for receiver, senders in delivery.receptions.items()
-        }
-
-    def _process_receptions(
-        self, period: int, receptions: Dict[int, List[MultiHopFrame]]
-    ) -> Set[int]:
-        """Returns the set of receivers that *accepted* a beacon (decoded,
-        interval-fresh and plausibility-passing) - the input to silence
-        tracking. The accept/reject decision itself is the protocol's."""
-        accepted: Set[int] = set()
-        latency = self.ctx.rx_latency_us
-        tracing = tracing_enabled()
-        for receiver, decoded in receptions.items():
-            if tracing:
-                for tx in decoded:
-                    emit(
-                        "beacon_rx",
-                        t_us=tx.tx_true + latency,
-                        node=receiver,
-                        src=tx.sender,
-                        period=period,
-                        proto=self.protocol_name,
-                    )
-            if receiver == self.root:
-                accepted.add(receiver)
-                continue
-            if self._state(receiver).on_receptions(period, decoded, self.ctx):
-                accepted.add(receiver)
-        return accepted
+        return delivery
 
     def _end_period(
-        self, period: int, accepted: Set[int], stalled: frozenset
+        self, period: int, accepted: np.ndarray, active: np.ndarray
     ) -> None:
         orphan_election = self.root < 0
-        for i in range(self.n):
-            node = self._by_id[i]
-            if not node.present or i == self.root or i in stalled:
-                continue
-            node.protocol.end_period(period, i in accepted, self.ctx)
-        if orphan_election:
-            # a volunteer that transmitted and heard nothing becomes root
-            candidates = [
-                i
-                for i in range(self.n)
-                if self._by_id[i].present
-                and i not in stalled
-                and self._state(i).wants_root_takeover(i in accepted)
-            ]
-            # the transmission set for this period is gone; approximate the
-            # single-winner rule with the earliest-slot draw equivalent:
-            if candidates:
-                winner = candidates[0]
-                self.root = winner
-                self.root_changes += 1
-                emit(
-                    "reference_change",
-                    t_us=period * self.spec.beacon_period_us,
-                    old_ref=self._last_valid_root,
-                    new_ref=winner,
-                    period=period,
-                )
-                self._last_valid_root = winner
-                self._state(winner).on_elected_root(period, self.ctx)
+        due = active.copy()
+        if self.root >= 0:
+            due[self.root] = False
+        self.table.end_period(accepted, due)
+        if not orphan_election:
+            return
+        # a volunteer that transmitted and heard nothing becomes root;
+        # the transmission set for this period is gone, so the single-
+        # winner rule is approximated by the lowest volunteering id
+        stations = self.table.stations
+        for winner in np.flatnonzero(active).tolist():
+            if stations[winner].wants_root_takeover(bool(accepted[winner])):
+                break
+        else:
+            return
+        self.root = winner
+        self.root_changes += 1
+        emit(
+            "reference_change",
+            t_us=period * self.spec.beacon_period_us,
+            old_ref=self._last_valid_root,
+            new_ref=winner,
+            period=period,
+        )
+        self._last_valid_root = winner
+        stations[winner].on_elected_root(period, self.ctx)
 
     def _sample_metrics(self, period: int) -> None:
         spec = self.spec
+        table = self.table
         sample_time = (period + 0.9) * spec.beacon_period_us
-        synced = [
-            node.protocol
-            for node in self.nodes
-            if node.present and node.protocol.is_synchronized()
-        ]
-        chains = [state.chain for state in synced]
+        synced = np.flatnonzero(table.present & (table.hop >= 0))
         # per-hop error vs the root (second half of the run only); the
-        # root's reading rides along as one extra chain in the same pass
-        per_hop = self.root >= 0 and period > spec.periods // 2
+        # root's reading rides along as one extra clock in the same pass
+        root = self.root
+        per_hop = root >= 0 and period > spec.periods // 2
+        read = np.append(synced, root) if per_hop else synced
+        values = table.adjusted_at(read, sample_time)
         if per_hop:
-            chains.append(self._state(self.root).chain)
-        values = adjusted_at_all(chains, sample_time)
-        root_value = values.pop() if per_hop else 0.0
-        self.recorder.record(
-            sample_time, values, self.root if self.root >= 0 else -1
-        )
+            root_value = values[-1]
+            values = values[:-1]
+        self.recorder.record(sample_time, values, root if root >= 0 else -1)
         if per_hop:
-            hops = self.spec.topology.hop_distances(self.root)
-            errors = self._per_hop_errors
-            for state, value in zip(synced, values):
-                hop = hops.get(state.node_id)
-                if hop:  # unreachable (None) and the root (0) carry no error
-                    errors.setdefault(hop, []).append(abs(value - root_value))
+            hops = self._hops_from(root)[synced]
+            # unreachable (-1) and the root (0) carry no error
+            counted = hops > 0
+            self._hop_errors.append(
+                (hops[counted], np.abs(values[counted] - root_value))
+            )
+
+    def _hops_from(self, root: int) -> np.ndarray:
+        """Every station's BFS hop distance from ``root`` (-1 when
+        unreachable)."""
+        hops = self._root_hops.get(root)
+        if hops is None:
+            hops = np.full(self.n, -1, dtype=np.intp)
+            for node_id, hop in self.spec.topology.hop_distances(root).items():
+                hops[node_id] = hop
+            self._root_hops[root] = hops
+        return hops
 
 
 def run_multihop(spec: MultiHopSpec) -> MultiHopResult:

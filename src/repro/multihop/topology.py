@@ -26,6 +26,18 @@ def _station(value: object, n: int, what: str) -> int:
     raise ValueError(f"{what} {value!r} is not a station id in 0..{n - 1}")
 
 
+def _csr(lists: List[Tuple[int, ...]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-station id lists as one CSR pair ``(indptr, indices)``."""
+    indptr = np.zeros(len(lists) + 1, dtype=np.intp)
+    np.cumsum([len(each) for each in lists], out=indptr[1:])
+    indices = np.fromiter(
+        (j for each in lists for j in each),
+        dtype=np.intp,
+        count=int(indptr[-1]),
+    )
+    return indptr, indices
+
+
 class Topology:
     """Undirected connectivity graph over station ids ``0..n-1``."""
 
@@ -54,6 +66,7 @@ class Topology:
         ]
         self._hop_cache: Dict[int, Dict[int, int]] = {}
         self._two_hop_cache: Dict[int, Tuple[int, ...]] = {}
+        self._one_hop_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._two_hop_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
@@ -197,21 +210,24 @@ class Topology:
             cache[node] = cached
         return cached
 
+    def one_hop_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every station's :meth:`neighbors` as one CSR pair ``(indptr,
+        indices)``, laid out like :meth:`two_hop_csr`: station ``i``'s
+        list is ``indices[indptr[i]:indptr[i + 1]]``. Built once per
+        topology; treat the arrays as read-only."""
+        if self._one_hop_csr is None:
+            self._one_hop_csr = _csr(self._neighbors)
+        return self._one_hop_csr
+
     def two_hop_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every station's :meth:`two_hop_neighbors` as one CSR pair
         ``(indptr, indices)``: station ``i``'s list is
         ``indices[indptr[i]:indptr[i + 1]]``. Built once per topology;
         treat the arrays as read-only."""
         if self._two_hop_csr is None:
-            lists = [self.two_hop_neighbors(i) for i in range(self.n)]
-            indptr = np.zeros(self.n + 1, dtype=np.intp)
-            np.cumsum([len(each) for each in lists], out=indptr[1:])
-            indices = np.fromiter(
-                (j for each in lists for j in each),
-                dtype=np.intp,
-                count=int(indptr[-1]),
+            self._two_hop_csr = _csr(
+                [self.two_hop_neighbors(i) for i in range(self.n)]
             )
-            self._two_hop_csr = (indptr, indices)
         return self._two_hop_csr
 
     def edges(self) -> List[Edge]:

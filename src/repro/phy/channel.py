@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -227,16 +226,31 @@ class WindowDelivery:
 
     Attributes
     ----------
-    receptions:
-        Receiver id -> sender ids whose frames it decoded, in
-        transmission-time order.
+    receiver, frame:
+        One entry per decoded reception, receiver-major (ascending) and
+        in transmission-time order per receiver: the receiving station
+        and the index of the frame in the window's transmissions.
+    senders:
+        The window's transmitting stations, as given.
     collisions:
         Number of receiver-side collision groups (two or more audible
         frames overlapping at one receiver).
     """
 
-    receptions: Dict[int, List[int]] = field(default_factory=dict)
+    receiver: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    frame: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    senders: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     collisions: int = 0
+
+    @property
+    def receptions(self) -> Dict[int, List[int]]:
+        """Receiver id -> sender ids whose frames it decoded, in
+        transmission-time order (built on read)."""
+        out: Dict[int, List[int]] = {}
+        senders = self.senders.tolist()
+        for receiver, frame in zip(self.receiver.tolist(), self.frame.tolist()):
+            out.setdefault(receiver, []).append(senders[frame])
+        return out
 
 
 class SpatialBroadcastChannel(BroadcastChannel):
@@ -259,9 +273,6 @@ class SpatialBroadcastChannel(BroadcastChannel):
     ) -> None:
         super().__init__(phy, rng)
         self.topology = topology
-        self._neighbors: Dict[int, Tuple[int, ...]] = {
-            node: topology.neighbors(node) for node in range(topology.n)
-        }
         self._link_per: Dict[Tuple[int, int], float] = {}
         self._scoped_jams: List[Tuple[float, float, FrozenSet[int]]] = []
 
@@ -295,41 +306,54 @@ class SpatialBroadcastChannel(BroadcastChannel):
             (float(start_us), float(end_us), frozenset(receivers))
         )
 
-    def _jammed_for(self, receiver: int, true_time: float) -> bool:
-        if self.is_jammed(true_time):
-            return True
+    def _jammed(self, receivers: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Whether each frame starting at ``starts`` is jammed at its
+        receiver: inside a network-wide window (:meth:`is_jammed`) or a
+        window scoped to that receiver."""
+        jammed = np.zeros(len(starts), dtype=bool)
+        if self._jam_starts:
+            index = np.searchsorted(self._jam_starts, starts, side="right") - 1
+            ends = np.asarray(self._jam_max_end)[np.maximum(index, 0)]
+            jammed = (index >= 0) & (starts < ends)
         for start, end, targets in self._scoped_jams:
-            if start <= true_time < end and receiver in targets:
-                return True
-        return False
+            jammed |= (
+                (start <= starts)
+                & (starts < end)
+                & np.isin(receivers, sorted(targets))
+            )
+        return jammed
 
     def deliver_window(
         self,
-        transmissions: Sequence[Tuple[int, float]],
+        senders: Sequence[int],
+        starts: Sequence[float],
         receivers: Sequence[int],
         airtime_us: float,
         size_bytes: int = 0,
-        audible: Optional[Callable[[int, int], bool]] = None,
+        groups: Optional[np.ndarray] = None,
     ) -> WindowDelivery:
         """Resolve one beacon window's receiver-side fates.
 
         Parameters
         ----------
-        transmissions:
-            ``(sender, start_true_time)`` of every frame that went on air
-            (the MAC's :func:`repro.mac.contention.resolve_neighborhood`
-            output). Whole-frame loss draws follow this order; receiver
-            grouping sorts by start time (stably) itself.
+        senders, starts:
+            Parallel arrays: the station and start true time of every
+            frame that went on air (the MAC's
+            :func:`repro.mac.contention.resolve_neighborhood` output).
+            Whole-frame loss draws follow this order; receiver grouping
+            sorts by start time (stably) itself.
         receivers:
-            Distinct stations listening this window (callers pass them in
-            ascending id order — the draw order contract).
+            Distinct stations listening this window, in ascending id order
+            (the draw order contract); ids outside the topology hear
+            nothing.
         airtime_us:
             Frame airtime (defines receiver-side overlap).
         size_bytes:
             Frame size, accounted once per transmission.
-        audible:
-            Optional extra gate ``(receiver, sender) -> bool`` applied on
-            top of the topology (partition faults cut links this way).
+        groups:
+            Optional per-station group labels (a partition fault): a frame
+            is audible only where the receiver's label equals the
+            sender's.
 
         Per receiver, audible frames are grouped by time overlap: a group
         of two or more is a collision (nothing decodes, no loss draw); a
@@ -339,135 +363,134 @@ class SpatialBroadcastChannel(BroadcastChannel):
         fault-injection override draw one whole-frame fate per
         transmission, exactly like :meth:`BroadcastChannel.broadcast`.
 
-        Delivery runs from the sender side: the transmissions are sorted
-        by start time once and each is fanned out over its sender's
-        neighbours, which (the graph being undirected) yields every
-        receiver's audible frames in the same stable time order as
-        filtering per receiver and sorting. Every lone frame that needs a
-        coin (per-receiver loss or a per-link override) is recorded in
-        receiver-then-time order and all coins come from one
-        ``rng.random(k)`` call, which returns the values ``k`` scalar
-        draws in that order would — the stream the receiver-major loop
-        consumed. ``tests/test_delivery_oracle.py`` keeps that loop as
-        the reference and checks the two agree draw for draw. Each
+        Delivery runs from the sender side as array operations: the
+        frames are sorted by start time once and each is fanned out over
+        its sender's neighbours through :meth:`Topology.one_hop_csr`; a
+        stable sort by receiver then yields every receiver's audible
+        frames in start order, as filtering per receiver and sorting
+        would (the graph is undirected). With one airtime for every
+        frame a group's end is its latest member's end, so a frame joins
+        the group before it exactly when it starts before the previous
+        frame's end. Every lone frame that needs a coin (per-receiver
+        loss or a per-link override) takes one from a single
+        ``rng.random(k)`` call in receiver-then-time order, the values
+        ``k`` scalar draws in that order would give.
+        ``tests/test_delivery_oracle.py`` keeps the receiver-major loop
+        as the reference and checks the two agree draw for draw. Each
         ``phy.*`` work-counter site is counted once per window, with the
         window's total; jam windows are only consulted when one exists.
         """
         if airtime_us <= 0:
             raise ValueError("airtime_us must be > 0")
         count("phy.window")
+        sender_ids = np.asarray(senders, dtype=np.intp)
+        start_times = np.asarray(starts, dtype=np.float64)
         stats = self.stats
-        stats.transmissions += len(transmissions)
-        stats.bytes_on_air += size_bytes * len(transmissions)
+        stats.transmissions += len(sender_ids)
+        stats.bytes_on_air += size_bytes * len(sender_ids)
 
         # Whole-frame fates (one draw per transmission, in the given
         # order) when the loss model or a fault override calls for them.
-        frame_delivered: Optional[Dict[int, bool]] = None
+        frame_delivered: Optional[np.ndarray] = None
         frame_draws = 0
         if self._per_override is not None or self.phy.loss_model != "per_receiver":
-            frame_delivered = {}
-            for sender, _start in transmissions:
+            frame_delivered = np.ones(len(sender_ids), dtype=bool)
+            for index in range(len(sender_ids)):
                 if self._per_override is not None:
                     per = self._per_override
                 elif self.phy.loss_model == "gilbert_elliott":
                     per = self._gilbert_elliott_per()
                 else:
                     per = self.phy.packet_error_rate
-                if per <= 0.0:
-                    frame_delivered[sender] = True
-                else:
-                    frame_draws += 1
-                    frame_delivered[sender] = bool(self._rng.random() >= per)
-
-        # Sender-side fan-out into per-receiver lists, in time order.
-        heard_by: Dict[int, List[Tuple[int, float]]] = {r: [] for r in receivers}
-        neighbors = self._neighbors
-        for frame in sorted(transmissions, key=itemgetter(1)):
-            sender = frame[0]
-            for receiver in neighbors.get(sender, ()):
-                heard = heard_by.get(receiver)
-                if heard is not None and (
-                    audible is None or audible(receiver, sender)
-                ):
-                    heard.append(frame)
-
-        delivery = WindowDelivery()
-        receptions = delivery.receptions
-        jams = bool(self._jam_starts or self._scoped_jams)
-        link_per = self._link_per
-        static_per = self.phy.packet_error_rate
-        # A lone frame that needs a coin is decoded provisionally; its
-        # loss threshold and (receiver, decoded list, position) are kept
-        # in receiver-then-time order and settled after the one draw.
-        thresholds: List[float] = []
-        coins: List[Tuple[int, List[int], int]] = []
-        attempts = 0
-        collisions = 0
-        jammed = 0
-        frame_drops = 0
-        for receiver in receivers:
-            heard = heard_by[receiver]
-            if not heard:
-                continue
-            decoded: List[int] = []
-            index = 0
-            while index < len(heard):
-                group_end = heard[index][1] + airtime_us
-                j = index + 1
-                while j < len(heard) and heard[j][1] < group_end:
-                    group_end = max(group_end, heard[j][1] + airtime_us)
-                    j += 1
-                if j - index > 1:
-                    collisions += 1
-                    index = j
-                    continue
-                sender, start = heard[index]
-                index = j
-                attempts += 1
-                if jams and self._jammed_for(receiver, start):
-                    jammed += 1
-                    continue
-                link = link_per.get((sender, receiver)) if link_per else None
-                if link is not None:
-                    per = link
-                elif frame_delivered is not None:
-                    if frame_delivered[sender]:
-                        decoded.append(sender)
-                    else:
-                        frame_drops += 1
-                    continue
-                else:
-                    per = static_per
                 if per > 0.0:
-                    thresholds.append(per)
-                    coins.append((receiver, decoded, len(decoded)))
-                decoded.append(sender)
-            if decoded:
-                receptions[receiver] = decoded
+                    frame_draws += 1
+                    frame_delivered[index] = self._rng.random() >= per
 
-        if frame_draws or thresholds:
-            count("phy.per_draw", frame_draws + len(thresholds))
-        lost: List[int] = []
-        if thresholds:
-            draws = self._rng.random(len(thresholds))
-            lost = np.flatnonzero(draws < np.asarray(thresholds)).tolist()
-            # Undo the provisional decodes that lost their coin, last
-            # first so earlier positions in the same list stay valid.
-            for k in reversed(lost):
-                receiver, decoded, position = coins[k]
-                del decoded[position]
-                if not decoded:
-                    del receptions[receiver]
+        # Sender-side fan-out over the one-hop CSR, in start-time order,
+        # kept where the receiver listens (and shares the sender's group).
+        n = self.topology.n
+        indptr, indices = self.topology.one_hop_csr()
+        by_time = np.argsort(start_times, kind="stable")
+        first = indptr[sender_ids[by_time]]
+        degree = indptr[sender_ids[by_time] + 1] - first
+        frame = np.repeat(by_time, degree)
+        skip = np.repeat(first - (np.cumsum(degree) - degree), degree)
+        receiver = indices[skip + np.arange(len(frame))]
+        listening = np.zeros(n, dtype=bool)
+        listeners = np.asarray(receivers, dtype=np.intp)
+        listening[listeners[listeners < n]] = True
+        audible = listening[receiver]
+        if groups is not None:
+            audible &= groups[receiver] == groups[sender_ids[frame]]
+        by_receiver = np.argsort(receiver[audible], kind="stable")
+        receiver = receiver[audible][by_receiver]
+        frame = frame[audible][by_receiver]
+        start = start_times[frame]
+
+        # Overlap groups per receiver; a lone frame is a delivery attempt.
+        opens = np.ones(len(receiver), dtype=bool)
+        opens[1:] = (receiver[1:] != receiver[:-1]) | ~(
+            start[1:] < start[:-1] + airtime_us
+        )
+        group = np.cumsum(opens) - 1
+        sizes = np.bincount(group)
+        collisions = int(np.count_nonzero(sizes > 1))
+        lone = sizes[group] == 1
+        receiver = receiver[lone]
+        frame = frame[lone]
+        attempts = len(receiver)
+
+        decoded = np.ones(attempts, dtype=bool)
+        jammed = 0
+        if self._jam_starts or self._scoped_jams:
+            jam = self._jammed(receiver, start[lone])
+            jammed = int(np.count_nonzero(jam))
+            decoded &= ~jam
+        # Each remaining frame's loss: a per-link override, else the
+        # whole-frame fate, else the channel's per-receiver rate. A frame
+        # that needs a coin stays decoded until the coins are drawn.
+        threshold = np.full(attempts, self.phy.packet_error_rate)
+        by_link = np.zeros(attempts, dtype=bool)
+        if self._link_per:
+            link = np.array(
+                [
+                    self._link_per.get(pair, np.nan)
+                    for pair in zip(sender_ids[frame].tolist(), receiver.tolist())
+                ],
+                dtype=np.float64,
+            )
+            by_link = ~np.isnan(link)
+            threshold[by_link] = link[by_link]
+        frame_drops = 0
+        if frame_delivered is not None:
+            fated = decoded & ~by_link
+            dropped = fated & ~frame_delivered[frame]
+            frame_drops = int(np.count_nonzero(dropped))
+            decoded &= ~dropped
+            needs_coin = decoded & by_link & (threshold > 0.0)
+        else:
+            needs_coin = decoded & (threshold > 0.0)
+        coined = np.flatnonzero(needs_coin)
+
+        if frame_draws or len(coined):
+            count("phy.per_draw", frame_draws + len(coined))
+        lost = 0
+        if len(coined):
+            draws = self._rng.random(len(coined))
+            losers = coined[draws < threshold[coined]]
+            lost = len(losers)
+            decoded[losers] = False
         if collisions:
             count("phy.collision_group", collisions)
-            delivery.collisions = collisions
             stats.collisions += collisions
         if attempts:
             count("phy.delivery_attempt", attempts)
         stats.jammed_drops += jammed
-        stats.per_drops += frame_drops + len(lost)
-        stats.deliveries += attempts - jammed - frame_drops - len(lost)
-        return delivery
+        stats.per_drops += frame_drops + lost
+        stats.deliveries += attempts - jammed - frame_drops - lost
+        return WindowDelivery(
+            receiver[decoded], frame[decoded], sender_ids, collisions
+        )
 
 
 def merge_stats(stats: Iterable[ChannelStats]) -> ChannelStats:

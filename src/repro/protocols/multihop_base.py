@@ -5,51 +5,49 @@ the kernel concerns only — clocks, spatial carrier sensing, the lossy
 broadcast channel, churn, fault injection, tracing and metric sampling.
 Everything synchronization-specific (who transmits when, what a frame
 carries, how a receiver filters and applies it, when a node volunteers
-as the new time source) lives behind :class:`MultiHopProtocol`, the
-multi-hop analogue of the single-hop
-:class:`~repro.protocols.base.SyncProtocol`: period hooks, a TX intent,
-frame construction, reception handling, a synchronized-time query — plus
-the hooks single-hop has no need for (hop tracking, upstream selection,
-root takeover).
+as the new time source) lives behind the protocol.
 
-One instance drives one station. The harness calls the hooks in a fixed
-order each beacon period, for nodes in ascending id order:
+A protocol has two faces:
 
-1. :meth:`MultiHopProtocol.begin_period` — return the transmission
-   delay inside the beacon window, or ``None`` to stay quiet. All
-   randomness must come from :attr:`MultiHopContext.slot_rng` (the
-   harness's contention stream), keeping runs bit-reproducible across
-   refactors of either side.
-2. :meth:`MultiHopProtocol.make_frame` — build the
-   :class:`MultiHopFrame` for a station that transmitted.
-3. :meth:`MultiHopProtocol.on_receptions` — handle every frame that
-   decoded at this station this period; return whether one was
-   *accepted* (the input to silence tracking). Timestamp-estimate
-   jitter is drawn via :attr:`MultiHopContext.sample_timestamp_error`,
-   or for a whole reception set at once via
-   :attr:`MultiHopContext.sample_timestamp_errors`.
-4. :meth:`MultiHopProtocol.end_period` — silence bookkeeping.
-5. :meth:`MultiHopProtocol.wants_root_takeover` /
-   :meth:`MultiHopProtocol.on_elected_root` — the orphan-election
-   hooks, consulted only while the network has no root.
+* a :class:`~repro.protocols.multihop_table.RelayTable` subclass (the
+  protocol's :attr:`MultiHopProtocol.table_cls`) holds the state of
+  record of *every* station of a run as arrays indexed by station id and
+  runs each phase of a beacon period as array operations over all
+  stations at once: TX intents, frame hops, the batched estimator over
+  every receiver, silence bookkeeping;
+* a :class:`MultiHopProtocol` instance per station is a view into that
+  table (``runner.nodes[i].protocol``): ``hop``, ``upstream``,
+  ``silent``, ``adjustments`` and ``clock`` read (and the first four
+  write) the table's arrays, and the per-station hooks — churn, the
+  orphan election, re-synchronization — act on the table's row.
 
-Every registered scheme is a relay on the same skeleton, so the base
-class implements it: hooks 1, 2, 4 and 5 are concrete (root /
-orphan-election / hop-segment scheduling, the normalized frame, silence
-with detach and resync, root takeover), and so are the estimator helpers
-(upstream choice, sample normalisation, first-contact alignment, the
-clamped slew). A protocol defines :meth:`MultiHopProtocol.on_receptions`
-— its estimator — and optionally overrides
-:meth:`MultiHopProtocol._relays` (which periods a synchronized relay
-transmits in) and :meth:`MultiHopProtocol._detach` /
-:meth:`MultiHopProtocol.reset_sync` (to drop estimator state).
+The harness runs each period in a fixed order of phases: TX intents
+(:meth:`RelayTable.tx_intents`: root, orphan-election contenders and
+relays, one backoff slot each from :attr:`MultiHopContext.slot_rng`),
+carrier sensing, delivery, the receive phase (:meth:`RelayTable.receive`,
+which returns which stations *accepted* a beacon — the input to silence
+tracking), silence (:meth:`RelayTable.end_period`), then the orphan
+election through :meth:`MultiHopProtocol.wants_root_takeover` /
+:meth:`MultiHopProtocol.on_elected_root` while the network has no root.
 
-Synchronized time must be expressed through the station's
-:class:`~repro.clocks.chain.ClockChain` (mutating or replacing
-``chain.adjusted``): the harness samples every station through the
-chain, and the chaos/property audits (``audit_no_leaps``) read
-``protocol.clock.is_monotonic`` — a protocol that stepped some private
-variable instead would dodge both.
+Every registered scheme is a relay on the same skeleton, so the table
+base class implements it, together with the estimator helpers (upstream
+choice, sample normalisation, first-contact alignment, the clamped slew)
+in array form. A registered protocol subclasses the table with its
+estimator arrays and overrides :meth:`RelayTable.receive` with its
+batched estimator, and optionally :meth:`RelayTable.relay_turn` (which
+periods a synchronized relay transmits in) and
+:meth:`RelayTable.detach` / :meth:`RelayTable.reset_sync` (to drop
+estimator state). A driver with no batched form defines the per-station
+:meth:`MultiHopProtocol.on_receptions` instead; the table's default
+:meth:`RelayTable.receive` calls it once per receiver.
+
+Synchronized time lives in the table's adjusted-clock segments, and only
+its align/adjust/slew operations change them: the harness samples every
+station from those arrays, and the chaos/property audits
+(``audit_no_leaps``) read ``protocol.clock``, an
+:class:`~repro.clocks.adjusted.AdjustedClock` rebuilt from the table's
+segment history on each read.
 
 Protocols register under a short name in :data:`MULTIHOP_PROTOCOLS`
 (lazy dotted paths, resolved on demand — mirroring the sweep job
@@ -62,13 +60,12 @@ one protocol's constants.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import import_module
-from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
+    ClassVar,
     Dict,
     List,
     Optional,
@@ -80,21 +77,21 @@ from typing import (
 import numpy as np
 
 from repro.clocks.adjusted import AdjustedClock, MonotonicityError
-from repro.clocks.chain import ClockChain
+from repro.clocks.oscillator import HardwareClock
 from repro.core.config import REFERENCE_PACE_CLAMP
 from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS, SSTSP_BEACON_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.multihop.runner import MultiHopSpec
     from repro.multihop.topology import Topology
-    from repro.network.node import Node
     from repro.network.runner import NetworkRunner
     from repro.phy.channel import BroadcastChannel
+    from repro.protocols.multihop_table import RelayTable
 
 
 @dataclass
 class MultiHopFrame:
-    """One on-air multi-hop beacon.
+    """One on-air multi-hop beacon, as a per-station driver sees it.
 
     ``timestamp`` is the sender's *normalized* time reference: its
     synchronized-clock estimate of the period start ``T^j`` (its actual
@@ -106,8 +103,8 @@ class MultiHopFrame:
     normalisation the backoff jitter (~3 slots) compounds per hop and
     blows up the deep-hop error.
 
-    ``tx_true`` is filled by the harness (the true-time instant the
-    sender's adjusted clock reads ``T^j + delay_us``).
+    ``tx_true`` is the true-time instant the sender's adjusted clock
+    reads ``T^j + delay_us``.
     """
 
     sender: int
@@ -116,10 +113,6 @@ class MultiHopFrame:
     tx_true: float
     timestamp: float
     delay_us: float
-
-
-#: Best-first order of a reception set: lowest hop, then earliest.
-_HOP_THEN_TIME = attrgetter("hop", "tx_true")
 
 
 class MultiHopContext:
@@ -134,10 +127,10 @@ class MultiHopContext:
     :attr:`sample_timestamp_errors` (``n`` draws at once, stream-identical
     to ``n`` single draws) are the channel's own bound methods.
 
-    Neighbour introspection reads the runner's node list (indexed by
-    station id) directly: :meth:`state_of` for one station's protocol
-    state, :meth:`same_hop_count` for the relay-rotation count, which is
-    computed for every station at once on its first call in a period.
+    Neighbour introspection reads the run's relay table: :meth:`state_of`
+    for one station's protocol view, :meth:`same_hop_counts` for the
+    relay-rotation counts of every station, computed on the first call in
+    a period.
     """
 
     __slots__ = (
@@ -149,7 +142,7 @@ class MultiHopContext:
         "orphan_election",
         "sample_timestamp_error",
         "sample_timestamp_errors",
-        "_nodes",
+        "_table",
         "_same_hop",
     )
 
@@ -159,7 +152,7 @@ class MultiHopContext:
         slot_rng: np.random.Generator,
         rx_latency_us: float,
         channel: "BroadcastChannel",
-        nodes: Sequence["Node"],
+        table: "RelayTable",
     ) -> None:
         self.spec = spec
         self.topology: "Topology" = spec.topology
@@ -182,8 +175,8 @@ class MultiHopContext:
         self.sample_timestamp_errors: Callable[[int], np.ndarray] = (
             channel.sample_timestamp_errors
         )
-        self._nodes = nodes
-        self._same_hop: Optional[List[int]] = None
+        self._table = table
+        self._same_hop: Optional[np.ndarray] = None
 
     def new_period(self, root: int, orphan_election: bool) -> None:
         """Start a period: set the root view, drop the same-hop snapshot."""
@@ -192,35 +185,34 @@ class MultiHopContext:
         self._same_hop = None
 
     def state_of(self, node_id: int) -> "MultiHopProtocol":
-        """Another station's protocol state (neighbour introspection —
-        e.g. relay-phase coloring). Read-only by convention."""
-        return self._nodes[node_id].protocol
+        """Another station's protocol view (neighbour introspection).
+        Read-only by convention."""
+        return self._table.stations[node_id]
 
     def same_hop_count(self, node_id: int) -> int:
-        """Present stations within two hops of ``node_id`` that share its
-        hop distance (0 while ``node_id`` is absent or unsynchronized).
+        """:meth:`same_hop_counts` of one station."""
+        return int(self.same_hop_counts()[node_id])
+
+    def same_hop_counts(self) -> np.ndarray:
+        """Per station, the present stations within two hops that share
+        its hop distance (0 while the station is absent or
+        unsynchronized).
 
         The first call in a period snapshots every station's hop (absent
         or unsynchronized stations read -1) and counts matches for all
         stations at once over :meth:`Topology.two_hop_csr`. The snapshot
         holds for the rest of the period: no hop moves while TX intents
-        are drawn, which is when relay rotation asks.
+        are drawn, which is when relay rotation asks. Treat the array as
+        read-only.
         """
         counts = self._same_hop
         if counts is None:
             counts = self._same_hop = self._count_same_hop()
-        return counts[node_id]
+        return counts
 
-    def _count_same_hop(self) -> List[int]:
-        hops = np.fromiter(
-            (
-                -1 if not node.present or node.protocol.hop is None
-                else node.protocol.hop
-                for node in self._nodes
-            ),
-            dtype=np.intp,
-            count=len(self._nodes),
-        )
+    def _count_same_hop(self) -> np.ndarray:
+        table = self._table
+        hops = np.where(table.present, table.hop, -1)
         indptr, indices = self.topology.two_hop_csr()
         owner = np.repeat(hops, np.diff(indptr))
         matches = (hops[indices] == owner).astype(np.intp)
@@ -230,15 +222,16 @@ class MultiHopContext:
         np.cumsum(matches, out=totals[1:])
         counts = totals[indptr[1:]] - totals[indptr[:-1]]
         counts[hops < 0] = 0
-        return counts.tolist()
+        return counts
 
 
-class MultiHopProtocol(ABC):
-    """Per-station multi-hop synchronization driver: the relay skeleton
-    every registered scheme shares (see the module docstring for what a
-    subclass defines). The common state every scheme needs (hop
-    distance, upstream, silence streak, the clock chain) lives here so
-    the harness, tests and chaos audits can treat any protocol uniformly.
+class MultiHopProtocol:
+    """One station's view of its protocol state in the run's
+    :class:`~repro.protocols.multihop_table.RelayTable` (see the module
+    docstring for what a subclass defines). The common state every
+    scheme needs (hop distance, upstream, silence streak, adjustment
+    count, the adjusted clock) is readable here so the harness, tests and
+    chaos audits can treat any protocol uniformly; the table holds it.
     """
 
     #: Short identifier carried in trace events (``beacon_tx`` ``proto``
@@ -250,15 +243,15 @@ class MultiHopProtocol(ABC):
     #: Airtime of one beacon in slots; the harness derives window
     #: segmentation and rx latency from it.
     beacon_airtime_slots: int = SSTSP_BEACON_AIRTIME_SLOTS
+    #: The array state and batched phases of this protocol (resolved
+    #: lazily to the base table, which runs :meth:`on_receptions` per
+    #: receiver, when a subclass names none).
+    table_cls: ClassVar[Optional[Type["RelayTable"]]] = None
 
-    def __init__(self, node_id: int, chain: ClockChain, spec: "MultiHopSpec") -> None:
+    def __init__(self, node_id: int, table: "RelayTable") -> None:
         self.node_id = node_id
-        self.chain = chain
-        self.spec = spec
-        self.hop: Optional[int] = None  # None = not yet synchronized; 0 = root
-        self.upstream: Optional[int] = None
-        self.silent = 0
-        self.adjustments = 0
+        self.table = table
+        self.spec = table.spec
 
     # ------------------------------------------------------------------
     # Construction
@@ -266,11 +259,16 @@ class MultiHopProtocol(ABC):
 
     @classmethod
     def build(
-        cls, spec: "MultiHopSpec", chains: Sequence[ClockChain]
-    ) -> List["MultiHopProtocol"]:
-        """One station per chain. Override to wire protocol-family shared
-        state (e.g. the SSTSP relay-rotation phase table)."""
-        return [cls(i, chain, spec) for i, chain in enumerate(chains)]
+        cls, spec: "MultiHopSpec", hws: Sequence[HardwareClock]
+    ) -> "RelayTable":
+        """The relay table of one run: one row and one station view per
+        hardware clock."""
+        table_cls = cls.table_cls
+        if table_cls is None:
+            from repro.protocols.multihop_table import RelayTable
+
+            table_cls = RelayTable
+        return table_cls(spec, hws, cls)
 
     @classmethod
     def degenerate_runner(cls, spec: "MultiHopSpec") -> Optional["NetworkRunner"]:
@@ -281,25 +279,68 @@ class MultiHopProtocol(ABC):
         return None
 
     # ------------------------------------------------------------------
-    # Kernel surface (metrics, churn, chaos audits)
+    # The station's row of the table
     # ------------------------------------------------------------------
 
     @property
+    def hop(self) -> Optional[int]:
+        """Hop distance from the root (None = not synchronized; 0 = root)."""
+        hop = int(self.table.hop[self.node_id])
+        return None if hop < 0 else hop
+
+    @hop.setter
+    def hop(self, value: Optional[int]) -> None:
+        self.table.hop[self.node_id] = -1 if value is None else value
+
+    @property
+    def upstream(self) -> Optional[int]:
+        """The station this one synchronizes from (None = none)."""
+        upstream = int(self.table.upstream[self.node_id])
+        return None if upstream < 0 else upstream
+
+    @upstream.setter
+    def upstream(self, value: Optional[int]) -> None:
+        self.table.upstream[self.node_id] = -1 if value is None else value
+
+    @property
+    def silent(self) -> int:
+        """Consecutive periods without an accepted beacon."""
+        return int(self.table.silent[self.node_id])
+
+    @silent.setter
+    def silent(self, value: int) -> None:
+        self.table.silent[self.node_id] = value
+
+    @property
+    def adjustments(self) -> int:
+        """Successful clock adjustments so far."""
+        return int(self.table.adjustments[self.node_id])
+
+    @property
     def clock(self) -> AdjustedClock:
-        """The station's adjusted clock (chaos monotonicity audits read it)."""
-        return self.chain.adjusted
+        """The station's adjusted clock with its whole segment history,
+        rebuilt from the table on each read (chaos monotonicity audits
+        read it). Changing the returned object changes nothing."""
+        return self.table.clock_of(self.node_id)
+
+    @property
+    def hw(self) -> HardwareClock:
+        """The station's hardware oscillator."""
+        return self.table.hws[self.node_id]
+
+    # ------------------------------------------------------------------
+    # Kernel surface (metrics, churn, chaos audits)
+    # ------------------------------------------------------------------
 
     def reset_sync(self) -> None:
-        """Discard synchronization state — the hop, the silence streak and
-        (through :meth:`_detach`) the upstream; re-acquire from the next
-        beacon."""
-        self.hop = None
-        self.silent = 0
-        self._detach()
+        """Discard synchronization state (see :meth:`RelayTable.reset_sync`)."""
+        self.table.reset_sync(np.array([self.node_id]))
 
     def synchronized_time(self, hw_time: float) -> float:
         """This station's synchronized-time estimate at ``hw_time``."""
-        return self.chain.adjusted.read_current(hw_time)
+        table = self.table
+        i = self.node_id
+        return float(table.seg_k[i] * hw_time + table.seg_b[i])
 
     def is_synchronized(self) -> bool:
         """Whether the station is attached to the time-distribution tree."""
@@ -317,158 +358,59 @@ class MultiHopProtocol(ABC):
         self.reset_sync()
 
     # ------------------------------------------------------------------
-    # Period hooks
+    # Reception, for a driver with no batched estimator
     # ------------------------------------------------------------------
 
-    def begin_period(self, period: int, ctx: MultiHopContext) -> Optional[float]:
-        """TX intent: the delay (µs after the nominal period start, on
-        this station's synchronized clock) at which it transmits this
-        period, or ``None`` to stay quiet.
-
-        The root beacons at the period start. While the network is
-        orphaned, a first-hop station silent for ``l`` periods contends
-        in segment 0. A synchronized relay (hop >= 1, adjusted at least
-        once) whose :meth:`_relays` turn it is transmits inside its hop
-        segment. Both draw one backoff slot from ``ctx.slot_rng``.
-        """
-        spec = self.spec
-        if self.node_id == ctx.root:
-            return 0.0
-        if ctx.orphan_election and self.hop == 1 and self.silent >= spec.l:
-            # orphaned children of a departed root: contend in segment 0
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return slot * spec.slot_time_us
-        hop = self.hop
-        if (
-            hop is not None
-            and hop >= 1
-            and self.adjustments >= 1
-            and self._relays(period, ctx)
-        ):
-            slot = int(ctx.slot_rng.integers(0, self._backoff_range()))
-            return (hop * spec.hop_stride_slots + slot) * spec.slot_time_us
-        return None
-
-    def _relays(self, period: int, ctx: MultiHopContext) -> bool:
-        """Whether a synchronized relay transmits this period. Default:
-        the shared ``relay_probability`` thinning — one ``ctx.slot_rng``
-        draw, made only when the probability is below 1."""
-        p = self.spec.relay_probability
-        return p >= 1.0 or ctx.slot_rng.random() < p
-
-    def _backoff_range(self) -> int:
-        """Backoff slots usable inside a hop segment without bleeding the
-        transmission into the next segment."""
-        return max(1, self.spec.hop_stride_slots - self.spec.airtime_slots)
-
-    def make_frame(
-        self, period: int, delay_us: float, tx_true: float, ctx: MultiHopContext
-    ) -> MultiHopFrame:
-        """The frame for a transmission :meth:`begin_period` scheduled.
-
-        The timestamp is the normalized reference: the sender's clock
-        reads exactly ``nominal + delay`` at tx, so its ``T^j`` estimate
-        is ``nominal``."""
-        hop = (
-            0
-            if self.node_id == ctx.root
-            else (self.hop if self.hop is not None else 0)
-        )
-        return MultiHopFrame(
-            sender=self.node_id,
-            hop=hop,
-            interval=period,
-            tx_true=tx_true,
-            timestamp=period * self.spec.beacon_period_us,
-            delay_us=delay_us,
-        )
-
-    @abstractmethod
     def on_receptions(
         self, period: int, decoded: List[MultiHopFrame], ctx: MultiHopContext
     ) -> bool:
         """Handle the frames that decoded at this station this period
         (``decoded`` is non-empty, in transmission-time order). Returns
         whether a frame was *accepted* — decoded, fresh and
-        plausibility-passing — which feeds silence tracking."""
+        plausibility-passing — which feeds silence tracking.
 
-    def end_period(self, period: int, accepted: bool, ctx: MultiHopContext) -> None:
-        """Silence bookkeeping; runs for every present non-root station
-        after receptions settle. Past ``4 l`` silent periods the station
-        detaches from its upstream (:meth:`_detach`); past
-        ``resync_after_periods`` its clock has diverged beyond any guard
-        and it starts over (:meth:`reset_sync`)."""
-        if accepted:
-            return
-        spec = self.spec
-        self.silent += 1
-        if self.silent > 4 * spec.l and self.upstream is not None:
-            self._detach()
-        if self.silent > spec.resync_after_periods and self.hop is not None:
-            self.reset_sync()
-
-    def _detach(self) -> None:
-        """Upstream lost: drop it and re-acquire from any beacon. Extend
-        to drop estimator state tied to the lost upstream."""
-        self.upstream = None
-
-    # ------------------------------------------------------------------
-    # Estimator helpers
-    # ------------------------------------------------------------------
+        The base table calls this once per receiver; a protocol whose
+        table overrides :meth:`RelayTable.receive` never reaches it."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither on_receptions nor a "
+            "batched RelayTable.receive"
+        )
 
     def _choose_upstream(
         self, decoded: List[MultiHopFrame]
     ) -> Optional[MultiHopFrame]:
-        """The frame to synchronize from, or ``None`` to stay patient.
-
-        Sorts ``decoded`` best first (lowest hop, then earliest). Sticks
-        with the current upstream whenever its beacon decoded (switching
-        resets the sample history); switches to a strictly better hop, or
-        to the best frame once the upstream went quiet for ``2 l``
-        periods (or there is none)."""
-        decoded.sort(key=_HOP_THEN_TIME)
-        best = decoded[0]
-        upstream = self.upstream
-        current = next((tx for tx in decoded if tx.sender == upstream), None)
-        if current is not None and best.hop >= current.hop:
-            return current
-        if (
-            current is not None  # strictly better hop: re-hang
-            or upstream is None
-            or self.silent >= 2 * self.spec.l
-        ):
-            return best
-        return None
+        """The frame to synchronize from, or ``None`` to stay patient
+        (the rule of :meth:`RelayTable.choose_upstream`)."""
+        chosen = self.table.choose_upstream(
+            np.full(len(decoded), self.node_id),
+            np.array([tx.sender for tx in decoded]),
+            np.array([tx.hop for tx in decoded]),
+            np.array([tx.tx_true for tx in decoded]),
+        )[1]
+        return decoded[int(chosen[0])] if chosen[0] >= 0 else None
 
     def _observe(
         self, tx: MultiHopFrame, jitter: float, ctx: MultiHopContext
     ) -> Tuple[float, float]:
-        """One sample ``(hw, est)`` from ``tx``: the local hardware time
-        of its arrival and the sender's time estimate, both with the
-        sender's schedule delay normalised out (see
-        :class:`MultiHopFrame`), so they sit on the BP grid."""
-        latency = ctx.rx_latency_us
-        hw = self.chain.hw.read(tx.tx_true + latency) - tx.delay_us
-        return hw, tx.timestamp + latency + jitter
+        """One sample ``(hw, est)`` from ``tx`` (see
+        :meth:`RelayTable.observe`)."""
+        hw, est = self.table.observe(
+            np.array([self.node_id]),
+            np.array([tx.tx_true]),
+            np.array([tx.delay_us]),
+            tx.timestamp,
+            np.array([jitter]),
+            ctx.rx_latency_us,
+        )
+        return float(hw[0]), float(est[0])
 
     def _align(self, local: float, est: float) -> None:
-        """First contact: shift the adjusted clock by ``est - local``
-        (a fresh clock, not a slew; the station was not yet synchronized)."""
-        clock = self.clock
-        self.chain.adjusted = AdjustedClock(clock.k, clock.b + (est - local))
+        """First contact (see :meth:`RelayTable.align`)."""
+        self.table.align(np.array([self.node_id]), local, est)
 
     def _slew(self, slope: float, hw_now: float) -> None:
-        """Re-slope the adjusted clock continuously at ``hw_now``, the
-        slope clamped to ``1 +- k_clamp``; counts a successful adjustment."""
-        k_clamp = self.spec.k_clamp
-        slope = min(max(slope, 1.0 - k_clamp), 1.0 + k_clamp)
-        clock = self.clock
-        current = clock.read_current(hw_now)
-        try:
-            clock.adjust(slope, current - slope * hw_now, hw_now)
-        except MonotonicityError:
-            return
-        self.adjustments += 1
+        """The clamped slew (see :meth:`RelayTable.slew`)."""
+        self.table.slew(np.array([self.node_id]), slope, hw_now)
 
     # ------------------------------------------------------------------
     # Orphan election
@@ -485,15 +427,24 @@ class MultiHopProtocol(ABC):
         any transient slewing slope to ``1 +- REFERENCE_PACE_CLAMP`` (the
         single-hop ``reference_pace_clamp`` default, same rationale),
         continuously at the current time."""
+        table = self.table
+        i = self.node_id
         self.hop = 0
         self.upstream = None
-        hw_now = self.chain.hw.read((period + 1) * self.spec.beacon_period_us)
-        k_old = self.clock.k
+        hw_now = self.hw.read((period + 1) * self.spec.beacon_period_us)
+        k_old = float(table.seg_k[i])
         k_new = min(
             max(k_old, 1.0 - REFERENCE_PACE_CLAMP), 1.0 + REFERENCE_PACE_CLAMP
         )
         if k_new != k_old:
-            self.clock.slew_to(0.0, k_new, at_local_time=hw_now)
+            current = k_old * hw_now + float(table.seg_b[i])
+            rows = np.array([i])
+            if not table.adjust(
+                rows, np.array([k_new]), current - k_new * hw_now, hw_now
+            )[0]:
+                raise MonotonicityError(
+                    f"root pace clamp of station {i} rejected at t={hw_now}"
+                )
 
 
 #: Registered multi-hop protocols: short name -> "module:Class". Lazy

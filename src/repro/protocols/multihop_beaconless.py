@@ -30,21 +30,27 @@ one beacon period ahead — so the clock never steps and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Sequence
 
-from repro.clocks.chain import ClockChain
+import numpy as np
+
+from repro.clocks.oscillator import HardwareClock
+from repro.obs.events import tracing_enabled
 from repro.phy.params import (
     BEACONLESS_BEACON_AIRTIME_SLOTS,
     BEACONLESS_BEACON_BYTES,
 )
-from repro.protocols.multihop_base import (
-    MultiHopContext,
-    MultiHopFrame,
-    MultiHopProtocol,
+from repro.protocols.multihop_base import MultiHopContext, MultiHopProtocol
+from repro.protocols.multihop_table import (
+    PeriodFrames,
+    RelayTable,
+    column_sums,
+    python_squares,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.multihop.runner import MultiHopSpec
+    from repro.phy.channel import WindowDelivery
 
 #: Relays disseminate every other period (the scheme's energy asymmetry).
 _DUTY_CYCLE = 2
@@ -55,88 +61,160 @@ _WINDOW = 8
 _MAX_SAMPLE_AGE = 40
 
 
-class BeaconlessProtocol(MultiHopProtocol):
-    """One station's beaconless dissemination driver."""
-
-    protocol_name = "beaconless"
-    beacon_bytes = BEACONLESS_BEACON_BYTES
-    beacon_airtime_slots = BEACONLESS_BEACON_AIRTIME_SLOTS
+class BeaconlessTable(RelayTable):
+    """Every station's regression window: up to :data:`_WINDOW`
+    ``(period, hw_on_grid, upstream_time)`` observations, oldest first,
+    one row per station."""
 
     def __init__(
-        self, node_id: int, chain: ClockChain, spec: "MultiHopSpec"
+        self,
+        spec: "MultiHopSpec",
+        hws: Sequence[HardwareClock],
+        protocol_cls: type,
     ) -> None:
-        super().__init__(node_id, chain, spec)
-        #: (period, hw_on_grid, upstream_time) observations.
-        self.samples: List[Tuple[int, float, float]] = []
+        super().__init__(spec, hws, protocol_cls)
+        n = self.n
+        self.window = np.zeros(n, dtype=np.intp)
+        self.window_period = np.zeros((n, _WINDOW), dtype=np.intp)
+        self.window_hw = np.zeros((n, _WINDOW))
+        self.window_est = np.zeros((n, _WINDOW))
 
-    def _detach(self) -> None:
-        super()._detach()
-        self.samples.clear()
+    def detach(self, ids: np.ndarray) -> None:
+        super().detach(ids)
+        self.window[ids] = 0
 
-    def _relays(self, period: int, ctx: MultiHopContext) -> bool:
-        """The duty cycle (every other period, staggered by id), thinned
-        further by the shared ``relay_probability``."""
-        on_duty = (period + self.node_id) % _DUTY_CYCLE == 0
-        return on_duty and super()._relays(period, ctx)
+    def relay_turn(
+        self, period: int, relay: np.ndarray, ctx: MultiHopContext
+    ) -> np.ndarray:
+        """The duty cycle: every other period, staggered by id (the
+        shared ``relay_probability`` thins on top)."""
+        return relay & ((period + np.arange(self.n)) % _DUTY_CYCLE == 0)
 
     # ------------------------------------------------------------------
     # Reception: windowed least squares over one-way samples
     # ------------------------------------------------------------------
 
-    def on_receptions(
-        self, period: int, decoded: List[MultiHopFrame], ctx: MultiHopContext
-    ) -> bool:
-        chosen = self._choose_upstream(decoded)
-        if chosen is None:
-            return False  # upstream quiet this period; stay patient
-        hw, est = self._observe(chosen, ctx.sample_timestamp_error(), ctx)
-        self.silent = 0
-        if self.hop is None:
-            # first contact: one-shot offset alignment, then regress
-            self._align(self.clock.read_current(hw), est)
-            self.hop = chosen.hop + 1
-            self.upstream = chosen.sender
-            return True
-        if chosen.sender != self.upstream:
-            # one-way scheme: no stickiness ceremony, but the regression
-            # window only ever mixes samples from a single upstream
-            self.upstream = chosen.sender
-            self.samples.clear()
-        self.hop = chosen.hop + 1
-        self.samples.append((period, hw, est))
-        del self.samples[: -_WINDOW]
-        while self.samples and period - self.samples[0][0] > _MAX_SAMPLE_AGE:
-            self.samples.pop(0)
-        self._refit(period, hw)
-        return True
-
-    def _refit(self, period: int, hw_now: float) -> None:
-        """OLS fit of upstream time over local hardware time; slew the
-        adjusted clock onto the fitted line over one beacon period."""
-        spec = self.spec
-        if len(self.samples) < 2:
-            return
-        n = len(self.samples)
-        mean_hw = sum(s[1] for s in self.samples) / n
-        mean_est = sum(s[2] for s in self.samples) / n
-        var = sum((s[1] - mean_hw) ** 2 for s in self.samples)
-        if var <= 0.0:
-            return
-        cov = sum(
-            (s[1] - mean_hw) * (s[2] - mean_est) for s in self.samples
+    def receive(
+        self,
+        period: int,
+        frames: PeriodFrames,
+        delivery: "WindowDelivery",
+        ctx: MultiHopContext,
+    ) -> np.ndarray:
+        """Every decoded frame from the chosen upstream becomes a sample
+        at once (no security envelope): first contact aligns, an upstream
+        change empties the window (it only ever mixes samples from one
+        upstream), then the window is refitted (:meth:`_refit`)."""
+        accepted = np.zeros(self.n, dtype=bool)
+        rx = self.entries(frames, delivery, ctx.root, accepted)
+        rows, chosen = self.choose_upstream(rx.receiver, rx.sender, rx.hop, rx.tx_true)
+        taken = chosen >= 0
+        ids = rows[taken]
+        chosen = chosen[taken]
+        hw, est = self.observe(
+            ids,
+            rx.tx_true[chosen],
+            rx.delay_us[chosen],
+            frames.timestamp,
+            self.jitter(len(ids), ctx),
+            ctx.rx_latency_us,
         )
-        k_fit = cov / var
-        if abs(k_fit - 1.0) > spec.k_clamp:
-            return
-        b_fit = mean_est - k_fit * mean_hw
+        self.silent[ids] = 0
+        accepted[ids] = True
+        new_hop = rx.hop[chosen] + 1
+        sender = rx.sender[chosen]
+        # first contact: one-shot offset alignment, then regress
+        first = self.hop[ids] < 0
+        if first.any():
+            joined = ids[first]
+            local = self.seg_k[joined] * hw[first] + self.seg_b[joined]
+            self.align(joined, local, est[first])
+            self.hop[joined] = new_hop[first]
+            self.upstream[joined] = sender[first]
+        later = ~first
+        ids = ids[later]
+        sender = sender[later]
+        moved = ids[sender != self.upstream[ids]]
+        self.upstream[ids] = sender
+        self.window[moved] = 0
+        self.hop[ids] = new_hop[later]
+        self._append(period, ids, hw[later], est[later])
+        self._refit(ids, hw[later])
+        if tracing_enabled():
+            self.trace_receptions(period, frames, delivery, ctx.rx_latency_us)
+        return accepted
+
+    def _append(
+        self, period: int, ids: np.ndarray, hw: np.ndarray, est: np.ndarray
+    ) -> None:
+        """Append one sample per station, keep the newest
+        :data:`_WINDOW`, then drop samples older than
+        :data:`_MAX_SAMPLE_AGE` periods from the front."""
+        columns = (self.window_period, self.window_hw, self.window_est)
+        full = ids[self.window[ids] == _WINDOW]
+        for column in columns:
+            column[full, :-1] = column[full, 1:]
+        self.window[full] -= 1
+        at = self.window[ids]
+        for column, value in zip(columns, (period, hw, est)):
+            column[ids, at] = value
+        self.window[ids] += 1
+        stale = (period - self.window_period[ids] > _MAX_SAMPLE_AGE) & (
+            np.arange(_WINDOW) < self.window[ids, None]
+        )
+        drop = stale.sum(axis=1)
+        if drop.any():
+            ids = ids[drop > 0]
+            drop = drop[drop > 0]
+            keep = np.minimum(np.arange(_WINDOW) + drop[:, None], _WINDOW - 1)
+            for column in columns:
+                column[ids] = np.take_along_axis(column[ids], keep, axis=1)
+            self.window[ids] -= drop
+
+    def _refit(self, ids: np.ndarray, hw_now: np.ndarray) -> None:
+        """OLS fit of upstream time over local hardware time; slew each
+        adjusted clock onto its fitted line over the expected gap to the
+        next update."""
+        spec = self.spec
+        ready = self.window[ids] >= 2
+        ids = ids[ready]
+        hw_now = hw_now[ready]
+        n = self.window[ids]
+        hw = self.window_hw[ids]
+        est = self.window_est[ids]
+        mean_hw = column_sums(hw, n) / n
+        mean_est = column_sums(est, n) / n
+        d_hw = hw - mean_hw[:, None]
+        d_est = est - mean_est[:, None]
+        live = np.arange(_WINDOW) < n[:, None]
+        squares = np.zeros_like(d_hw)
+        squares[live] = python_squares(d_hw[live])
+        var = column_sums(squares, n)
+        cov = column_sums(d_hw * d_est, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_fit = cov / var
+            fit = ~(var <= 0.0) & ~(np.abs(k_fit - 1.0) > spec.k_clamp)
+        ids = ids[fit]
+        hw_now = hw_now[fit]
+        k_fit = k_fit[fit]
+        b_fit = mean_est[fit] - k_fit * mean_hw[fit]
         # Converge onto the fitted line at the *next expected update*
         # (one duty cycle out, stretched by the relay_probability
         # thinning), continuously from now. A shorter horizon would
         # overshoot the line and keep overshooting until the next refit —
         # an oscillation that compounds per hop.
         horizon = _DUTY_CYCLE / spec.relay_probability * spec.beacon_period_us
-        current = self.clock.read_current(hw_now)
+        current = self.seg_k[ids] * hw_now + self.seg_b[ids]
         target = k_fit * (hw_now + horizon) + b_fit
         # far off the line (fresh join, post-outage) the clamp steps the
         # window limit and later fits finish the approach
-        self._slew((target - current) / horizon, hw_now)
+        self.slew(ids, (target - current) / horizon, hw_now)
+
+
+class BeaconlessProtocol(MultiHopProtocol):
+    """One station's beaconless dissemination view."""
+
+    protocol_name = "beaconless"
+    beacon_bytes = BEACONLESS_BEACON_BYTES
+    beacon_airtime_slots = BEACONLESS_BEACON_AIRTIME_SLOTS
+    table_cls = BeaconlessTable

@@ -30,19 +30,24 @@ the current instant), so ``audit_no_leaps`` holds here too.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Sequence
 
-from repro.clocks.chain import ClockChain
+import numpy as np
+
+from repro.clocks.oscillator import HardwareClock
+from repro.obs.events import tracing_enabled
 from repro.phy.params import COOP_BEACON_AIRTIME_SLOTS, COOP_BEACON_BYTES
-from repro.protocols.multihop_base import (
-    MultiHopContext,
-    MultiHopFrame,
-    MultiHopProtocol,
-    _HOP_THEN_TIME,
+from repro.protocols.multihop_base import MultiHopContext, MultiHopProtocol
+from repro.protocols.multihop_table import (
+    PeriodFrames,
+    RelayTable,
+    column_sums,
+    left_aligned,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.multihop.runner import MultiHopSpec
+    from repro.phy.channel import WindowDelivery
 
 #: Fraction of the neighbourhood-mean offset corrected per period.
 _ALPHA = 0.5
@@ -50,77 +55,109 @@ _ALPHA = 0.5
 _RATE_GAIN = 0.2
 
 
-class CoopAverageProtocol(MultiHopProtocol):
-    """One station's spatial-averaging driver."""
-
-    protocol_name = "coop"
-    beacon_bytes = COOP_BEACON_BYTES
-    beacon_airtime_slots = COOP_BEACON_AIRTIME_SLOTS
+class CoopAverageTable(RelayTable):
+    """Every station's last aggregate observation (hardware time on the
+    grid and mean upstream time) and tracked rate factor (EWMA of the
+    implied ``d est / d hw``)."""
 
     def __init__(
-        self, node_id: int, chain: ClockChain, spec: "MultiHopSpec"
+        self,
+        spec: "MultiHopSpec",
+        hws: Sequence[HardwareClock],
+        protocol_cls: type,
     ) -> None:
-        super().__init__(node_id, chain, spec)
-        #: Last aggregate observation: (hw_on_grid, mean upstream time).
-        self._last_agg: Optional[Tuple[float, float]] = None
-        #: Tracked rate factor (EWMA of implied d est / d hw).
-        self._rate = 1.0
+        super().__init__(spec, hws, protocol_cls)
+        n = self.n
+        self.has_last = np.zeros(n, dtype=bool)
+        self.last_hw = np.zeros(n)
+        self.last_est = np.zeros(n)
+        self.rate_factor = np.ones(n)
 
-    def reset_sync(self) -> None:
-        super().reset_sync()
-        self._rate = 1.0
+    def reset_sync(self, ids: np.ndarray) -> None:
+        super().reset_sync(ids)
+        self.rate_factor[ids] = 1.0
 
-    def _detach(self) -> None:
-        super()._detach()
-        self._last_agg = None  # a stale aggregate would alias the rate
+    def detach(self, ids: np.ndarray) -> None:
+        super().detach(ids)
+        self.has_last[ids] = False  # a stale aggregate would alias the rate
 
     # ------------------------------------------------------------------
     # Reception: average over every decoded frame
     # ------------------------------------------------------------------
 
-    def on_receptions(
-        self, period: int, decoded: List[MultiHopFrame], ctx: MultiHopContext
-    ) -> bool:
+    def receive(
+        self,
+        period: int,
+        frames: PeriodFrames,
+        delivery: "WindowDelivery",
+        ctx: MultiHopContext,
+    ) -> np.ndarray:
+        """Aggregate every frame a station decoded this period (best hop
+        first, then earliest): per-frame timestamp jitter is independent,
+        so averaging genuinely suppresses it. First contact aligns to the
+        aggregate; afterwards the rate tracks consecutive aggregates and
+        the clock slews toward the neighbourhood mean."""
         spec = self.spec
-        decoded.sort(key=_HOP_THEN_TIME)
-        # Aggregate every decoded frame: per-frame timestamp jitter is
-        # independent, so averaging genuinely suppresses it.
-        hw_sum = 0.0
-        est_sum = 0.0
-        offset_sum = 0.0
-        jitters = ctx.sample_timestamp_errors(len(decoded)).tolist()
-        for tx, jitter in zip(decoded, jitters):
-            hw, est = self._observe(tx, jitter, ctx)
-            hw_sum += hw
-            est_sum += est
-            offset_sum += est - self.clock.read_current(hw)
-        n = len(decoded)
-        hw_mean = hw_sum / n
-        est_mean = est_sum / n
-        offset_mean = offset_sum / n
-        self.silent = 0
-        min_hop = decoded[0].hop
-        self.upstream = decoded[0].sender  # best-hop sender, for diagnostics
-        if self.hop is None:
-            self._align(self.clock.read_current(hw_mean), est_mean)
-            self.hop = min_hop + 1
-            self._last_agg = (hw_mean, est_mean)
-            return True
-        self.hop = min_hop + 1
-        if self._last_agg is not None:
-            prev_hw, prev_est = self._last_agg
-            d_hw = hw_mean - prev_hw
-            d_est = est_mean - prev_est
-            if d_hw > 0 and d_est > 0:
-                implied = d_est / d_hw
-                implied = min(
-                    max(implied, 1.0 - spec.k_clamp), 1.0 + spec.k_clamp
-                )
-                self._rate += _RATE_GAIN * (implied - self._rate)
-        self._last_agg = (hw_mean, est_mean)
+        accepted = np.zeros(self.n, dtype=bool)
+        rx = self.entries(frames, delivery, ctx.root, accepted)
+        order, first, ids = self.rank(rx.receiver, rx.hop, rx.tx_true)
+        receiver = rx.receiver[order]
+        hw, est = self.observe(
+            receiver,
+            rx.tx_true[order],
+            rx.delay_us[order],
+            frames.timestamp,
+            self.jitter(len(order), ctx),
+            ctx.rx_latency_us,
+        )
+        offset = est - (self.seg_k[receiver] * hw + self.seg_b[receiver])
+        n = np.diff(np.r_[first, len(order)])
+        hw_mean = column_sums(left_aligned(ids, n, hw), n) / n
+        est_mean = column_sums(left_aligned(ids, n, est), n) / n
+        offset_mean = column_sums(left_aligned(ids, n, offset), n) / n
+        self.silent[ids] = 0
+        accepted[ids] = True
+        best = order[first]
+        self.upstream[ids] = rx.sender[best]  # best-hop sender, for diagnostics
+        joined = self.hop[ids] < 0
+        self.hop[ids] = rx.hop[best] + 1
+        if joined.any():
+            new = ids[joined]
+            local = self.seg_k[new] * hw_mean[joined] + self.seg_b[new]
+            self.align(new, local, est_mean[joined])
+        later = ~joined
+        rows = ids[later]
+        d_hw = hw_mean[later] - self.last_hw[rows]
+        d_est = est_mean[later] - self.last_est[rows]
+        tracked = self.has_last[rows] & (d_hw > 0) & (d_est > 0)
+        if tracked.any():
+            moving = rows[tracked]
+            implied = np.minimum(
+                np.maximum(d_est[tracked] / d_hw[tracked], 1.0 - spec.k_clamp),
+                1.0 + spec.k_clamp,
+            )
+            rate = self.rate_factor[moving]
+            self.rate_factor[moving] = rate + _RATE_GAIN * (implied - rate)
+        self.has_last[ids] = True
+        self.last_hw[ids] = hw_mean
+        self.last_est[ids] = est_mean
         # slew toward the neighbourhood mean: the tracked rate plus the
         # gain-weighted offset spread over one beacon period
-        self._slew(
-            self._rate + _ALPHA * offset_mean / spec.beacon_period_us, hw_mean
+        self.slew(
+            rows,
+            self.rate_factor[rows]
+            + _ALPHA * offset_mean[later] / spec.beacon_period_us,
+            hw_mean[later],
         )
-        return True
+        if tracing_enabled():
+            self.trace_receptions(period, frames, delivery, ctx.rx_latency_us)
+        return accepted
+
+
+class CoopAverageProtocol(MultiHopProtocol):
+    """One station's spatial-averaging view."""
+
+    protocol_name = "coop"
+    beacon_bytes = COOP_BEACON_BYTES
+    beacon_airtime_slots = COOP_BEACON_AIRTIME_SLOTS
+    table_cls = CoopAverageTable

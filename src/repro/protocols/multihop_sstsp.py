@@ -24,77 +24,68 @@ bound, now per subtree.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from repro.clocks.adjusted import MonotonicityError
-from repro.clocks.chain import ClockChain
-from repro.core.adjustment import (
-    AdjustmentSample,
-    DegenerateSamplesError,
-    solve_adjustment,
-)
+import numpy as np
+
+from repro.clocks.oscillator import HardwareClock
+from repro.core.adjustment import solve_adjustments
 from repro.network.ibss import ScenarioSpec, build_network
-from repro.obs.events import emit
+from repro.obs.events import tracing_enabled
 from repro.phy.params import (
     SSTSP_BEACON_AIRTIME_SLOTS,
     SSTSP_BEACON_BYTES,
     PhyParams,
 )
-from repro.protocols.multihop_base import (
-    MultiHopContext,
-    MultiHopFrame,
-    MultiHopProtocol,
-)
+from repro.protocols.multihop_base import MultiHopContext, MultiHopProtocol
+from repro.protocols.multihop_table import GuardRejects, PeriodFrames, RelayTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.multihop.runner import MultiHopSpec
     from repro.network.runner import NetworkRunner
+    from repro.phy.channel import WindowDelivery
 
 
-class _RotationTable:
-    """Relay-rotation phase assignments, shared by a protocol family.
-
-    Keyed ``(node, hop, cycle)`` so a station is re-colored when its hop
-    (and thus its conflict set) changes.
-    """
-
-    __slots__ = ("phase",)
-
-    def __init__(self) -> None:
-        self.phase: Dict[Tuple[int, Optional[int], int], int] = {}
-
-
-class SstspRelayProtocol(MultiHopProtocol):
-    """One station's SSTSP relay driver."""
-
-    protocol_name = "sstsp"
-    beacon_bytes = SSTSP_BEACON_BYTES
-    beacon_airtime_slots = SSTSP_BEACON_AIRTIME_SLOTS
+class SstspRelayTable(RelayTable):
+    """The SSTSP relay state of every station: the relay-rotation phases
+    and, per station, the two newest authenticated samples (slot 1 the
+    newest) plus the pending observation that authenticates next period
+    (µTESLA delayed authentication)."""
 
     def __init__(
         self,
-        node_id: int,
-        chain: ClockChain,
         spec: "MultiHopSpec",
-        rotation: Optional[_RotationTable] = None,
+        hws: Sequence[HardwareClock],
+        protocol_cls: type,
     ) -> None:
-        super().__init__(node_id, chain, spec)
-        self._rotation = rotation if rotation is not None else _RotationTable()
-        self.samples: List[AdjustmentSample] = []
-        self.pending: Optional[Tuple[int, float, float]] = None
+        super().__init__(spec, hws, protocol_cls)
+        n = self.n
+        self.samples = np.zeros(n, dtype=np.intp)
+        self.sample_interval = np.zeros((n, 2), dtype=np.intp)
+        self.sample_hw = np.zeros((n, 2))
+        self.sample_ts = np.zeros((n, 2))
+        self.pending = np.zeros(n, dtype=bool)
+        self.pending_interval = np.zeros(n, dtype=np.intp)
+        self.pending_hw = np.zeros(n)
+        self.pending_est = np.zeros(n)
+        # Relay-rotation phases keyed (station, hop, cycle) so a station is
+        # re-colored when its hop (and thus its conflict set) changes;
+        # sorted encoded keys with their phases.
+        self._phase_keys = np.zeros(0, dtype=np.int64)
+        self._phases = np.zeros(0, dtype=np.intp)
 
-    @classmethod
-    def build(
-        cls, spec: "MultiHopSpec", chains: Sequence[ClockChain]
-    ) -> List[MultiHopProtocol]:
-        rotation = _RotationTable()
-        return [cls(i, chain, spec, rotation) for i, chain in enumerate(chains)]
+    def detach(self, ids: np.ndarray) -> None:
+        super().detach(ids)
+        self.samples[ids] = 0
+        self.pending[ids] = False
 
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
 
-    def _relays(self, period: int, ctx: MultiHopContext) -> bool:
+    def relay_turn(
+        self, period: int, relay: np.ndarray, ctx: MultiHopContext
+    ) -> np.ndarray:
         """Relay scheduling with deterministic same-hop rotation (the
         shared random thinning instead while ``relay_probability < 1``).
 
@@ -111,15 +102,50 @@ class SstspRelayProtocol(MultiHopProtocol):
         sense range but sharing a receiver) are exactly the pairs that
         carrier sensing cannot separate.
         """
+        turn = relay.copy()
         if self.spec.relay_probability < 1.0:
-            return super()._relays(period, ctx)
-        same_hop = ctx.same_hop_count(self.node_id)
-        if same_hop == 0:
-            return True
-        cycle = min(4, 1 + same_hop)
-        return period % cycle == self._relay_phase_for(cycle, ctx)
+            return turn
+        ids = np.flatnonzero(relay)
+        if not ids.size:
+            return turn
+        same_hop = ctx.same_hop_counts()[ids]
+        rotating = same_hop > 0
+        if rotating.any():
+            ids = ids[rotating]
+            cycle = np.minimum(4, 1 + same_hop[rotating])
+            phase = self._relay_phases(ids, self.hop[ids], cycle, ctx)
+            turn[ids] = period % cycle == phase
+        return turn
 
-    def _relay_phase_for(self, cycle: int, ctx: MultiHopContext) -> int:
+    def _phase_key(self, ids: np.ndarray, hops, cycles) -> np.ndarray:
+        """The sortable integer encoding of ``(station, hop, cycle)``."""
+        return (ids.astype(np.int64) * self.n + hops) * 5 + cycles
+
+    def _lookup(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The stored phase of each key (-1 where none) and whether one
+        is stored."""
+        store = self._phase_keys
+        if not len(store):
+            return np.full(len(keys), -1, dtype=np.intp), np.zeros(len(keys), bool)
+        at = np.minimum(np.searchsorted(store, keys), len(store) - 1)
+        found = store[at] == keys
+        return np.where(found, self._phases[at], -1), found
+
+    def _relay_phases(
+        self,
+        ids: np.ndarray,
+        hops: np.ndarray,
+        cycles: np.ndarray,
+        ctx: MultiHopContext,
+    ) -> np.ndarray:
+        """Each relay's fixed phase, colouring the ones without one in
+        ascending id order (:meth:`_color`)."""
+        phase, found = self._lookup(self._phase_key(ids, hops, cycles))
+        for j in np.flatnonzero(~found).tolist():
+            phase[j] = self._color(int(ids[j]), int(hops[j]), int(cycles[j]), ctx)
+        return phase
+
+    def _color(self, node: int, hop: int, cycle: int, ctx: MultiHopContext) -> int:
         """Greedy phase coloring over the same-hop/2-hop conflict graph.
 
         Two hidden same-hop stations with *equal* fixed phases would
@@ -130,119 +156,171 @@ class SstspRelayProtocol(MultiHopProtocol):
         resolving the permanent-collision cases. Phases are re-colored
         when a station's hop (and thus its conflict set) changes.
         """
-        table = self._rotation.phase
-        key = (self.node_id, self.hop, cycle)
-        phase = table.get(key)
-        if phase is not None:
-            return phase
-        used = [0] * cycle
-        for other in self.spec.topology.two_hop_neighbors(self.node_id):
-            other_state = ctx.state_of(other)
-            if other_state.hop != self.hop:
-                continue
-            other_phase = table.get((other, other_state.hop, cycle))
-            if other_phase is not None:
-                used[other_phase] += 1
-        least = min(used)
-        candidates = [p for p, count in enumerate(used) if count == least]
-        phase = candidates[self.node_id % len(candidates)]
-        table[key] = phase
+        indptr, indices = ctx.topology.two_hop_csr()
+        others = indices[indptr[node] : indptr[node + 1]]
+        others = others[self.hop[others] == hop]
+        keys = self._phase_key(others, hop, cycle)
+        other_phase, found = self._lookup(keys)
+        used = np.bincount(other_phase[found], minlength=cycle)
+        candidates = np.flatnonzero(used == used.min())
+        phase = int(candidates[node % len(candidates)])
+        key = int(self._phase_key(np.array([node]), hop, cycle)[0])
+        at = int(np.searchsorted(self._phase_keys, key))
+        self._phase_keys = np.insert(self._phase_keys, at, key)
+        self._phases = np.insert(self._phases, at, phase)
         return phase
 
     # ------------------------------------------------------------------
     # Reception
     # ------------------------------------------------------------------
 
-    def on_receptions(
-        self, period: int, decoded: List[MultiHopFrame], ctx: MultiHopContext
-    ) -> bool:
+    def receive(
+        self,
+        period: int,
+        frames: PeriodFrames,
+        delivery: "WindowDelivery",
+        ctx: MultiHopContext,
+    ) -> np.ndarray:
+        """The SSTSP pipeline at every receiver against its chosen
+        upstream: first contact aligns; otherwise the guard time (growing
+        with the sender's hop) filters, the stickiness rule keeps or
+        switches the upstream, last period's pending observation becomes
+        an authenticated sample, and two fresh samples re-solve the
+        segment (:meth:`_adjust`)."""
         spec = self.spec
-        chosen = self._choose_upstream(decoded)
-        if chosen is None:
-            return False  # upstream not heard this period; stay patient
-        hw, est = self._observe(chosen, ctx.sample_timestamp_error(), ctx)
-        local = self.clock.read_current(hw)
-        if self.hop is None:
-            # first contact: loose initialisation (the coarse phase of
-            # a joiner, collapsed to one sample for founding nodes that
-            # are loosely synchronized already)
-            self._align(local, est)
-            self.hop = chosen.hop + 1
-            self.upstream = chosen.sender
-            self.silent = 0
-            return True
-        guard = spec.guard_fine_us + spec.guard_per_hop_us * (chosen.hop + 1)
-        if abs(est - local) > guard:
-            emit(
-                "guard_reject",
-                t_us=local,
-                node=self.node_id,
-                diff_us=abs(est - local),
-                threshold_us=guard,
-            )
-            return False  # guard time: replayed/delayed/forged or far drift
-        silent_before = self.silent
-        self.silent = 0
-        better_hop = chosen.hop + 1 < self.hop
-        if chosen.sender != self.upstream:
-            if (
-                better_hop
-                or self.upstream is None
-                or silent_before >= 2 * spec.l
-            ):
-                self.upstream = chosen.sender
-                self.hop = chosen.hop + 1
-                self.samples.clear()
-                self.pending = None
-            else:
-                return True  # stick with the current upstream
-        else:
-            self.hop = chosen.hop + 1
+        accepted = np.zeros(self.n, dtype=bool)
+        rx = self.entries(frames, delivery, ctx.root, accepted)
+        rows, chosen = self.choose_upstream(rx.receiver, rx.sender, rx.hop, rx.tx_true)
+        taken = chosen >= 0
+        rows = rows[taken]
+        chosen = chosen[taken]
+        hw, est = self.observe(
+            rows,
+            rx.tx_true[chosen],
+            rx.delay_us[chosen],
+            frames.timestamp,
+            self.jitter(len(rows), ctx),
+            ctx.rx_latency_us,
+        )
+        local = self.seg_k[rows] * hw + self.seg_b[rows]
+        new_hop = rx.hop[chosen] + 1
+        sender = rx.sender[chosen]
+        hop = self.hop[rows]
+
+        # first contact: loose initialisation (the coarse phase of a
+        # joiner, collapsed to one sample for founding nodes that are
+        # loosely synchronized already)
+        first = hop < 0
+        if first.any():
+            ids = rows[first]
+            self.align(ids, local[first], est[first])
+            self.hop[ids] = new_hop[first]
+            self.upstream[ids] = sender[first]
+            self.silent[ids] = 0
+            accepted[ids] = True
+
+        # guard time: replayed/delayed/forged or far drift
+        guard = spec.guard_fine_us + spec.guard_per_hop_us * new_hop
+        diff = np.abs(est - local)
+        rejected = ~first & (diff > guard)
+        rejects = GuardRejects(
+            rows[rejected], local[rejected], diff[rejected], guard[rejected]
+        )
+        passed = ~first & ~rejected
+        ids = rows[passed]
+        silent_before = self.silent[ids]
+        self.silent[ids] = 0
+        accepted[ids] = True
+        new_hop = new_hop[passed]
+        sender = sender[passed]
+        upstream = self.upstream[ids]
+        same = sender == upstream
+        switch = ~same & (
+            (new_hop < hop[passed])
+            | (upstream < 0)
+            | (silent_before >= 2 * spec.l)
+        )
+        if switch.any():
+            moved = ids[switch]
+            self.upstream[moved] = sender[switch]
+            self.samples[moved] = 0
+            self.pending[moved] = False
+        # the rest stick with the current upstream
+        follow = same | switch
+        ids = ids[follow]
+        self.hop[ids] = new_hop[follow]
+        hw = hw[passed][follow]
+        est = est[passed][follow]
+
         # uTESLA delayed authentication: last period's pending
         # observation from this upstream becomes a sample now
-        if self.pending is not None and self.pending[0] < period:
-            interval, p_hw, p_est = self.pending
-            self.samples.append(AdjustmentSample(interval, p_hw, p_est))
-            del self.samples[:-2]
-        self.pending = (period, hw, est)
-        self._try_adjust(period, hw)
-        return True
+        due = ids[self.pending[ids] & (self.pending_interval[ids] < period)]
+        for newest, pending in (
+            (self.sample_interval, self.pending_interval),
+            (self.sample_hw, self.pending_hw),
+            (self.sample_ts, self.pending_est),
+        ):
+            newest[due, 0] = newest[due, 1]
+            newest[due, 1] = pending[due]
+        self.samples[due] = np.minimum(self.samples[due] + 1, 2)
+        self.pending[ids] = True
+        self.pending_interval[ids] = period
+        self.pending_hw[ids] = hw
+        self.pending_est[ids] = est
+        self._adjust(period, ids, hw)
 
-    def _try_adjust(self, period: int, hw_now: float) -> None:
-        spec = self.spec
-        if len(self.samples) < 2:
-            return
-        newest, older = self.samples[-1], self.samples[-2]
-        # freshness limits sized to the relay rotation: an upstream on a
-        # cycle-4 rotation yields samples up to 4 periods apart
-        if period - newest.interval > 6 or newest.interval - older.interval > 9:
-            return
-        # generalised equation (5): extrapolate the upstream's own grid
-        target = newest.ref_timestamp + (
-            period + spec.m - newest.interval
-        ) * spec.beacon_period_us
-        try:
-            k, b = solve_adjustment(
-                self.clock.k, self.clock.b, hw_now, newest, older, target
+        if tracing_enabled():
+            self.trace_receptions(
+                period, frames, delivery, ctx.rx_latency_us, rejects
             )
-        except DegenerateSamplesError:
-            return
-        if abs(k - 1.0) > spec.k_clamp:
-            return
-        try:
-            self.clock.adjust(k, b, hw_now)
-        except MonotonicityError:
-            return
-        self.adjustments += 1
+        return accepted
 
-    # ------------------------------------------------------------------
-    # Silence
-    # ------------------------------------------------------------------
+    def _adjust(self, period: int, ids: np.ndarray, hw_now: np.ndarray) -> None:
+        """Re-solve equations (2)-(5) from each station's two newest
+        samples. Freshness limits are sized to the relay rotation: an
+        upstream on a cycle-4 rotation yields samples up to 4 periods
+        apart. The convergence target generalises equation (5): it
+        extrapolates the upstream's own timestamp grid."""
+        spec = self.spec
+        ready = self.samples[ids] >= 2
+        ids = ids[ready]
+        hw_now = hw_now[ready]
+        newest = self.sample_interval[ids, 1]
+        fresh = ~(
+            (period - newest > 6) | (newest - self.sample_interval[ids, 0] > 9)
+        )
+        ids = ids[fresh]
+        hw_now = hw_now[fresh]
+        newest = newest[fresh]
+        if not ids.size:
+            return
+        target = self.sample_ts[ids, 1] + (
+            period + spec.m - newest
+        ) * spec.beacon_period_us
+        k, b, ok = solve_adjustments(
+            self.seg_k[ids],
+            self.seg_b[ids],
+            hw_now,
+            self.sample_hw[ids, 1],
+            self.sample_ts[ids, 1],
+            self.sample_hw[ids, 0],
+            self.sample_ts[ids, 0],
+            target,
+        )
+        with np.errstate(invalid="ignore"):
+            ok &= ~(np.abs(k - 1.0) > spec.k_clamp)
+        ids = ids[ok]
+        adjusted = self.adjust(ids, k[ok], b[ok], hw_now[ok])
+        self.adjustments[ids[adjusted]] += 1
 
-    def _detach(self) -> None:
-        super()._detach()
-        self.samples.clear()
-        self.pending = None
+
+class SstspRelayProtocol(MultiHopProtocol):
+    """One station's SSTSP relay view."""
+
+    protocol_name = "sstsp"
+    beacon_bytes = SSTSP_BEACON_BYTES
+    beacon_airtime_slots = SSTSP_BEACON_AIRTIME_SLOTS
+    table_cls = SstspRelayTable
 
     # ------------------------------------------------------------------
     # Single-hop (complete-graph) counterpart

@@ -1,17 +1,20 @@
-"""Parity of sender-side window delivery with the receiver-major reference.
+"""Parity of array window delivery with the receiver-major reference.
 
-``ReceiverMajorChannel.deliver_window`` below is the earlier
+``ReceiverMajorChannel.deliver_window`` below is an earlier
 implementation of
 :meth:`repro.phy.channel.SpatialBroadcastChannel.deliver_window`, kept
-verbatim as the reference oracle: for every receiver it filters the
+verbatim (with its ``(sender, start)`` list and ``audible`` callable
+signature) as the reference oracle: for every receiver it filters the
 whole transmission list by the receiver's neighbour set, sorts what it
-heard by start time and draws each lone frame's loss coin with a scalar
-``rng.random()`` call. The channel in ``src/`` fans each transmission
-out from its sender instead and draws every coin of the window in one
-vector. Over generated windows the two must agree on the delivered
-frames (receivers and per-receiver order), the collision count, the
-``ChannelStats`` deltas, the ``phy.*`` work counts and the generator
-state afterwards — so every later draw of a run is unchanged too.
+heard by start time, walks the overlap groups and draws each lone
+frame's loss coin with a scalar ``rng.random()`` call. The channel in
+``src/`` takes parallel sender/start arrays and group labels, fans the
+frames out over the one-hop CSR, groups overlaps as array differences
+and draws every coin of the window in one vector. Over generated windows
+the two must agree on the delivered frames (receivers and per-receiver
+order), the collision count, the ``ChannelStats`` deltas, the ``phy.*``
+work counts and the generator state afterwards — so every later draw of
+a run is unchanged too.
 """
 
 from __future__ import annotations
@@ -26,8 +29,17 @@ from hypothesis import strategies as st
 
 from repro.multihop.topology import Topology
 from repro.obs.counters import count, count_work
-from repro.phy.channel import SpatialBroadcastChannel, WindowDelivery
+from repro.phy.channel import SpatialBroadcastChannel
 from repro.phy.params import PhyParams
+
+
+@dataclasses.dataclass
+class ReceiverMajorDelivery:
+    """The reference's outcome: receiver -> decoded senders, and the
+    receiver-side collision groups."""
+
+    receptions: Dict[int, List[int]] = dataclasses.field(default_factory=dict)
+    collisions: int = 0
 
 
 class ReceiverMajorChannel(SpatialBroadcastChannel):
@@ -48,7 +60,7 @@ class ReceiverMajorChannel(SpatialBroadcastChannel):
         airtime_us: float,
         size_bytes: int = 0,
         audible: Optional[Callable[[int, int], bool]] = None,
-    ) -> WindowDelivery:
+    ) -> ReceiverMajorDelivery:
         if airtime_us <= 0:
             raise ValueError("airtime_us must be > 0")
         count("phy.window")
@@ -75,7 +87,7 @@ class ReceiverMajorChannel(SpatialBroadcastChannel):
             node: frozenset(self.topology.neighbors(node))
             for node in range(self.topology.n)
         }
-        delivery = WindowDelivery()
+        delivery = ReceiverMajorDelivery()
         static_per = self.phy.packet_error_rate
         for receiver in receivers:
             hears = neighbor_sets.get(receiver, frozenset())
@@ -211,15 +223,25 @@ def _run(channel, airtime, steps):
     with count_work() as work:
         for transmissions, receivers, groups, override in steps:
             channel.set_per_override(override)
-            audible = None
-            if groups is not None:
+            if isinstance(channel, ReceiverMajorChannel):
+                audible = None
+                if groups is not None:
 
-                def audible(receiver, sender, groups=groups):
-                    return groups[receiver] == groups[sender]
+                    def audible(receiver, sender, groups=groups):
+                        return groups[receiver] == groups[sender]
 
-            delivery = channel.deliver_window(
-                transmissions, receivers, airtime, size_bytes=92, audible=audible
-            )
+                delivery = channel.deliver_window(
+                    transmissions, receivers, airtime, size_bytes=92, audible=audible
+                )
+            else:
+                delivery = channel.deliver_window(
+                    [sender for sender, _ in transmissions],
+                    [start for _, start in transmissions],
+                    receivers,
+                    airtime,
+                    size_bytes=92,
+                    groups=None if groups is None else np.asarray(groups),
+                )
             outcomes.append(
                 (list(delivery.receptions.items()), delivery.collisions)
             )

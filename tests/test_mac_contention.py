@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
+from benchmarks.slotted import draw_slots, resolve_slotted
 from repro.fastlane.common import resolve_window
-from repro.mac.contention import (
-    draw_slots,
-    resolve_contention,
-    resolve_slotted,
-)
+from repro.mac.contention import resolve_contention
 
 AIR = 36.0  # 4 slots
 CCA = 9.0

@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.metrics import audit_no_leaps
 from repro.multihop import MultiHopRunner, MultiHopSpec, Topology
 from repro.multihop.runner import run_multihop
+from repro.obs.profile import profile_spans
 from repro.phy.params import (
     BEACONLESS_BEACON_AIRTIME_SLOTS,
     BEACONLESS_BEACON_BYTES,
@@ -50,11 +51,34 @@ class TestRegistry:
             == BEACONLESS_BEACON_BYTES
         )
 
-    def test_every_class_defines_its_own_on_receptions(self):
-        # perfbench's per-layer wrapper times ``on_receptions`` only where
-        # a class ``__dict__`` defines it (the protocols.mh_receive layer)
+    def test_every_class_defines_its_own_batched_estimator(self):
+        # each registered protocol keeps its estimator once: batched on
+        # its own table, with no per-station copy
         for name in available_multihop_protocols():
-            assert "on_receptions" in vars(resolve_multihop_protocol(name))
+            cls = resolve_multihop_protocol(name)
+            assert "receive" in vars(cls.table_cls)
+            assert "on_receptions" not in vars(cls)
+
+    @pytest.mark.parametrize("protocol", available_multihop_protocols())
+    def test_receive_phase_opens_the_mh_receive_span(self, protocol):
+        # the protocols.mh_receive layer of the span profile times the
+        # batched estimators
+        with profile_spans() as profiler:
+            run_multihop(
+                MultiHopSpec(
+                    topology=Topology.chain(4), duration_s=1.0, protocol=protocol
+                )
+            )
+        names = set()
+
+        def walk(node):
+            names.add(node["name"])
+            for child in node["children"]:
+                walk(child)
+
+        for root in profiler.span_tree():
+            walk(root)
+        assert {"protocols.mh_receive", "clocks.chain"} <= names
 
 
 class TestSpecResolution:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.clocks.adjusted import AdjustedClock
-from repro.clocks.chain import ClockChain, adjusted_at_all
+from repro.clocks.chain import ClockChain, adjusted_at_all, true_at_adjusted_all
 from repro.clocks.oscillator import HardwareClock
 from repro.multihop import MultiHopRunner, MultiHopSpec, Topology
 from repro.obs.counters import count_work
@@ -129,9 +129,21 @@ class TestAdjustedAtAll:
         ]
         with count_work() as single_work:
             single = [chain.adjusted_at(true_time) for chain in chains]
+        columns = np.array(clocks, dtype=np.float64).reshape(-1, 4).T
+        rate, offset, k, b = columns
         with count_work() as pass_work:
-            at_once = adjusted_at_all(chains, true_time)
-        assert np.array(at_once).tobytes() == np.array(single).tobytes()
+            at_once = adjusted_at_all(rate, offset, k, b, true_time)
+        assert at_once.tobytes() == np.array(single, dtype=np.float64).tobytes()
+        assert pass_work.snapshot() == single_work.snapshot()
+        values = np.array(single, dtype=np.float64) + 17.0
+        with count_work() as single_work:
+            back = [
+                chain.true_at_adjusted(value)
+                for chain, value in zip(chains, values.tolist())
+            ]
+        with count_work() as pass_work:
+            at_once = true_at_adjusted_all(rate, offset, k, b, values)
+        assert at_once.tobytes() == np.array(back, dtype=np.float64).tobytes()
         assert pass_work.snapshot() == single_work.snapshot()
 
 
