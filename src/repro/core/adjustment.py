@@ -122,12 +122,14 @@ def solve_adjustments(
     """
     d_ts = newest_ts - older_ts
     d_hw = newest_hw - older_hw
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_target = _target_hw_time(
-            newest_hw, newest_ts, d_hw, d_ts, target_ref_time
-        )
-        ok = (d_ts > 0.0) & (d_hw > 0.0) & (t_target > t_now)
-        k, b = _segment_through(prev_k, prev_b, t_now, t_target, target_ref_time)
+    ok = (d_ts > 0.0) & (d_hw > 0.0)
+    if np.count_nonzero(ok) < ok.size:  # keep degenerate rows off zero
+        d_ts = np.where(ok, d_ts, 1.0)
+    t_target = _target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time)
+    ok &= t_target > t_now
+    if np.count_nonzero(ok) < ok.size:
+        t_target = np.where(ok, t_target, t_now + 1.0)
+    k, b = _segment_through(prev_k, prev_b, t_now, t_target, target_ref_time)
     return k, b, ok
 
 

@@ -284,10 +284,13 @@ def resolve_neighborhood(
     count("mac.neighborhood_round")
     count("mac.contention_candidates", len(ids))
     time_arr = np.asarray(times, dtype=float)
-    order = np.argsort(time_arr, kind="stable")
+    order = time_arr.argsort(kind="stable")
     contenders = len(ids)
     tracing = tracing_enabled()
     kept: List[int] = []
+    # Candidates start in time order and every frame lasts ``airtime_us``,
+    # so each transmission ends no earlier than the ones before it: the
+    # latest end a station heard is simply the last one marked on it.
     busy_until: Dict[int, float] = {}
     for position, station, start in zip(
         order.tolist(), np.asarray(ids)[order].tolist(), time_arr[order].tolist()
@@ -304,6 +307,5 @@ def resolve_neighborhood(
             )
         end = start + airtime_us
         for neighbor in hears(station):
-            if end > busy_until.get(neighbor, -math.inf):
-                busy_until[neighbor] = end
+            busy_until[neighbor] = end
     return NeighborhoodResult(np.array(kept, dtype=np.intp))

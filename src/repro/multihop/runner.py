@@ -279,12 +279,13 @@ class MultiHopRunner(Lane):
             self.phy, self.rngs.get("channel"), spec.topology
         )
         hws = [population.clock(i) for i in range(self.n)]
+        self._stations = self._protocol_cls.build(spec, hws)
         #: Every station's relay state, as arrays (the state of record).
-        self.table = self._protocol_cls.build(spec, hws)
+        self.table = self._stations[0].table
         nodes: List[Node] = []
         for i in range(self.n):
             node = RelayNode(i, hws[i], self.table)
-            node.protocol = self.table.stations[i]
+            node.protocol = self._stations[i]
             nodes.append(node)
         super().__init__(
             nodes,
@@ -301,7 +302,7 @@ class MultiHopRunner(Lane):
                 + spec.propagation_delay_us
             ),
             channel=self.channel,
-            table=self.table,
+            stations=self._stations,
         )
         self.root = spec.root
         self.table.hop[self.root] = 0
@@ -554,7 +555,7 @@ class MultiHopRunner(Lane):
         # a volunteer that transmitted and heard nothing becomes root;
         # the transmission set for this period is gone, so the single-
         # winner rule is approximated by the lowest volunteering id
-        stations = self.table.stations
+        stations = self._stations
         for winner in np.flatnonzero(active).tolist():
             if stations[winner].wants_root_takeover(bool(accepted[winner])):
                 break

@@ -410,37 +410,41 @@ class SpatialBroadcastChannel(BroadcastChannel):
         # kept where the receiver listens (and shares the sender's group).
         n = self.topology.n
         indptr, indices = self.topology.one_hop_csr()
-        by_time = np.argsort(start_times, kind="stable")
-        first = indptr[sender_ids[by_time]]
-        degree = indptr[sender_ids[by_time] + 1] - first
-        frame = np.repeat(by_time, degree)
-        skip = np.repeat(first - (np.cumsum(degree) - degree), degree)
-        receiver = indices[skip + np.arange(len(frame))]
+        by_time = start_times.argsort(kind="stable")
+        sending = sender_ids.take(by_time)
+        first = indptr.take(sending)
+        degree = indptr.take(sending + 1) - first
+        frame = by_time.repeat(degree)
+        skip = (first - (degree.cumsum() - degree)).repeat(degree)
+        skip += np.arange(len(frame))
+        receiver = indices.take(skip)
         listening = np.zeros(n, dtype=bool)
         listeners = np.asarray(receivers, dtype=np.intp)
         listening[listeners[listeners < n]] = True
-        audible = listening[receiver]
+        audible = listening.take(receiver)
         if groups is not None:
-            audible &= groups[receiver] == groups[sender_ids[frame]]
-        by_receiver = np.argsort(receiver[audible], kind="stable")
-        receiver = receiver[audible][by_receiver]
-        frame = frame[audible][by_receiver]
-        start = start_times[frame]
+            audible &= groups.take(receiver) == groups.take(sender_ids.take(frame))
+        receiver = receiver[audible]
+        by_receiver = receiver.argsort(kind="stable")
+        receiver = receiver.take(by_receiver)
+        frame = frame[audible].take(by_receiver)
+        start = start_times.take(frame)
 
         # Overlap groups per receiver; a lone frame is a delivery attempt.
-        opens = np.ones(len(receiver), dtype=bool)
-        opens[1:] = (receiver[1:] != receiver[:-1]) | ~(
-            start[1:] < start[:-1] + airtime_us
-        )
-        group = np.cumsum(opens) - 1
+        opens = np.empty(len(receiver), dtype=bool)
+        opens[:1] = True
+        np.not_equal(receiver[1:], receiver[:-1], out=opens[1:])
+        opens[1:] |= start[1:] >= start[:-1] + airtime_us
+        group = opens.cumsum() - 1
         sizes = np.bincount(group)
         collisions = int(np.count_nonzero(sizes > 1))
-        lone = sizes[group] == 1
+        lone = (sizes == 1).take(group)
         receiver = receiver[lone]
         frame = frame[lone]
         attempts = len(receiver)
 
-        decoded = np.ones(attempts, dtype=bool)
+        decoded = np.empty(attempts, dtype=bool)
+        decoded.fill(True)
         jammed = 0
         if self._jam_starts or self._scoped_jams:
             jam = self._jammed(receiver, start[lone])
@@ -449,35 +453,36 @@ class SpatialBroadcastChannel(BroadcastChannel):
         # Each remaining frame's loss: a per-link override, else the
         # whole-frame fate, else the channel's per-receiver rate. A frame
         # that needs a coin stays decoded until the coins are drawn.
-        threshold = np.full(attempts, self.phy.packet_error_rate)
-        by_link = np.zeros(attempts, dtype=bool)
+        threshold = np.empty(attempts)
+        threshold.fill(self.phy.packet_error_rate)
+        by_link = None
         if self._link_per:
             link = np.array(
                 [
                     self._link_per.get(pair, np.nan)
-                    for pair in zip(sender_ids[frame].tolist(), receiver.tolist())
+                    for pair in zip(sender_ids.take(frame).tolist(), receiver.tolist())
                 ],
                 dtype=np.float64,
             )
             by_link = ~np.isnan(link)
             threshold[by_link] = link[by_link]
         frame_drops = 0
+        needs_coin = decoded & (threshold > 0.0)
         if frame_delivered is not None:
-            fated = decoded & ~by_link
-            dropped = fated & ~frame_delivered[frame]
+            fated = decoded if by_link is None else decoded & ~by_link
+            dropped = fated & ~frame_delivered.take(frame)
             frame_drops = int(np.count_nonzero(dropped))
             decoded &= ~dropped
-            needs_coin = decoded & by_link & (threshold > 0.0)
-        else:
-            needs_coin = decoded & (threshold > 0.0)
-        coined = np.flatnonzero(needs_coin)
+            # only a link override draws a coin of its own
+            needs_coin &= by_link if by_link is not None else False
+        coined = needs_coin.nonzero()[0]
 
         if frame_draws or len(coined):
             count("phy.per_draw", frame_draws + len(coined))
         lost = 0
         if len(coined):
             draws = self._rng.random(len(coined))
-            losers = coined[draws < threshold[coined]]
+            losers = coined[draws < threshold.take(coined)]
             lost = len(losers)
             decoded[losers] = False
         if collisions:

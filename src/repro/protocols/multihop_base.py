@@ -127,8 +127,8 @@ class MultiHopContext:
     :attr:`sample_timestamp_errors` (``n`` draws at once, stream-identical
     to ``n`` single draws) are the channel's own bound methods.
 
-    Neighbour introspection reads the run's relay table: :meth:`state_of`
-    for one station's protocol view, :meth:`same_hop_counts` for the
+    Neighbour introspection reads the run's station views and their relay
+    table: :meth:`state_of` for one station's protocol view, :meth:`same_hop_counts` for the
     relay-rotation counts of every station, computed on the first call in
     a period.
     """
@@ -142,6 +142,7 @@ class MultiHopContext:
         "orphan_election",
         "sample_timestamp_error",
         "sample_timestamp_errors",
+        "_stations",
         "_table",
         "_same_hop",
     )
@@ -152,7 +153,7 @@ class MultiHopContext:
         slot_rng: np.random.Generator,
         rx_latency_us: float,
         channel: "BroadcastChannel",
-        table: "RelayTable",
+        stations: Sequence["MultiHopProtocol"],
     ) -> None:
         self.spec = spec
         self.topology: "Topology" = spec.topology
@@ -175,7 +176,8 @@ class MultiHopContext:
         self.sample_timestamp_errors: Callable[[int], np.ndarray] = (
             channel.sample_timestamp_errors
         )
-        self._table = table
+        self._stations = stations
+        self._table = stations[0].table
         self._same_hop: Optional[np.ndarray] = None
 
     def new_period(self, root: int, orphan_election: bool) -> None:
@@ -187,7 +189,7 @@ class MultiHopContext:
     def state_of(self, node_id: int) -> "MultiHopProtocol":
         """Another station's protocol view (neighbour introspection).
         Read-only by convention."""
-        return self._table.stations[node_id]
+        return self._stations[node_id]
 
     def same_hop_count(self, node_id: int) -> int:
         """:meth:`same_hop_counts` of one station."""
@@ -212,9 +214,10 @@ class MultiHopContext:
 
     def _count_same_hop(self) -> np.ndarray:
         table = self._table
-        hops = np.where(table.present, table.hop, -1)
+        hops = table.hop.copy()
+        hops[~table.present] = -1
         indptr, indices = self.topology.two_hop_csr()
-        owner = np.repeat(hops, np.diff(indptr))
+        owner = hops.repeat(indptr[1:] - indptr[:-1])
         matches = (hops[indices] == owner).astype(np.intp)
         # Station i's count is the sum over its CSR segment (a cumulative
         # sum differenced at the segment bounds: empty segments give 0).
@@ -260,15 +263,16 @@ class MultiHopProtocol:
     @classmethod
     def build(
         cls, spec: "MultiHopSpec", hws: Sequence[HardwareClock]
-    ) -> "RelayTable":
-        """The relay table of one run: one row and one station view per
-        hardware clock."""
+    ) -> List["MultiHopProtocol"]:
+        """One station view per hardware clock, over one new relay table
+        (a row per clock)."""
         table_cls = cls.table_cls
         if table_cls is None:
             from repro.protocols.multihop_table import RelayTable
 
             table_cls = RelayTable
-        return table_cls(spec, hws, cls)
+        table = table_cls(spec, hws, cls)
+        return [cls(i, table) for i in range(len(hws))]
 
     @classmethod
     def degenerate_runner(cls, spec: "MultiHopSpec") -> Optional["NetworkRunner"]:
@@ -382,12 +386,12 @@ class MultiHopProtocol:
         """The frame to synchronize from, or ``None`` to stay patient
         (the rule of :meth:`RelayTable.choose_upstream`)."""
         chosen = self.table.choose_upstream(
-            np.full(len(decoded), self.node_id),
+            np.zeros(len(decoded), dtype=np.intp) + self.node_id,
             np.array([tx.sender for tx in decoded]),
             np.array([tx.hop for tx in decoded]),
             np.array([tx.tx_true for tx in decoded]),
         )[1]
-        return decoded[int(chosen[0])] if chosen[0] >= 0 else None
+        return decoded[int(chosen[0])] if len(chosen) else None
 
     def _observe(
         self, tx: MultiHopFrame, jitter: float, ctx: MultiHopContext

@@ -59,6 +59,8 @@ _WINDOW = 8
 #: Discard samples older than this many periods (a stale window would
 #: drag the fit after an upstream change or long outage).
 _MAX_SAMPLE_AGE = 40
+#: Window positions, for masks over the window's columns.
+_SLOTS = np.arange(_WINDOW)
 
 
 class BeaconlessTable(RelayTable):
@@ -78,6 +80,11 @@ class BeaconlessTable(RelayTable):
         self.window_period = np.zeros((n, _WINDOW), dtype=np.intp)
         self.window_hw = np.zeros((n, _WINDOW))
         self.window_est = np.zeros((n, _WINDOW))
+        # per period parity: the stations on duty, (period + id) even
+        self._on_duty = [
+            (parity + np.arange(n)) % _DUTY_CYCLE == 0
+            for parity in range(_DUTY_CYCLE)
+        ]
 
     def detach(self, ids: np.ndarray) -> None:
         super().detach(ids)
@@ -88,7 +95,7 @@ class BeaconlessTable(RelayTable):
     ) -> np.ndarray:
         """The duty cycle: every other period, staggered by id (the
         shared ``relay_probability`` thins on top)."""
-        return relay & ((period + np.arange(self.n)) % _DUTY_CYCLE == 0)
+        return relay & self._on_duty[period % _DUTY_CYCLE]
 
     # ------------------------------------------------------------------
     # Reception: windowed least squares over one-way samples
@@ -107,39 +114,36 @@ class BeaconlessTable(RelayTable):
         upstream), then the window is refitted (:meth:`_refit`)."""
         accepted = np.zeros(self.n, dtype=bool)
         rx = self.entries(frames, delivery, ctx.root, accepted)
-        rows, chosen = self.choose_upstream(rx.receiver, rx.sender, rx.hop, rx.tx_true)
-        taken = chosen >= 0
-        ids = rows[taken]
-        chosen = chosen[taken]
+        ids, chosen = self.choose_upstream(rx.receiver, rx.sender, rx.hop, rx.tx_true)
         hw, est = self.observe(
             ids,
-            rx.tx_true[chosen],
-            rx.delay_us[chosen],
+            rx.tx_true.take(chosen),
+            rx.delay_us.take(chosen),
             frames.timestamp,
             self.jitter(len(ids), ctx),
             ctx.rx_latency_us,
         )
         self.silent[ids] = 0
         accepted[ids] = True
-        new_hop = rx.hop[chosen] + 1
-        sender = rx.sender[chosen]
+        new_hop = rx.hop.take(chosen) + 1
+        sender = rx.sender.take(chosen)
         # first contact: one-shot offset alignment, then regress
-        first = self.hop[ids] < 0
-        if first.any():
+        first = self.hop.take(ids) < 0
+        if np.count_nonzero(first):
             joined = ids[first]
             local = self.seg_k[joined] * hw[first] + self.seg_b[joined]
             self.align(joined, local, est[first])
             self.hop[joined] = new_hop[first]
             self.upstream[joined] = sender[first]
-        later = ~first
-        ids = ids[later]
-        sender = sender[later]
-        moved = ids[sender != self.upstream[ids]]
+            later = ~first
+            ids, sender, new_hop = ids[later], sender[later], new_hop[later]
+            hw, est = hw[later], est[later]
+        moved = ids[sender != self.upstream.take(ids)]
         self.upstream[ids] = sender
         self.window[moved] = 0
-        self.hop[ids] = new_hop[later]
-        self._append(period, ids, hw[later], est[later])
-        self._refit(ids, hw[later])
+        self.hop[ids] = new_hop
+        self._append(period, ids, hw, est)
+        self._refit(ids, hw)
         if tracing_enabled():
             self.trace_receptions(period, frames, delivery, ctx.rx_latency_us)
         return accepted
@@ -151,52 +155,59 @@ class BeaconlessTable(RelayTable):
         :data:`_WINDOW`, then drop samples older than
         :data:`_MAX_SAMPLE_AGE` periods from the front."""
         columns = (self.window_period, self.window_hw, self.window_est)
-        full = ids[self.window[ids] == _WINDOW]
-        for column in columns:
-            column[full, :-1] = column[full, 1:]
-        self.window[full] -= 1
-        at = self.window[ids]
+        full = ids[self.window.take(ids) == _WINDOW]
+        if len(full):
+            for column in columns:
+                column[full, :-1] = column[full, 1:]
+            self.window[full] -= 1
+        at = self.window.take(ids)
         for column, value in zip(columns, (period, hw, est)):
             column[ids, at] = value
         self.window[ids] += 1
-        stale = (period - self.window_period[ids] > _MAX_SAMPLE_AGE) & (
-            np.arange(_WINDOW) < self.window[ids, None]
-        )
-        drop = stale.sum(axis=1)
-        if drop.any():
-            ids = ids[drop > 0]
-            drop = drop[drop > 0]
-            keep = np.minimum(np.arange(_WINDOW) + drop[:, None], _WINDOW - 1)
+        # samples are appended in period order, so the stale ones lead
+        oldest = self.window_period[ids, 0]
+        aged = ids[period - oldest > _MAX_SAMPLE_AGE]
+        if len(aged):
+            count = self.window[aged]
+            stale = (period - self.window_period[aged] > _MAX_SAMPLE_AGE) & (
+                _SLOTS < count[:, None]
+            )
+            drop = np.count_nonzero(stale, axis=1)
+            keep = np.minimum(_SLOTS + drop[:, None], _WINDOW - 1)
             for column in columns:
-                column[ids] = np.take_along_axis(column[ids], keep, axis=1)
-            self.window[ids] -= drop
+                column[aged] = np.take_along_axis(column[aged], keep, axis=1)
+            self.window[aged] = count - drop
 
     def _refit(self, ids: np.ndarray, hw_now: np.ndarray) -> None:
         """OLS fit of upstream time over local hardware time; slew each
         adjusted clock onto its fitted line over the expected gap to the
         next update."""
         spec = self.spec
-        ready = self.window[ids] >= 2
+        ready = self.window.take(ids) >= 2
         ids = ids[ready]
         hw_now = hw_now[ready]
-        n = self.window[ids]
-        hw = self.window_hw[ids]
-        est = self.window_est[ids]
-        mean_hw = column_sums(hw, n) / n
-        mean_est = column_sums(est, n) / n
-        d_hw = hw - mean_hw[:, None]
-        d_est = est - mean_est[:, None]
-        live = np.arange(_WINDOW) < n[:, None]
-        squares = np.zeros_like(d_hw)
-        squares[live] = python_squares(d_hw[live])
-        var = column_sums(squares, n)
-        cov = column_sums(d_hw * d_est, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k_fit = cov / var
-            fit = ~(var <= 0.0) & ~(np.abs(k_fit - 1.0) > spec.k_clamp)
+        n = self.window.take(ids)
+        live = _SLOTS < n[:, None]
+        samples = np.empty((len(ids), _WINDOW, 2))
+        samples[:, :, 0] = self.window_hw[ids]
+        samples[:, :, 1] = self.window_est[ids]
+        samples *= live[:, :, None]  # zero the unused cells: exact for the sums
+        mean = column_sums(samples) / n[:, None]
+        d_hw = samples[:, :, 0] - mean[:, 0, None]
+        moments = np.zeros((len(ids), _WINDOW, 2))
+        moments[:, :, 0][live] = python_squares(d_hw[live])
+        d_hw *= live
+        np.multiply(d_hw, samples[:, :, 1] - mean[:, 1, None], out=moments[:, :, 1])
+        var, cov = column_sums(moments).T
+        mean_hw, mean_est = mean.T
+        # a zero (or NaN) variance fits no line
+        positive = var > 0.0
+        k_fit = cov[positive] / var[positive]
+        close = ~(np.abs(k_fit - 1.0) > spec.k_clamp)
+        fit = positive.nonzero()[0][close]
+        k_fit = k_fit[close]
         ids = ids[fit]
         hw_now = hw_now[fit]
-        k_fit = k_fit[fit]
         b_fit = mean_est[fit] - k_fit * mean_hw[fit]
         # Converge onto the fitted line at the *next expected update*
         # (one duty cycle out, stretched by the relay_probability

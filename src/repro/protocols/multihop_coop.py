@@ -100,37 +100,47 @@ class CoopAverageTable(RelayTable):
         spec = self.spec
         accepted = np.zeros(self.n, dtype=bool)
         rx = self.entries(frames, delivery, ctx.root, accepted)
+        if not len(rx.receiver):
+            return accepted
         order, first, ids = self.rank(rx.receiver, rx.hop, rx.tx_true)
-        receiver = rx.receiver[order]
+        receiver = rx.receiver.take(order)
         hw, est = self.observe(
             receiver,
-            rx.tx_true[order],
-            rx.delay_us[order],
+            rx.tx_true.take(order),
+            rx.delay_us.take(order),
             frames.timestamp,
             self.jitter(len(order), ctx),
             ctx.rx_latency_us,
         )
-        offset = est - (self.seg_k[receiver] * hw + self.seg_b[receiver])
-        n = np.diff(np.r_[first, len(order)])
-        hw_mean = column_sums(left_aligned(ids, n, hw), n) / n
-        est_mean = column_sums(left_aligned(ids, n, est), n) / n
-        offset_mean = column_sums(left_aligned(ids, n, offset), n) / n
+        observations = np.empty((len(order), 3))
+        observations[:, 0] = hw
+        observations[:, 1] = est
+        observations[:, 2] = est - (self.seg_k[receiver] * hw + self.seg_b[receiver])
+        counts = np.empty(len(first), dtype=np.intp)
+        counts[:-1] = first[1:] - first[:-1]
+        counts[-1] = len(order) - first[-1]
+        hw_mean, est_mean, offset_mean = (
+            column_sums(left_aligned(first, len(order), observations)) / counts[:, None]
+        ).T
         self.silent[ids] = 0
         accepted[ids] = True
-        best = order[first]
-        self.upstream[ids] = rx.sender[best]  # best-hop sender, for diagnostics
-        joined = self.hop[ids] < 0
-        self.hop[ids] = rx.hop[best] + 1
-        if joined.any():
+        best = order.take(first)
+        self.upstream[ids] = rx.sender.take(best)  # best-hop sender, for diagnostics
+        joined = self.hop.take(ids) < 0
+        self.hop[ids] = rx.hop.take(best) + 1
+        rows = ids
+        if np.count_nonzero(joined):
             new = ids[joined]
             local = self.seg_k[new] * hw_mean[joined] + self.seg_b[new]
             self.align(new, local, est_mean[joined])
-        later = ~joined
-        rows = ids[later]
-        d_hw = hw_mean[later] - self.last_hw[rows]
-        d_est = est_mean[later] - self.last_est[rows]
-        tracked = self.has_last[rows] & (d_hw > 0) & (d_est > 0)
-        if tracked.any():
+            later = ~joined
+            rows = ids[later]
+        else:
+            later = slice(None)
+        d_hw = hw_mean[later] - self.last_hw.take(rows)
+        d_est = est_mean[later] - self.last_est.take(rows)
+        tracked = self.has_last.take(rows) & (d_hw > 0) & (d_est > 0)
+        if np.count_nonzero(tracked):
             moving = rows[tracked]
             implied = np.minimum(
                 np.maximum(d_est[tracked] / d_hw[tracked], 1.0 - spec.k_clamp),
@@ -145,7 +155,7 @@ class CoopAverageTable(RelayTable):
         # gain-weighted offset spread over one beacon period
         self.slew(
             rows,
-            self.rate_factor[rows]
+            self.rate_factor.take(rows)
             + _ALPHA * offset_mean[later] / spec.beacon_period_us,
             hw_mean[later],
         )

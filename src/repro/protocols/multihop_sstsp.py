@@ -24,7 +24,7 @@ bound, now per subtree.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -68,11 +68,10 @@ class SstspRelayTable(RelayTable):
         self.pending_interval = np.zeros(n, dtype=np.intp)
         self.pending_hw = np.zeros(n)
         self.pending_est = np.zeros(n)
-        # Relay-rotation phases keyed (station, hop, cycle) so a station is
-        # re-colored when its hop (and thus its conflict set) changes;
-        # sorted encoded keys with their phases.
-        self._phase_keys = np.zeros(0, dtype=np.int64)
-        self._phases = np.zeros(0, dtype=np.intp)
+        # Relay-rotation phases keyed (station, hop, cycle), encoded as
+        # ``(station * n + hop) * 5 + cycle``, so a station is re-colored
+        # when its hop (and thus its conflict set) changes.
+        self._phases: Dict[int, int] = {}
 
     def detach(self, ids: np.ndarray) -> None:
         super().detach(ids)
@@ -105,31 +104,17 @@ class SstspRelayTable(RelayTable):
         turn = relay.copy()
         if self.spec.relay_probability < 1.0:
             return turn
-        ids = np.flatnonzero(relay)
+        ids = relay.nonzero()[0]
         if not ids.size:
             return turn
         same_hop = ctx.same_hop_counts()[ids]
         rotating = same_hop > 0
-        if rotating.any():
+        if np.count_nonzero(rotating):
             ids = ids[rotating]
             cycle = np.minimum(4, 1 + same_hop[rotating])
             phase = self._relay_phases(ids, self.hop[ids], cycle, ctx)
             turn[ids] = period % cycle == phase
         return turn
-
-    def _phase_key(self, ids: np.ndarray, hops, cycles) -> np.ndarray:
-        """The sortable integer encoding of ``(station, hop, cycle)``."""
-        return (ids.astype(np.int64) * self.n + hops) * 5 + cycles
-
-    def _lookup(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The stored phase of each key (-1 where none) and whether one
-        is stored."""
-        store = self._phase_keys
-        if not len(store):
-            return np.full(len(keys), -1, dtype=np.intp), np.zeros(len(keys), bool)
-        at = np.minimum(np.searchsorted(store, keys), len(store) - 1)
-        found = store[at] == keys
-        return np.where(found, self._phases[at], -1), found
 
     def _relay_phases(
         self,
@@ -140,12 +125,17 @@ class SstspRelayTable(RelayTable):
     ) -> np.ndarray:
         """Each relay's fixed phase, colouring the ones without one in
         ascending id order (:meth:`_color`)."""
-        phase, found = self._lookup(self._phase_key(ids, hops, cycles))
-        for j in np.flatnonzero(~found).tolist():
-            phase[j] = self._color(int(ids[j]), int(hops[j]), int(cycles[j]), ctx)
-        return phase
+        phases = self._phases
+        keys = ((ids * self.n + hops) * 5 + cycles).tolist()
+        phase = [phases.get(key, -1) for key in keys]
+        for j, key in enumerate(keys):
+            if phase[j] < 0:
+                phase[j] = self._color(int(ids[j]), int(hops[j]), int(cycles[j]), key, ctx)
+        return np.array(phase)
 
-    def _color(self, node: int, hop: int, cycle: int, ctx: MultiHopContext) -> int:
+    def _color(
+        self, node: int, hop: int, cycle: int, key: int, ctx: MultiHopContext
+    ) -> int:
         """Greedy phase coloring over the same-hop/2-hop conflict graph.
 
         Two hidden same-hop stations with *equal* fixed phases would
@@ -156,18 +146,19 @@ class SstspRelayTable(RelayTable):
         resolving the permanent-collision cases. Phases are re-colored
         when a station's hop (and thus its conflict set) changes.
         """
-        indptr, indices = ctx.topology.two_hop_csr()
-        others = indices[indptr[node] : indptr[node + 1]]
-        others = others[self.hop[others] == hop]
-        keys = self._phase_key(others, hop, cycle)
-        other_phase, found = self._lookup(keys)
-        used = np.bincount(other_phase[found], minlength=cycle)
-        candidates = np.flatnonzero(used == used.min())
-        phase = int(candidates[node % len(candidates)])
-        key = int(self._phase_key(np.array([node]), hop, cycle)[0])
-        at = int(np.searchsorted(self._phase_keys, key))
-        self._phase_keys = np.insert(self._phase_keys, at, key)
-        self._phases = np.insert(self._phases, at, phase)
+        phases = self._phases
+        hop_of = self.hop
+        used = [0] * cycle
+        for other in ctx.topology.two_hop_neighbors(node):
+            if hop_of[other] != hop:
+                continue
+            other_phase = phases.get((other * self.n + hop) * 5 + cycle)
+            if other_phase is not None:
+                used[other_phase] += 1
+        least = min(used)
+        candidates = [p for p, count in enumerate(used) if count == least]
+        phase = candidates[node % len(candidates)]
+        phases[key] = phase
         return phase
 
     # ------------------------------------------------------------------
@@ -191,9 +182,6 @@ class SstspRelayTable(RelayTable):
         accepted = np.zeros(self.n, dtype=bool)
         rx = self.entries(frames, delivery, ctx.root, accepted)
         rows, chosen = self.choose_upstream(rx.receiver, rx.sender, rx.hop, rx.tx_true)
-        taken = chosen >= 0
-        rows = rows[taken]
-        chosen = chosen[taken]
         hw, est = self.observe(
             rows,
             rx.tx_true[chosen],
@@ -211,7 +199,7 @@ class SstspRelayTable(RelayTable):
         # joiner, collapsed to one sample for founding nodes that are
         # loosely synchronized already)
         first = hop < 0
-        if first.any():
+        if np.count_nonzero(first):
             ids = rows[first]
             self.align(ids, local[first], est[first])
             self.hop[ids] = new_hop[first]
@@ -240,7 +228,7 @@ class SstspRelayTable(RelayTable):
             | (upstream < 0)
             | (silent_before >= 2 * spec.l)
         )
-        if switch.any():
+        if np.count_nonzero(switch):
             moved = ids[switch]
             self.upstream[moved] = sender[switch]
             self.samples[moved] = 0
@@ -307,8 +295,7 @@ class SstspRelayTable(RelayTable):
             self.sample_ts[ids, 0],
             target,
         )
-        with np.errstate(invalid="ignore"):
-            ok &= ~(np.abs(k - 1.0) > spec.k_clamp)
+        ok &= ~(np.abs(k - 1.0) > spec.k_clamp)
         ids = ids[ok]
         adjusted = self.adjust(ids, k[ok], b[ok], hw_now[ok])
         self.adjustments[ids[adjusted]] += 1

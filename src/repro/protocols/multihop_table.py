@@ -96,27 +96,31 @@ class GuardRejects(NamedTuple):
     threshold: np.ndarray
 
 
-def column_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per row, the sum of its first ``counts[row]`` entries, added left
-    to right from ``0.0`` — the order of a Python ``sum`` over the items
-    or of a ``total += item`` loop. Rows with ``counts == 0`` sum to 0."""
-    total = np.zeros(values.shape[0])
-    for column in range(values.shape[1]):
-        live = counts > column
-        total = np.where(live, total + values[:, column], total)
-    return total
+def column_sums(values: np.ndarray) -> np.ndarray:
+    """Per row of a zero-padded, left-aligned rows-by-items matrix (with
+    any trailing axes for several quantities at once), the sum of its
+    items added left to right from ``0.0``: the order of a Python ``sum``
+    over the items or of a ``total += item`` loop.
+
+    ``np.add.accumulate`` adds strictly in sequence (every partial sum is
+    an output), unlike ``np.add.reduce``, which sums in pairs. Starting
+    from the first item instead of ``0.0`` can only differ in the sign
+    of a zero, which the final ``+ 0.0`` settles as ``0.0 + item`` does;
+    the padding adds nothing for the same reason."""
+    return np.add.accumulate(values, axis=1)[:, -1] + 0.0
 
 
-def left_aligned(
-    rows: np.ndarray, counts: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """``values`` (grouped by row, ``counts[r]`` items for row ``r`` in
-    order) laid out as a rows-by-items matrix, each row's items from
-    column 0 on; unused cells hold 0."""
-    out = np.zeros((len(rows), int(counts.max()) if len(counts) else 0))
-    first = np.cumsum(counts) - counts
-    row_of = np.repeat(np.arange(len(rows)), counts)
-    out[row_of, np.arange(len(values)) - first[row_of]] = values
+def left_aligned(first: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
+    """``values`` (grouped by row; row ``r``'s items start at
+    ``first[r]``, the rows end to end over ``size`` items) as a
+    zero-padded rows-by-items matrix, each row's items from column 0
+    on; trailing axes of ``values`` are kept."""
+    row_of = np.zeros(size, dtype=np.intp)
+    row_of[first[1:]] = 1
+    row_of = row_of.cumsum()
+    column = np.arange(size) - first.take(row_of)
+    out = np.zeros((len(first), int(column.max()) + 1) + values.shape[1:])
+    out[row_of, column] = values
     return out
 
 
@@ -127,6 +131,16 @@ def python_squares(values: np.ndarray) -> np.ndarray:
     return np.fromiter(
         map(pow, values.tolist(), repeat(2)), dtype=np.float64, count=len(values)
     )
+
+
+def _per_station(value: Any, n: int) -> np.ndarray:
+    """``value`` as a float array of ``n`` entries (a scalar repeated)."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape == (n,):
+        return value
+    out = np.empty(n)
+    out.fill(value)
+    return out
 
 
 class RelayTable:
@@ -169,9 +183,6 @@ class RelayTable:
         # Installed segments, in order, as (ids, start, k, b) chunks; a
         # start of -inf is a fresh clock (first-contact alignment).
         self._journal: List[Tuple[np.ndarray, ...]] = []
-        self.stations: List["MultiHopProtocol"] = [
-            protocol_cls(i, self) for i in range(n)
-        ]
 
     def gather_clocks(self) -> None:
         """Copy every oscillator's rate and offset into ``rate`` and
@@ -215,7 +226,8 @@ class RelayTable:
         ``est - local`` (not a slew; the station was not synchronized)."""
         if len(ids):
             b = self.seg_b[ids] + (est - local)
-            self._install(ids, np.full(len(ids), -np.inf), self.seg_k[ids], b)
+            start = _per_station(-np.inf, len(ids))
+            self._install(ids, start, self.seg_k[ids], b)
 
     def adjust(self, ids: np.ndarray, k: Any, b: Any, t: Any) -> np.ndarray:
         """:meth:`~repro.clocks.adjusted.AdjustedClock.adjust` for each
@@ -223,19 +235,17 @@ class RelayTable:
         slope is not finite and positive, ``t`` precedes the active
         segment's start or the join is discontinuous. Returns the mask of
         stations that switched."""
-        k, b, t = (
-            np.broadcast_to(np.asarray(x, dtype=np.float64), ids.shape)
-            for x in (k, b, t)
+        k, b, t = (_per_station(x, len(ids)) for x in (k, b, t))
+        gap = (k * t + b) - (self.seg_k.take(ids) * t + self.seg_b.take(ids))
+        ok = (
+            (0.0 < k)
+            & (k < np.inf)
+            & ~(t < self.seg_start.take(ids))
+            & ~(np.abs(gap) > CONTINUITY_TOL_US)
         )
-        with np.errstate(invalid="ignore", over="ignore"):
-            gap = (k * t + b) - (self.seg_k[ids] * t + self.seg_b[ids])
-            ok = (
-                (0.0 < k)
-                & (k < np.inf)
-                & ~(t < self.seg_start[ids])
-                & ~(np.abs(gap) > CONTINUITY_TOL_US)
-            )
-        if ok.any():
+        if np.count_nonzero(ok) == len(ok):
+            self._install(ids, t, k, b)
+        elif np.count_nonzero(ok):
             self._install(ids[ok], t[ok], k[ok], b[ok])
         return ok
 
@@ -245,7 +255,7 @@ class RelayTable:
         adjustment."""
         k_clamp = self.spec.k_clamp
         slope = np.minimum(np.maximum(slope, 1.0 - k_clamp), 1.0 + k_clamp)
-        current = self.seg_k[ids] * hw_now + self.seg_b[ids]
+        current = self.seg_k.take(ids) * hw_now + self.seg_b.take(ids)
         ok = self.adjust(ids, slope, current - slope * hw_now, hw_now)
         self.adjustments[ids[ok]] += 1
 
@@ -260,8 +270,8 @@ class RelayTable:
         if not self._journal:
             return clock
         ids, starts, ks, bs = self._journal[0]
-        mine = np.flatnonzero(ids == node_id)
-        fresh = np.flatnonzero(starts[mine] == -np.inf)
+        mine = (ids == node_id).nonzero()[0]
+        fresh = (starts[mine] == -np.inf).nonzero()[0]
         if fresh.size:
             base = mine[fresh[-1]]
             clock = AdjustedClock(float(ks[base]), float(bs[base]))
@@ -294,31 +304,33 @@ class RelayTable:
         spec = self.spec
         root = ctx.root
         eligible = active & (self.hop >= 1)
+        relay = eligible & (self.adjustments >= 1)
+        orphan = None
         if ctx.orphan_election:
             orphan = eligible & (self.hop == 1) & (self.silent >= spec.l)
-            relay = eligible & ~orphan & (self.adjustments >= 1)
-        else:
-            orphan = None
-            relay = eligible & (self.adjustments >= 1)
+            relay &= ~orphan
         turn = self.relay_turn(period, relay, ctx)
         if orphan is not None:
             turn |= orphan
-        if root >= 0 and active[root]:
+        rooted = root >= 0 and bool(active[root])
+        if rooted:
             turn[root] = True
         if spec.relay_probability < 1.0:
             return self._thinned_intents(turn, orphan, root, ctx)
-        ids = np.flatnonzero(turn)
+        ids = turn.nonzero()[0]
+        draws = len(ids) - rooted
         slots = np.zeros(len(ids), dtype=np.int64)
-        drawn = ids != root
-        if drawn.any():
-            slots[drawn] = ctx.slot_rng.integers(
-                0, self._backoff_range(), size=int(np.count_nonzero(drawn))
-            )
+        at = int(ids.searchsorted(root)) if rooted else len(ids)
+        if draws:
+            drawn = ctx.slot_rng.integers(0, self._backoff_range(), size=draws)
+            slots[:at] = drawn[:at]
+            slots[at + 1 :] = drawn[at:]
         delays = (self.hop[ids] * spec.hop_stride_slots + slots) * spec.slot_time_us
         if orphan is not None:
             contend = orphan[ids]
             delays[contend] = slots[contend] * spec.slot_time_us
-        delays[~drawn] = 0.0
+        if rooted:
+            delays[at] = 0.0
         return ids, delays
 
     def _thinned_intents(
@@ -337,7 +349,7 @@ class RelayTable:
         backoff = self._backoff_range()
         ids: List[int] = []
         delays: List[float] = []
-        for i in np.flatnonzero(candidates).tolist():
+        for i in candidates.nonzero()[0].tolist():
             if i == root:
                 delay = 0.0
             elif orphan is not None and orphan[i]:
@@ -419,7 +431,7 @@ class RelayTable:
             if receiver == ctx.root:
                 accepted[receiver] = True
                 continue
-            if self.stations[receiver].on_receptions(period, decoded, ctx):
+            if ctx.state_of(receiver).on_receptions(period, decoded, ctx):
                 accepted[receiver] = True
         return accepted
 
@@ -435,18 +447,17 @@ class RelayTable:
         receiver = delivery.receiver
         frame = delivery.frame
         if root >= 0:
-            at_root = receiver == root
-            if at_root.any():
+            keep = receiver != root
+            if np.count_nonzero(keep) < len(keep):
                 accepted[root] = True
-                keep = ~at_root
                 receiver = receiver[keep]
                 frame = frame[keep]
         return Entries(
             receiver,
-            frames.sender[frame],
-            frames.hop[frame],
-            frames.tx_true[frame],
-            frames.delay_us[frame],
+            frames.sender.take(frame),
+            frames.hop.take(frame),
+            frames.tx_true.take(frame),
+            frames.delay_us.take(frame),
         )
 
     def rank(
@@ -457,11 +468,12 @@ class RelayTable:
         the reception indices in that order, the position in ``order`` of
         each receiver's first one, and the receivers (ascending)."""
         order = np.lexsort((tx_true, hop, receiver))
-        ranked = receiver[order]
-        first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        if not len(ranked):
-            first = first[:0]
-        return order, first, ranked[first]
+        ranked = receiver.take(order)
+        opens = np.empty(len(ranked), dtype=bool)
+        opens[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=opens[1:])
+        first = opens.nonzero()[0]
+        return order, first, ranked.take(first)
 
     def choose_upstream(
         self,
@@ -472,26 +484,30 @@ class RelayTable:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per receiver, the reception to synchronize from.
 
-        Returns ``(rows, chosen)``: the receivers, ascending, and the
-        index of each one's chosen reception, or -1 to stay patient. A
-        receiver sticks with its current upstream whenever that one's
-        beacon decoded (switching resets the sample history); it switches
-        to a strictly better hop, or to the best reception (lowest hop,
-        then earliest) once the upstream went quiet for ``2 l`` periods
-        (or there is none).
+        Returns ``(rows, chosen)``: the receivers that take a reception,
+        ascending, and the index of each one's chosen reception; the
+        other receivers stay patient. A receiver sticks with its current
+        upstream whenever that one's beacon decoded (switching resets the
+        sample history); it switches to a strictly better hop, or to the
+        best reception (lowest hop, then earliest) once the upstream went
+        quiet for ``2 l`` periods (or there is none).
         """
         order, first, rows = self.rank(receiver, hop, tx_true)
-        best = order[first]
-        upstream = self.upstream[rows]
-        from_upstream = np.flatnonzero(sender == self.upstream[receiver])
-        current = np.full(len(rows), -1, dtype=np.intp)
-        current[np.searchsorted(rows, receiver[from_upstream])] = from_upstream
-        has_current = current >= 0
-        stick = has_current & (hop[best] >= hop[current])
+        best = order.take(first)
+        upstream = self.upstream.take(rows)
+        from_upstream = (sender == self.upstream.take(receiver)).nonzero()[0]
+        current = np.zeros(len(rows), dtype=np.intp)
+        has_current = np.zeros(len(rows), dtype=bool)
+        at = rows.searchsorted(receiver.take(from_upstream))
+        current[at] = from_upstream
+        has_current[at] = True
+        stick = has_current & (hop.take(best) >= hop.take(current))
         switch = ~stick & (
-            has_current | (upstream < 0) | (self.silent[rows] >= 2 * self.spec.l)
+            has_current | (upstream < 0) | (self.silent.take(rows) >= 2 * self.spec.l)
         )
-        return rows, np.where(stick, current, np.where(switch, best, -1))
+        np.copyto(best, current, where=stick)
+        take = stick | switch
+        return rows[take], best[take]
 
     def observe(
         self,
@@ -572,17 +588,18 @@ class RelayTable:
         (:meth:`detach`); past ``resync_after_periods`` its clock has
         diverged beyond any guard and it starts over
         (:meth:`reset_sync`)."""
-        quiet = due & ~accepted
-        if not quiet.any():
+        quiet = (due & ~accepted).nonzero()[0]
+        if not len(quiet):
             return
         spec = self.spec
-        self.silent[quiet] += 1
-        lost = quiet & (self.silent > 4 * spec.l) & (self.upstream >= 0)
-        if lost.any():
-            self.detach(np.flatnonzero(lost))
-        stale = quiet & (self.silent > spec.resync_after_periods) & (self.hop >= 0)
-        if stale.any():
-            self.reset_sync(np.flatnonzero(stale))
+        silent = self.silent.take(quiet) + 1
+        self.silent[quiet] = silent
+        lost = quiet[(silent > 4 * spec.l) & (self.upstream.take(quiet) >= 0)]
+        if len(lost):
+            self.detach(lost)
+        stale = quiet[(silent > spec.resync_after_periods) & (self.hop.take(quiet) >= 0)]
+        if len(stale):
+            self.reset_sync(stale)
 
     def detach(self, ids: np.ndarray) -> None:
         """Upstream lost: drop it and re-acquire from any beacon. Extend
