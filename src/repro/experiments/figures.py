@@ -8,9 +8,10 @@ figure is one :data:`FIGURES` entry, and they differ only by its data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.metrics import INDUSTRY_THRESHOLD_US, SyncTrace
+from repro.experiments.jobs import scenario_from_params
 from repro.experiments.report import (
     downsample_rows,
     experiment_parser,
@@ -162,6 +163,42 @@ FIGURES: Dict[str, Figure] = {fig.name: fig for fig in (
 )}
 
 
+def job_specs(
+    name: str,
+    n_values: Union[None, int, Sequence[int]] = None,
+    quick: bool = False,
+    seed: int = 1,
+    **options: Any,
+) -> Tuple[List[JobSpec], Optional[Tuple[float, float]]]:
+    """Figure ``name``'s sweep jobs, one per network size, and its attack
+    window (see :func:`run` for the arguments).
+
+    Raises ``ValueError`` naming the bad field before any job exists:
+    each job's scenario goes through the ``ScenarioSpec`` and
+    ``SstspConfig`` checks its run will make (``n < 2``, ``m < 1``), as
+    ``table1.cell_specs`` checks its grid.
+    """
+    fig = FIGURES[name]
+    unknown = set(options) - set(fig.options)
+    if unknown:
+        raise TypeError(f"{name} takes no {', '.join(sorted(unknown))}")
+    params = {"scenario": "quick" if quick else "paper", "seed": seed,
+              **fig.params, **fig.options, **options}
+    window = None
+    if fig.attack:
+        window = (20.0, 40.0) if quick else (PAPER_ATTACK.start_s, PAPER_ATTACK.end_s)
+        params.update(duration_s=60.0 if quick else None,
+                      attack_start_s=window[0], attack_end_s=window[1])
+    nodes = fig.nodes if n_values is None else n_values
+    sizes = (nodes,) if isinstance(nodes, int) else tuple(nodes)
+    for n in sizes:
+        scenario = scenario_from_params(dict(params, n=n))
+        if "m" in params:
+            scenario.sstsp_config(m=params["m"])
+    specs = [JobSpec.make("scenario_trace", params, root_seed=seed, n=n) for n in sizes]
+    return specs, window
+
+
 def run(
     name: str,
     n_values: Union[None, int, Sequence[int]] = None,
@@ -177,20 +214,17 @@ def run(
     default to its :data:`FIGURES` entry.
     With ``quick`` the run lasts 60 s and the attack 20-40 s.
     """
-    fig = FIGURES[name]
-    unknown = set(options) - set(fig.options)
-    if unknown:
-        raise TypeError(f"{name} takes no {', '.join(sorted(unknown))}")
-    params = {"scenario": "quick" if quick else "paper", "seed": seed,
-              **fig.params, **fig.options, **options}
-    window = None
-    if fig.attack:
-        window = (20.0, 40.0) if quick else (PAPER_ATTACK.start_s, PAPER_ATTACK.end_s)
-        params.update(duration_s=60.0 if quick else None,
-                      attack_start_s=window[0], attack_end_s=window[1])
-    nodes = fig.nodes if n_values is None else n_values
-    sizes = (nodes,) if isinstance(nodes, int) else tuple(nodes)
-    specs = [JobSpec.make("scenario_trace", params, root_seed=seed, n=n) for n in sizes]
+    specs, window = job_specs(name, n_values, quick=quick, seed=seed, **options)
+    return _sweep(name, specs, window, sweep)
+
+
+def _sweep(
+    name: str,
+    specs: List[JobSpec],
+    window: Optional[Tuple[float, float]],
+    sweep: Optional[SweepOptions],
+) -> FigureResult:
+    sizes = [spec.params_dict()["n"] for spec in specs]
     payloads = dict(zip(sizes, run_sweep(name, specs, sweep).values))
     return FigureResult(
         {n: p["trace"] for n, p in payloads.items()},
@@ -215,8 +249,14 @@ def main(name: str, argv=None) -> None:
     add_sweep_arguments(parser)
     args, sweep = parse_sweep_args(parser, argv)
     options = {key: getattr(args, key) for key in fig.options}
+    try:
+        specs, window = job_specs(
+            name, args.nodes, quick=args.quick, seed=args.seed, **options
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    result = run(name, args.nodes, quick=args.quick, seed=args.seed, sweep=sweep, **options)
+    result = _sweep(name, specs, window, sweep)
     print(fig.banner.format(n=args.nodes, **options))
     for n, trace in sorted(result.traces.items()):
         path = save_trace_csv(trace, fig.csv.format(n=n, **options))

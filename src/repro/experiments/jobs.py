@@ -35,7 +35,7 @@ def _require(kind: str, params: Dict[str, Any], *names: str) -> None:
         )
 
 
-def _scenario_from_params(params: Dict[str, Any]) -> ScenarioSpec:
+def scenario_from_params(params: Dict[str, Any]) -> ScenarioSpec:
     """Rebuild the ScenarioSpec a ``scenario_trace`` job describes."""
     _require("scenario_trace", params, "n", "seed")
     scenario = params.get("scenario", "paper")
@@ -82,7 +82,7 @@ def run_scenario_trace(job: JobSpec) -> Dict[str, Any]:
     lane = params.get("lane", "vec")
     if lane not in ("vec", "oo"):
         raise ValueError(f"scenario_trace: unknown lane {lane!r}")
-    spec = _scenario_from_params(params)
+    spec = scenario_from_params(params)
     if protocol == "sstsp":
         config = spec.sstsp_config(m=params.get("m", 4))
         if lane == "oo":

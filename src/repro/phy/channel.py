@@ -27,7 +27,6 @@ import bisect
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,

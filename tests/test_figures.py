@@ -98,3 +98,29 @@ def test_options_match_golden(name, monkeypatch):
         cli_main([name, "--help"])
     assert exc.value.code == 0
     assert describe(seen["parser"]) == golden_json("parsers.json")[name]
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("fig2 --quick -m 0", "m must be >= 1, got 0"),
+        ("fig4 --quick -m 0", "m must be >= 1, got 0"),
+        ("fig3 --quick --nodes 0", "n must be >= 2 (a network needs two stations), got 0"),
+        ("fig1 --quick --nodes 1", "n must be >= 2 (a network needs two stations), got 1"),
+        ("fig1 --quick --nodes 100 1", "got 1"),
+    ],
+)
+def test_bad_field_is_a_usage_error_before_any_job(
+    command, message, tmp_path, monkeypatch, capsys
+):
+    """A bad ``--nodes`` or ``-m`` fails the ``ScenarioSpec`` /
+    ``SstspConfig`` checks at the command line (exit 2, the field named)
+    and starts no sweep, so no sweep log is written."""
+    results = tmp_path / "results"
+    monkeypatch.setenv("SSTSP_RESULTS_DIR", str(results))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(command.split() + ["--no-cache"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {command.split()[0]}: error: " in err and message in err
+    assert not results.exists()
