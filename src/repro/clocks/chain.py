@@ -15,7 +15,10 @@ active segment is known (:meth:`ClockChain.true_at_adjusted`). Protocol
 drivers that only expose an opaque ``synchronized_time`` mapping instead
 invert by fixed-point iteration (:func:`invert_affine_fixed_point`), which
 is how :meth:`repro.network.node.Node.scheduled_true_time` maps adjusted
-TBTTs onto the true-time axis.
+TBTTs onto the true-time axis. :func:`adjusted_at_all` and
+:func:`true_at_adjusted_all` are the array forms of two conversions over
+many chains given as parallel arrays, bit-identical to the single calls;
+the multi-hop lane runs them over its station table.
 
 The chain holds *references*: mutating the hardware clock in place (as
 ``freq_step`` faults do) or replacing :attr:`ClockChain.adjusted` (as a

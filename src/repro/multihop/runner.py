@@ -6,9 +6,11 @@ This module is protocol-agnostic: it drives any registered
 kernel concerns:
 
 * **clocks** — every station is a :class:`~repro.network.node.Node`
-  holding a :class:`~repro.clocks.oscillator.HardwareClock` plus the
-  :class:`~repro.clocks.chain.ClockChain` conversion between true /
-  hardware / adjusted time;
+  holding a :class:`~repro.clocks.oscillator.HardwareClock`; the run's
+  :class:`~repro.protocols.multihop_table.RelayTable` holds every
+  station's relay state and adjusted-clock segment as arrays, and the
+  true / hardware / adjusted conversions are the array forms of
+  :class:`~repro.clocks.chain.ClockChain`'s;
 * **MAC** — spatial carrier sensing runs through
   :func:`repro.mac.contention.resolve_neighborhood` (partition faults
   restrict each sender's hearing set);
@@ -31,9 +33,10 @@ kernel concerns:
 Everything synchronization-specific — who transmits when, what a frame
 carries, how receivers filter and apply it, who takes over as root —
 lives in the protocol implementation
-(:mod:`repro.protocols.multihop_sstsp` is the paper's scheme, moved
-verbatim out of this file; ``multihop_beaconless`` and ``multihop_coop``
-are the related-work competitors).
+(:mod:`repro.protocols.multihop_sstsp` is the paper's scheme;
+``multihop_beaconless`` and ``multihop_coop`` are the related-work
+competitors). Each period runs as array operations over all stations
+(see "The array engine" in docs/simulation.md).
 
 If the root leaves, the harness runs the orphan election through the
 protocol's takeover hooks; the winner becomes the new root.

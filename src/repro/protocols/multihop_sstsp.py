@@ -1,8 +1,9 @@
 """SSTSP relaying as a :class:`MultiHopProtocol` (the reference scheme).
 
-This is the paper's protocol extended to multi-hop, verbatim from the
-original monolithic ``multihop/runner.py`` (the refactor-parity fixtures
-pin bit-identity): one root beacons every BP; every synchronized node at
+This is the paper's protocol extended to multi-hop, run for every
+station at once as array operations that reproduce the original
+per-station relay bit for bit (the refactor-parity fixtures and the
+engine pins check it): one root beacons every BP; every synchronized node at
 hop ``h`` relays inside the ``h``-th segment of the beacon window (small
 random backoff inside the segment, so same-hop relayers decorrelate),
 letting the time wave cross the whole diameter within one BP.
