@@ -241,16 +241,6 @@ class WindowDelivery:
     senders: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     collisions: int = 0
 
-    @property
-    def receptions(self) -> Dict[int, List[int]]:
-        """Receiver id -> sender ids whose frames it decoded, in
-        transmission-time order (built on read)."""
-        out: Dict[int, List[int]] = {}
-        senders = self.senders.tolist()
-        for receiver, frame in zip(self.receiver.tolist(), self.frame.tolist()):
-            out.setdefault(receiver, []).append(senders[frame])
-        return out
-
 
 class SpatialBroadcastChannel(BroadcastChannel):
     """Topology-aware broadcast channel for the multi-hop lane.

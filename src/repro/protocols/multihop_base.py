@@ -410,11 +410,11 @@ class MultiHopProtocol:
 
     def _align(self, local: float, est: float) -> None:
         """First contact (see :meth:`RelayTable.align`)."""
-        self.table.align(np.array([self.node_id]), local, est)
+        self.table.align(np.array([self.node_id]), np.array([local]), np.array([est]))
 
     def _slew(self, slope: float, hw_now: float) -> None:
         """The clamped slew (see :meth:`RelayTable.slew`)."""
-        self.table.slew(np.array([self.node_id]), slope, hw_now)
+        self.table.slew(np.array([self.node_id]), np.array([slope]), np.array([hw_now]))
 
     # ------------------------------------------------------------------
     # Orphan election
@@ -442,9 +442,11 @@ class MultiHopProtocol:
         )
         if k_new != k_old:
             current = k_old * hw_now + float(table.seg_b[i])
-            rows = np.array([i])
             if not table.adjust(
-                rows, np.array([k_new]), current - k_new * hw_now, hw_now
+                np.array([i]),
+                np.array([k_new]),
+                np.array([current - k_new * hw_now]),
+                np.array([hw_now]),
             )[0]:
                 raise MonotonicityError(
                     f"root pace clamp of station {i} rejected at t={hw_now}"

@@ -36,9 +36,10 @@ from __future__ import annotations
 from itertools import repeat
 from typing import (
     TYPE_CHECKING,
-    Any,
+    Dict,
     List,
     NamedTuple,
+    Optional,
     Sequence,
     Tuple,
     Type,
@@ -133,16 +134,6 @@ def python_squares(values: np.ndarray) -> np.ndarray:
     )
 
 
-def _per_station(value: Any, n: int) -> np.ndarray:
-    """``value`` as a float array of ``n`` entries (a scalar repeated)."""
-    value = np.asarray(value, dtype=np.float64)
-    if value.shape == (n,):
-        return value
-    out = np.empty(n)
-    out.fill(value)
-    return out
-
-
 class RelayTable:
     """Every station's relay state as arrays, and the period phases that
     act on all stations at once.
@@ -221,21 +212,22 @@ class RelayTable:
         self.seg_b[ids] = b
         self._journal.append((ids.copy(), start.copy(), k.copy(), b.copy()))
 
-    def align(self, ids: np.ndarray, local: Any, est: Any) -> None:
+    def align(self, ids: np.ndarray, local: np.ndarray, est: np.ndarray) -> None:
         """First contact: give each station a fresh clock shifted by
         ``est - local`` (not a slew; the station was not synchronized)."""
         if len(ids):
             b = self.seg_b[ids] + (est - local)
-            start = _per_station(-np.inf, len(ids))
-            self._install(ids, start, self.seg_k[ids], b)
+            self._install(ids, np.full(len(ids), -np.inf), self.seg_k[ids], b)
 
-    def adjust(self, ids: np.ndarray, k: Any, b: Any, t: Any) -> np.ndarray:
+    def adjust(
+        self, ids: np.ndarray, k: np.ndarray, b: np.ndarray, t: np.ndarray
+    ) -> np.ndarray:
         """:meth:`~repro.clocks.adjusted.AdjustedClock.adjust` for each
-        station: switch to ``(k, b)`` at hardware time ``t`` unless the
-        slope is not finite and positive, ``t`` precedes the active
-        segment's start or the join is discontinuous. Returns the mask of
-        stations that switched."""
-        k, b, t = (_per_station(x, len(ids)) for x in (k, b, t))
+        station (``k``, ``b``, ``t`` parallel to ``ids``): switch to
+        ``(k, b)`` at hardware time ``t`` unless the slope is not finite
+        and positive, ``t`` precedes the active segment's start or the
+        join is discontinuous. Returns the mask of stations that
+        switched."""
         gap = (k * t + b) - (self.seg_k.take(ids) * t + self.seg_b.take(ids))
         ok = (
             (0.0 < k)
@@ -249,7 +241,7 @@ class RelayTable:
             self._install(ids[ok], t[ok], k[ok], b[ok])
         return ok
 
-    def slew(self, ids: np.ndarray, slope: Any, hw_now: Any) -> None:
+    def slew(self, ids: np.ndarray, slope: np.ndarray, hw_now: np.ndarray) -> None:
         """Re-slope each station's clock continuously at ``hw_now``, the
         slope clamped to ``1 +- k_clamp``; counts each successful
         adjustment."""
@@ -336,7 +328,7 @@ class RelayTable:
     def _thinned_intents(
         self,
         candidates: np.ndarray,
-        orphan: Any,
+        orphan: Optional[np.ndarray],
         root: int,
         ctx: MultiHopContext,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -408,7 +400,7 @@ class RelayTable:
         hops = frames.hop.tolist()
         tx_true = frames.tx_true.tolist()
         delays = frames.delay_us.tolist()
-        by_receiver: dict = {}
+        by_receiver: Dict[int, List[int]] = {}
         for receiver, f in zip(delivery.receiver.tolist(), delivery.frame.tolist()):
             by_receiver.setdefault(receiver, []).append(f)
         for receiver, indices in by_receiver.items():
@@ -538,7 +530,7 @@ class RelayTable:
         frames: PeriodFrames,
         delivery: "WindowDelivery",
         latency: float,
-        rejects: Any = None,
+        rejects: Optional[GuardRejects] = None,
     ) -> None:
         """Emit the period's ``beacon_rx`` events receiver by receiver in
         transmission-time order, each receiver's ``guard_reject`` (from

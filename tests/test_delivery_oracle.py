@@ -218,6 +218,17 @@ def _build(cls, graph, phy, links, jams, seed):
     return channel
 
 
+def receptions(delivery):
+    """Receiver -> decoded senders, in order, of either channel's result."""
+    if isinstance(delivery, ReceiverMajorDelivery):
+        return list(delivery.receptions.items())
+    out = {}
+    senders = delivery.senders.tolist()
+    for receiver, frame in zip(delivery.receiver.tolist(), delivery.frame.tolist()):
+        out.setdefault(receiver, []).append(senders[frame])
+    return list(out.items())
+
+
 def _run(channel, airtime, steps):
     outcomes = []
     with count_work() as work:
@@ -242,9 +253,7 @@ def _run(channel, airtime, steps):
                     size_bytes=92,
                     groups=None if groups is None else np.asarray(groups),
                 )
-            outcomes.append(
-                (list(delivery.receptions.items()), delivery.collisions)
-            )
+            outcomes.append((receptions(delivery), delivery.collisions))
     return (
         outcomes,
         dataclasses.asdict(channel.stats),
