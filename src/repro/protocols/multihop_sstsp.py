@@ -212,9 +212,6 @@ class SstspRelayTable(RelayTable):
         guard = spec.guard_fine_us + spec.guard_per_hop_us * new_hop
         diff = np.abs(est - local)
         rejected = ~first & (diff > guard)
-        rejects = GuardRejects(
-            rows[rejected], local[rejected], diff[rejected], guard[rejected]
-        )
         passed = ~first & ~rejected
         ids = rows[passed]
         silent_before = self.silent[ids]
@@ -259,6 +256,9 @@ class SstspRelayTable(RelayTable):
         self._adjust(period, ids, hw)
 
         if tracing_enabled():
+            rejects = GuardRejects(
+                rows[rejected], local[rejected], diff[rejected], guard[rejected]
+            )
             self.trace_receptions(
                 period, frames, delivery, ctx.rx_latency_us, rejects
             )
