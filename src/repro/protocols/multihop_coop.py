@@ -39,6 +39,7 @@ from repro.obs.events import tracing_enabled
 from repro.phy.params import COOP_BEACON_AIRTIME_SLOTS, COOP_BEACON_BYTES
 from repro.protocols.multihop_base import MultiHopContext, MultiHopProtocol
 from repro.protocols.multihop_table import (
+    Entries,
     PeriodFrames,
     RelayTable,
     column_sums,
@@ -97,18 +98,31 @@ class CoopAverageTable(RelayTable):
         so averaging genuinely suppresses it. First contact aligns to the
         aggregate; afterwards the rate tracks consecutive aggregates and
         the clock slews toward the neighbourhood mean."""
-        spec = self.spec
         accepted = np.zeros(self.n, dtype=bool)
         rx = self.entries(frames, delivery, ctx.root, accepted)
-        if not len(rx.receiver):
-            return accepted
+        if len(rx.receiver):
+            self._average(rx, frames.timestamp, accepted, ctx)
+        if tracing_enabled():
+            self.trace_receptions(period, frames, delivery, ctx.rx_latency_us)
+        return accepted
+
+    def _average(
+        self,
+        rx: Entries,
+        timestamp: float,
+        accepted: np.ndarray,
+        ctx: MultiHopContext,
+    ) -> None:
+        """Every receiver's aggregate over its frames, then its rate and
+        slew (first contact aligns to the aggregate instead)."""
+        spec = self.spec
         order, first, ids = self.rank(rx.receiver, rx.hop, rx.tx_true)
         receiver = rx.receiver.take(order)
         hw, est = self.observe(
             receiver,
             rx.tx_true.take(order),
             rx.delay_us.take(order),
-            frames.timestamp,
+            timestamp,
             self.jitter(len(order), ctx),
             ctx.rx_latency_us,
         )
@@ -159,9 +173,6 @@ class CoopAverageTable(RelayTable):
             + _ALPHA * offset_mean[later] / spec.beacon_period_us,
             hw_mean[later],
         )
-        if tracing_enabled():
-            self.trace_receptions(period, frames, delivery, ctx.rx_latency_us)
-        return accepted
 
 
 class CoopAverageProtocol(MultiHopProtocol):

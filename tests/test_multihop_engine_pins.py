@@ -8,8 +8,9 @@ stations, plus the paths the others miss: relay thinning
 (``relay_probability=0.5``, which interleaves the thinning and backoff
 draws), reference churn, crashes, clock faults (``freq_step``,
 ``freq_ramp``, ``clock_jump``), partition/jam/loss-burst/stall faults on
-the competitors, per-transmission and Gilbert-Elliott loss, and a
-jitter-free lossless mesh (no jitter or loss draws at all).
+the competitors, per-transmission and Gilbert-Elliott loss, a
+jitter-free lossless mesh (no jitter or loss draws at all) and periods in
+which only the root decodes a frame.
 
 Each case records, from one run under work counters and event tracing:
 
@@ -21,7 +22,10 @@ Each case records, from one run under work counters and event tracing:
   history, which ``audit_no_leaps`` reads.
 
 A rewrite of the harness, the MAC, the spatial channel or the
-estimators must reproduce every entry byte for byte.
+estimators must reproduce every entry byte for byte. A hypothesis test
+below checks the draw identity such a rewrite leans on: a batch of
+backoff slots or timestamp jitter equals the same draws made one at a
+time.
 
 Regenerate (only legitimate before a behaviour-changing change, with the
 old code still in the tree)::
@@ -166,6 +170,11 @@ CASES: Dict[str, Callable[[], MultiHopRunner]] = {
     "disk120-coop": lambda: _runner(_disk(120, 15), "coop", 15, duration_s=6.0),
     "grid5x5-coop-churn-clock-faults": _churned_coop,
     "grid5x5-coop-faulted": lambda: _faulted("coop", "per_receiver", 17),
+    # the middle root's own frame lost whole: only the root decodes
+    "chain3-coop-root-only-receptions": lambda: _runner(
+        Topology.chain(3), "coop", 880, duration_s=10.0, root=1,
+        loss_model="per_transmission", packet_error_rate=0.05,
+    ),
 }
 
 
