@@ -1,6 +1,6 @@
 """Extension bench: the multi-hop protocol shootout.
 
-Runs the shootout grid (every registered MultiHopProtocol x a reduced
+Runs the shootout grid (every registered multi-hop protocol x a reduced
 scenario pair) through the sweep orchestrator — the same lane as
 ``python -m repro shootout`` — and checks the head-to-head contract:
 every scheme synchronizes the chain, the beaconless duty cycle is the

@@ -8,7 +8,7 @@ them by steady-state accuracy and reports beacon-traffic statistics - the
 related-work comparison of the paper's section 2 as a runnable table.
 
 A second table takes the comparison multi-hop: every registered
-MultiHopProtocol (SSTSP relaying, Huan-style beaconless dissemination,
+multi-hop protocol (SSTSP relaying, Huan-style beaconless dissemination,
 Hu-Servetto-style cooperative averaging) on the same 4x4 grid topology -
 the standing shootout of ``python -m repro shootout``, in miniature.
 
@@ -70,7 +70,7 @@ def main() -> None:
           "entirely (the paper's design argument, section 3.1)")
 
     print("\nmulti-hop shootout: 4x4 grid, same seeds, every registered "
-          "MultiHopProtocol\n")
+          "multi-hop protocol\n")
     mh_rows = []
     for name in available_multihop_protocols():
         spec_mh = MultiHopSpec(

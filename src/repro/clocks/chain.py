@@ -1,24 +1,22 @@
 """The per-node clock chain: true time -> hardware clock -> adjusted clock.
 
-Every lane of the simulator needs the same three conversions, and before
-this module each lane carried its own copy (``network/runner.py`` read the
-oscillator inline, ``multihop/runner.py`` kept private ``_hw_at`` /
-``_adjusted_at`` / ``_true_at_adjusted`` helpers, ``fastlane/common.py``
-re-derived the vectorised read). :class:`ClockChain` is the one place the
-composition lives:
+Every lane of the simulator needs the same three conversions:
 
 ``true time --(HardwareClock)--> hardware time --(AdjustedClock)--> adjusted``
 
-Both inverses are provided. The oscillator and the active adjusted-clock
-segment are affine, so the exact closed-form inversion is used where the
-active segment is known (:meth:`ClockChain.true_at_adjusted`). Protocol
-drivers that only expose an opaque ``synchronized_time`` mapping instead
-invert by fixed-point iteration (:func:`invert_affine_fixed_point`), which
-is how :meth:`repro.network.node.Node.scheduled_true_time` maps adjusted
-TBTTs onto the true-time axis. :func:`adjusted_at_all` and
-:func:`true_at_adjusted_all` are the array forms of two conversions over
-many chains given as parallel arrays, bit-identical to the single calls;
-the multi-hop lane runs them over its station table.
+:class:`ClockChain` states them for one node, both inverses included.
+The oscillator and the active adjusted-clock segment are affine, so the
+exact closed-form inversion is used where the active segment is known
+(:meth:`ClockChain.true_at_adjusted`). No lane calls it: it is the
+scalar oracle that the array forms are tested against.
+:func:`adjusted_at_all` and :func:`true_at_adjusted_all` are those array
+forms, two conversions over many chains given as parallel arrays,
+bit-identical to the single calls; the multi-hop lane runs them over its
+station table. Protocol drivers that only expose an opaque
+``synchronized_time`` mapping invert by fixed-point iteration
+(:func:`invert_affine_fixed_point`), which is how
+:meth:`repro.network.node.Node.scheduled_true_time` maps adjusted TBTTs
+onto the true-time axis.
 
 The chain holds *references*: mutating the hardware clock in place (as
 ``freq_step`` faults do) or replacing :attr:`ClockChain.adjusted` (as a

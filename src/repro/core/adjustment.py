@@ -90,14 +90,14 @@ def solve_adjustment(
         raise DegenerateSamplesError(
             f"non-increasing sample pair: d_hw={d_hw}, d_ts={d_ts}"
         )
-    t_target = _target_hw_time(
+    t_target = target_hw_time(
         newest.local_hw_time, newest.ref_timestamp, d_hw, d_ts, target_ref_time
     )
     if t_target <= t_now:
         raise DegenerateSamplesError(
             f"target hardware time {t_target} not after t_now {t_now}"
         )
-    return _segment_through(prev_k, prev_b, t_now, t_target, target_ref_time)
+    return segment_through(prev_k * t_now + prev_b, t_now, t_target, target_ref_time)
 
 
 def solve_adjustments(
@@ -125,27 +125,28 @@ def solve_adjustments(
     ok = (d_ts > 0.0) & (d_hw > 0.0)
     if np.count_nonzero(ok) < ok.size:  # keep degenerate rows off zero
         d_ts = np.where(ok, d_ts, 1.0)
-    t_target = _target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time)
+    t_target = target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time)
     ok &= t_target > t_now
     if np.count_nonzero(ok) < ok.size:
         t_target = np.where(ok, t_target, t_now + 1.0)
-    k, b = _segment_through(prev_k, prev_b, t_now, t_target, target_ref_time)
+    k, b = segment_through(prev_k * t_now + prev_b, t_now, t_target, target_ref_time)
     return k, b, ok
 
 
-def _target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time):
+def target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time):
     """(4) then (5): the expected local hardware time of beacon ``j+m``,
     ``(t_i^{j+m})^*``, extrapolating the reference timeline through the
     newest sample at the pair's rate (hardware microseconds per reference
-    microsecond)."""
+    microsecond). Scalars or arrays, element-wise."""
     rate = d_hw / d_ts
     return newest_hw + rate * (target_ref_time - newest_ts)
 
 
-def _segment_through(prev_k, prev_b, t_now, t_target, target_ref_time):
-    """(2) and (3): the segment through the continuity point at ``t_now``
-    and the convergence target ``(t_target, target_ref_time)``."""
-    c_now = prev_k * t_now + prev_b
+def segment_through(c_now, t_now, t_target, target_ref_time):
+    """(2) and (3): the segment ``(k, b)`` through the continuity point
+    ``(t_now, c_now)`` — ``c_now`` is the active segment's value at
+    ``t_now`` — and the convergence target ``(t_target,
+    target_ref_time)``. Scalars or arrays, element-wise."""
     k = (target_ref_time - c_now) / (t_target - t_now)
     b = c_now - k * t_now
     return k, b

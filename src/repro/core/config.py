@@ -13,8 +13,8 @@ from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS
 from repro.sim.units import S
 
 #: Default :attr:`SstspConfig.reference_pace_clamp`; the multi-hop root
-#: takeover (:meth:`~repro.protocols.multihop_base.MultiHopProtocol.
-#: on_elected_root`) clamps with the same bound.
+#: takeover (:meth:`~repro.protocols.multihop_table.RelayTable.elect_root`)
+#: clamps with the same bound.
 REFERENCE_PACE_CLAMP = 3e-4
 
 

@@ -1,8 +1,9 @@
 """Standing multi-hop protocol shootout through the sweep orchestrator.
 
-Runs every registered :class:`~repro.protocols.multihop_base.MultiHopProtocol`
-(the paper's SSTSP relaying plus the related-work competitors: Huan-style
-beaconless one-way dissemination and Hu–Servetto-style cooperative spatial
+Runs every protocol registered in
+:data:`~repro.protocols.multihop_base.MULTIHOP_PROTOCOLS` (the paper's
+SSTSP relaying plus the related-work competitors: Huan-style beaconless
+one-way dissemination and Hu–Servetto-style cooperative spatial
 averaging) across the shared multi-hop scenario suite
 (:data:`repro.experiments.multihop.DEFAULT_SCENARIOS`) over seed
 replicas (three by default, one with ``--quick``).

@@ -24,6 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.analysis.metrics import SyncTrace
+from repro.core.adjustment import segment_through, target_hw_time
 from repro.core.config import SstspConfig
 from repro.fastlane.common import VectorLane, resolve_window
 from repro.network.ibss import ScenarioSpec
@@ -324,7 +325,8 @@ class _VectorSstsp:
             np.copyto(hist[3:], hist[:6], where=release)
         np.copyto(hist[:3], observed, where=valid)
 
-        # The (k, b) update of equations (2)-(5), fully vectorised.
+        # The (k, b) update of equations (2)-(5), element-wise through
+        # core.adjustment's helpers; ``local`` is the continuity value.
         can_adjust = (
             valid
             & (self.j1 >= 0)
@@ -338,11 +340,9 @@ class _VectorSstsp:
         d_ts = self.ts1 - self.ts2
         d_hw = self.t1 - self.t2
         with np.errstate(divide="ignore", invalid="ignore"):
-            rate = d_hw / d_ts
             target = cfg.t0_us + (period + cfg.m) * cfg.beacon_period_us + latency
-            t_target = self.t1 + rate * (target - self.ts1)
-            k_new = (target - local) / (t_target - hw)
-            b_new = local - k_new * hw
+            t_target = target_hw_time(self.t1, self.ts1, d_hw, d_ts, target)
+            k_new, b_new = segment_through(local, hw, t_target, target)
         ok = (
             can_adjust
             & (d_ts > 0)

@@ -122,8 +122,7 @@ class LintConfig:
     #: Glob patterns (against the package-relative path) selecting the
     #: modules held to the RNG-free protocol-driver seam contract
     #: (R302): protocol state must draw via ``ctx.slot_rng`` /
-    #: ``ctx.sample_timestamp_error`` / ``ctx.sample_timestamp_errors``,
-    #: never hold a generator.
+    #: ``ctx.sample_timestamp_errors``, never hold a generator.
     rng_seam_modules: Tuple[str, ...] = ("protocols/multihop_*.py",)
     #: Seam modules exempt from R302 — the seam *definition* itself.
     rng_seam_allow: FrozenSet[str] = frozenset({"protocols/multihop_base.py"})

@@ -25,8 +25,8 @@ but only within the guard time per beacon, exactly the paper's insider
 bound, now per subtree.
 
 The runner itself is protocol-agnostic: the SSTSP relay scheme above is
-one :class:`~repro.protocols.multihop_base.MultiHopProtocol`
-implementation (``MultiHopSpec(protocol="sstsp")``, the default), and
+one :class:`~repro.protocols.multihop_table.RelayTable` subclass
+(``MultiHopSpec(protocol="sstsp")``, the default), and
 the related-work competitors (``"beaconless"``, ``"coop"``) run on the
 same harness — compared head-to-head by ``repro shootout``.
 """

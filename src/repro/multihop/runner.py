@@ -1,16 +1,17 @@
 """The multi-hop harness, as a client of the shared kernel.
 
-This module is protocol-agnostic: it drives any registered
-:class:`~repro.protocols.multihop_base.MultiHopProtocol` (selected by
-``MultiHopSpec.protocol``) over a spatial radio topology, owning only
-kernel concerns:
+This module is protocol-agnostic: it drives any registered multi-hop
+protocol, a :class:`~repro.protocols.multihop_table.RelayTable` subclass
+selected by ``MultiHopSpec.protocol``, over a spatial radio topology,
+owning only kernel concerns:
 
 * **clocks** — every station is a :class:`~repro.network.node.Node`
   holding a :class:`~repro.clocks.oscillator.HardwareClock`; the run's
-  :class:`~repro.protocols.multihop_table.RelayTable` holds every
-  station's relay state and adjusted-clock segment as arrays, and the
-  true / hardware / adjusted conversions are the array forms of
-  :class:`~repro.clocks.chain.ClockChain`'s;
+  relay table holds every station's relay state and adjusted-clock
+  segment as arrays and converts between true, hardware and adjusted
+  time with the array forms in :mod:`repro.clocks.chain`
+  (:class:`~repro.clocks.chain.ClockChain` is the scalar oracle they
+  are tested against);
 * **MAC** — spatial carrier sensing runs through
   :func:`repro.mac.contention.resolve_neighborhood` (partition faults
   restrict each sender's hearing set);
@@ -38,12 +39,12 @@ lives in the protocol implementation
 competitors). Each period runs as array operations over all stations
 (see "The array engine" in docs/simulation.md).
 
-If the root leaves, the harness runs the orphan election through the
-protocol's takeover hooks; the winner becomes the new root.
+If the root leaves, the harness runs the orphan election through
+:meth:`RelayTable.elect_root`; the winner becomes the new root.
 
 A *complete* topology is the degenerate case where the spatial model
 adds nothing over the single-hop IBSS; when the protocol declares a
-single-hop counterpart (:meth:`MultiHopProtocol.degenerate_runner`),
+single-hop counterpart (:meth:`RelayTable.degenerate_runner`),
 :meth:`MultiHopRunner.run` delegates to that reference
 :class:`~repro.network.runner.NetworkRunner`, so complete-graph
 multi-hop specs reproduce the single-hop lane's election and adjustment
@@ -112,10 +113,10 @@ class MultiHopSpec:
     packet_error_rate: float = 1e-4
     #: Probability a relay-eligible node transmits in a given BP (one
     #: ``slot_rng`` draw per eligible relay, made only when below 1).
-    #: Every registered protocol honours it (``MultiHopProtocol._relays``:
-    #: ``beaconless`` thins its duty cycle, ``sstsp`` thins instead of
-    #: rotating); dense neighbourhoods benefit from thinning (fewer
-    #: same-segment collisions).
+    #: Every registered protocol honours it (``RelayTable.tx_intents``
+    #: thins whatever ``relay_turn`` picks: ``beaconless`` thins its duty
+    #: cycle, ``sstsp`` thins instead of rotating); dense neighbourhoods
+    #: benefit from thinning (fewer same-segment collisions).
     relay_probability: float = 1.0
     #: Multi-hop default is deeper filtering than single-hop (m = 4): each
     #: hop tracks a *tracking* clock, so the estimator's noise gain
@@ -282,13 +283,12 @@ class MultiHopRunner(Lane):
             self.phy, self.rngs.get("channel"), spec.topology
         )
         hws = [population.clock(i) for i in range(self.n)]
-        self._stations = self._protocol_cls.build(spec, hws)
         #: Every station's relay state, as arrays (the state of record).
-        self.table = self._stations[0].table
+        self.table = self._protocol_cls(spec, hws)
         nodes: List[Node] = []
-        for i in range(self.n):
-            node = RelayNode(i, hws[i], self.table)
-            node.protocol = self._stations[i]
+        for view in self.table.stations():
+            node = RelayNode(view.node_id, view.hw, self.table)
+            node.protocol = view
             nodes.append(node)
         super().__init__(
             nodes,
@@ -305,7 +305,7 @@ class MultiHopRunner(Lane):
                 + spec.propagation_delay_us
             ),
             channel=self.channel,
-            stations=self._stations,
+            table=self.table,
         )
         self.root = spec.root
         self.table.hop[self.root] = 0
@@ -555,14 +555,8 @@ class MultiHopRunner(Lane):
         self.table.end_period(accepted, due)
         if not orphan_election:
             return
-        # a volunteer that transmitted and heard nothing becomes root;
-        # the transmission set for this period is gone, so the single-
-        # winner rule is approximated by the lowest volunteering id
-        stations = self._stations
-        for winner in np.flatnonzero(active).tolist():
-            if stations[winner].wants_root_takeover(bool(accepted[winner])):
-                break
-        else:
+        winner = self.table.elect_root(period, accepted, active)
+        if winner < 0:
             return
         self.root = winner
         self.root_changes += 1
@@ -574,7 +568,6 @@ class MultiHopRunner(Lane):
             period=period,
         )
         self._last_valid_root = winner
-        stations[winner].on_elected_root(period, self.ctx)
 
     def _sample_metrics(self, period: int) -> None:
         spec = self.spec

@@ -6,9 +6,11 @@ surveys (ATSP, TATSP [4], SATSF [10], Rentel-Kunz [1]) and SSTSP itself
 :mod:`repro.protocols.base` and run unchanged inside the
 :mod:`repro.network` harness.
 
-Multi-hop schemes implement :class:`~repro.protocols.multihop_base.
-MultiHopProtocol` instead and run inside the spatial
-:mod:`repro.multihop` harness; they register by short name in
+Each multi-hop scheme is one :class:`~repro.protocols.multihop_table.
+RelayTable` subclass instead and runs inside the spatial
+:mod:`repro.multihop` harness, which hands every station a
+:class:`~repro.protocols.multihop_base.StationView` of its table row;
+the schemes register by short name in
 :data:`~repro.protocols.multihop_base.MULTIHOP_PROTOCOLS` (lazy dotted
 paths, so importing this package stays light).
 """
@@ -22,8 +24,7 @@ from repro.protocols.base import (
 from repro.protocols.multihop_base import (
     MULTIHOP_PROTOCOLS,
     MultiHopContext,
-    MultiHopFrame,
-    MultiHopProtocol,
+    StationView,
     available_multihop_protocols,
     resolve_multihop_protocol,
 )
@@ -50,8 +51,7 @@ __all__ = [
     "RentelProtocol",
     "MULTIHOP_PROTOCOLS",
     "MultiHopContext",
-    "MultiHopFrame",
-    "MultiHopProtocol",
+    "StationView",
     "available_multihop_protocols",
     "resolve_multihop_protocol",
 ]

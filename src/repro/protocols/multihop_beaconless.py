@@ -40,7 +40,7 @@ from repro.phy.params import (
     BEACONLESS_BEACON_AIRTIME_SLOTS,
     BEACONLESS_BEACON_BYTES,
 )
-from repro.protocols.multihop_base import MultiHopContext, MultiHopProtocol
+from repro.protocols.multihop_base import MultiHopContext
 from repro.protocols.multihop_table import (
     PeriodFrames,
     RelayTable,
@@ -68,13 +68,12 @@ class BeaconlessTable(RelayTable):
     ``(period, hw_on_grid, upstream_time)`` observations, oldest first,
     one row per station."""
 
-    def __init__(
-        self,
-        spec: "MultiHopSpec",
-        hws: Sequence[HardwareClock],
-        protocol_cls: type,
-    ) -> None:
-        super().__init__(spec, hws, protocol_cls)
+    protocol_name = "beaconless"
+    beacon_bytes = BEACONLESS_BEACON_BYTES
+    beacon_airtime_slots = BEACONLESS_BEACON_AIRTIME_SLOTS
+
+    def __init__(self, spec: "MultiHopSpec", hws: Sequence[HardwareClock]) -> None:
+        super().__init__(spec, hws)
         n = self.n
         self.window = np.zeros(n, dtype=np.intp)
         self.window_period = np.zeros((n, _WINDOW), dtype=np.intp)
@@ -220,12 +219,3 @@ class BeaconlessTable(RelayTable):
         # far off the line (fresh join, post-outage) the clamp steps the
         # window limit and later fits finish the approach
         self.slew(ids, (target - current) / horizon, hw_now)
-
-
-class BeaconlessProtocol(MultiHopProtocol):
-    """One station's beaconless dissemination view."""
-
-    protocol_name = "beaconless"
-    beacon_bytes = BEACONLESS_BEACON_BYTES
-    beacon_airtime_slots = BEACONLESS_BEACON_AIRTIME_SLOTS
-    table_cls = BeaconlessTable

@@ -37,7 +37,7 @@ import numpy as np
 from repro.clocks.oscillator import HardwareClock
 from repro.obs.events import tracing_enabled
 from repro.phy.params import COOP_BEACON_AIRTIME_SLOTS, COOP_BEACON_BYTES
-from repro.protocols.multihop_base import MultiHopContext, MultiHopProtocol
+from repro.protocols.multihop_base import MultiHopContext
 from repro.protocols.multihop_table import (
     Entries,
     PeriodFrames,
@@ -61,13 +61,12 @@ class CoopAverageTable(RelayTable):
     grid and mean upstream time) and tracked rate factor (EWMA of the
     implied ``d est / d hw``)."""
 
-    def __init__(
-        self,
-        spec: "MultiHopSpec",
-        hws: Sequence[HardwareClock],
-        protocol_cls: type,
-    ) -> None:
-        super().__init__(spec, hws, protocol_cls)
+    protocol_name = "coop"
+    beacon_bytes = COOP_BEACON_BYTES
+    beacon_airtime_slots = COOP_BEACON_AIRTIME_SLOTS
+
+    def __init__(self, spec: "MultiHopSpec", hws: Sequence[HardwareClock]) -> None:
+        super().__init__(spec, hws)
         n = self.n
         self.has_last = np.zeros(n, dtype=bool)
         self.last_hw = np.zeros(n)
@@ -173,12 +172,3 @@ class CoopAverageTable(RelayTable):
             + _ALPHA * offset_mean[later] / spec.beacon_period_us,
             hw_mean[later],
         )
-
-
-class CoopAverageProtocol(MultiHopProtocol):
-    """One station's spatial-averaging view."""
-
-    protocol_name = "coop"
-    beacon_bytes = COOP_BEACON_BYTES
-    beacon_airtime_slots = COOP_BEACON_AIRTIME_SLOTS
-    table_cls = CoopAverageTable

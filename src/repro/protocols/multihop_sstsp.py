@@ -1,4 +1,4 @@
-"""SSTSP relaying as a :class:`MultiHopProtocol` (the reference scheme).
+"""SSTSP relaying as a multi-hop protocol (the reference scheme).
 
 This is the paper's protocol extended to multi-hop, run for every
 station at once as array operations that reproduce the original
@@ -38,7 +38,7 @@ from repro.phy.params import (
     SSTSP_BEACON_BYTES,
     PhyParams,
 )
-from repro.protocols.multihop_base import MultiHopContext, MultiHopProtocol
+from repro.protocols.multihop_base import MultiHopContext
 from repro.protocols.multihop_table import GuardRejects, PeriodFrames, RelayTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,13 +53,12 @@ class SstspRelayTable(RelayTable):
     newest) plus the pending observation that authenticates next period
     (µTESLA delayed authentication)."""
 
-    def __init__(
-        self,
-        spec: "MultiHopSpec",
-        hws: Sequence[HardwareClock],
-        protocol_cls: type,
-    ) -> None:
-        super().__init__(spec, hws, protocol_cls)
+    protocol_name = "sstsp"
+    beacon_bytes = SSTSP_BEACON_BYTES
+    beacon_airtime_slots = SSTSP_BEACON_AIRTIME_SLOTS
+
+    def __init__(self, spec: "MultiHopSpec", hws: Sequence[HardwareClock]) -> None:
+        super().__init__(spec, hws)
         n = self.n
         self.samples = np.zeros(n, dtype=np.intp)
         self.sample_interval = np.zeros((n, 2), dtype=np.intp)
@@ -78,6 +77,47 @@ class SstspRelayTable(RelayTable):
         super().detach(ids)
         self.samples[ids] = 0
         self.pending[ids] = False
+
+    # ------------------------------------------------------------------
+    # Single-hop (complete-graph) counterpart
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def degenerate_runner(cls, spec: "MultiHopSpec") -> Optional["NetworkRunner"]:
+        """The single-hop SSTSP network of a complete-graph ``spec``.
+
+        On a complete graph every station hears every other, hop distances
+        are all 1 and the relay machinery degenerates to the IBSS election;
+        the returned runner has the same clocks, channel parameters and
+        protocol constants (the per-hop guard collapses to ``guard_fine +
+        guard_per_hop`` - one hop). The single-hop lane sends 7-slot SSTSP
+        beacons, so a spec with any other airtime gets ``None`` and runs
+        on the spatial path.
+        """
+        if spec.airtime_slots != SSTSP_BEACON_AIRTIME_SLOTS:
+            return None
+        scenario = ScenarioSpec(
+            n=spec.topology.n,
+            seed=spec.seed,
+            duration_s=spec.duration_s,
+            beacon_period_us=spec.beacon_period_us,
+            drift_ppm=spec.drift_ppm,
+            initial_offset_us=spec.initial_offset_us,
+            phy=PhyParams(
+                slot_time_us=spec.slot_time_us,
+                propagation_delay_us=spec.propagation_delay_us,
+                timestamp_jitter_us=spec.timestamp_jitter_us,
+                packet_error_rate=spec.packet_error_rate,
+                loss_model=spec.loss_model,
+            ),
+        )
+        config = scenario.sstsp_config(
+            l=spec.l,
+            m=spec.m,
+            guard_fine_us=spec.guard_fine_us + spec.guard_per_hop_us,
+            k_clamp=spec.k_clamp,
+        )
+        return build_network("sstsp", scenario, sstsp_config=config)
 
     # ------------------------------------------------------------------
     # Transmission
@@ -300,53 +340,3 @@ class SstspRelayTable(RelayTable):
         ids = ids[ok]
         adjusted = self.adjust(ids, k[ok], b[ok], hw_now[ok])
         self.adjustments[ids[adjusted]] += 1
-
-
-class SstspRelayProtocol(MultiHopProtocol):
-    """One station's SSTSP relay view."""
-
-    protocol_name = "sstsp"
-    beacon_bytes = SSTSP_BEACON_BYTES
-    beacon_airtime_slots = SSTSP_BEACON_AIRTIME_SLOTS
-    table_cls = SstspRelayTable
-
-    # ------------------------------------------------------------------
-    # Single-hop (complete-graph) counterpart
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def degenerate_runner(cls, spec: "MultiHopSpec") -> Optional["NetworkRunner"]:
-        """The single-hop SSTSP network of a complete-graph ``spec``.
-
-        On a complete graph every station hears every other, hop distances
-        are all 1 and the relay machinery degenerates to the IBSS election;
-        the returned runner has the same clocks, channel parameters and
-        protocol constants (the per-hop guard collapses to ``guard_fine +
-        guard_per_hop`` - one hop). The single-hop lane sends 7-slot SSTSP
-        beacons, so a spec with any other airtime gets ``None`` and runs
-        on the spatial path.
-        """
-        if spec.airtime_slots != SSTSP_BEACON_AIRTIME_SLOTS:
-            return None
-        scenario = ScenarioSpec(
-            n=spec.topology.n,
-            seed=spec.seed,
-            duration_s=spec.duration_s,
-            beacon_period_us=spec.beacon_period_us,
-            drift_ppm=spec.drift_ppm,
-            initial_offset_us=spec.initial_offset_us,
-            phy=PhyParams(
-                slot_time_us=spec.slot_time_us,
-                propagation_delay_us=spec.propagation_delay_us,
-                timestamp_jitter_us=spec.timestamp_jitter_us,
-                packet_error_rate=spec.packet_error_rate,
-                loss_model=spec.loss_model,
-            ),
-        )
-        config = scenario.sstsp_config(
-            l=spec.l,
-            m=spec.m,
-            guard_fine_us=spec.guard_fine_us + spec.guard_per_hop_us,
-            k_clamp=spec.k_clamp,
-        )
-        return build_network("sstsp", scenario, sstsp_config=config)

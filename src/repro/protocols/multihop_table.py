@@ -1,4 +1,5 @@
-"""The state of record of a multi-hop run, held as arrays.
+"""The state of record of a multi-hop run, held as arrays; each
+registered multi-hop protocol is a subclass.
 
 A :class:`RelayTable` holds every station's relay state in arrays
 indexed by station id — presence, hop, upstream, silence streak,
@@ -7,10 +8,11 @@ and (gathered from the stations'
 :class:`~repro.clocks.oscillator.HardwareClock` objects, which fault
 injection mutates in place) the oscillator rates and offsets — and runs
 the phases of a beacon period as array operations over all stations at
-once. A protocol subclasses it with its estimator arrays and its batched
-estimator (:meth:`RelayTable.receive`); the per-station
-:class:`~repro.protocols.multihop_base.MultiHopProtocol` objects are
-views into it.
+once. A protocol subclasses it with its name and frame economics, its
+estimator arrays and its batched estimator (:meth:`RelayTable.receive`);
+the per-station
+:class:`~repro.protocols.multihop_base.StationView` objects
+(:meth:`RelayTable.stations`) are views into it.
 
 Bit-identity with one-station-at-a-time arithmetic rests on three rules:
 
@@ -34,39 +36,37 @@ read (:meth:`RelayTable.clock_of`).
 from __future__ import annotations
 
 from itertools import repeat
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import TYPE_CHECKING, ClassVar, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.clocks.adjusted import CONTINUITY_TOL_US, AdjustedClock
+from repro.clocks.adjusted import CONTINUITY_TOL_US, AdjustedClock, MonotonicityError
 from repro.clocks.chain import adjusted_at_all, true_at_adjusted_all
 from repro.clocks.oscillator import HardwareClock
-from repro.obs.counters import count
-from repro.obs.events import emit, tracing_enabled
-from repro.protocols.multihop_base import MultiHopContext, MultiHopFrame
+from repro.core.config import REFERENCE_PACE_CLAMP
+from repro.obs.events import emit
+from repro.protocols.multihop_base import MultiHopContext, StationView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.multihop.runner import MultiHopSpec
+    from repro.network.runner import NetworkRunner
     from repro.phy.channel import WindowDelivery
-    from repro.protocols.multihop_base import MultiHopProtocol
 
 
 class PeriodFrames(NamedTuple):
     """The frames that went on air in one beacon period, in start-time
     order, as parallel arrays.
 
-    ``timestamp`` is the normalized reference every frame carries (the
-    period start ``T^j`` on the sender's synchronized clock, see
-    :class:`~repro.protocols.multihop_base.MultiHopFrame`)."""
+    ``timestamp`` is the sender's *normalized* time reference every
+    frame carries: its synchronized-clock estimate of the period start
+    ``T^j``. Its actual emission instant ``tx_true`` is the true time
+    at which its adjusted clock reads ``T^j + delay_us``, where
+    ``delay_us`` (hop segment plus backoff) is schedule information
+    carried in the beacon. Receivers subtract ``delay_us`` from the
+    reception time too (:meth:`RelayTable.observe`), so sample pairs sit
+    on a clean BP grid and per-period backoff never pollutes rate
+    estimation; without this normalisation the backoff jitter (~3 slots)
+    compounds per hop and blows up the deep-hop error."""
 
     sender: np.ndarray
     hop: np.ndarray
@@ -139,24 +139,27 @@ class RelayTable:
     act on all stations at once.
 
     The base class is the relay skeleton every registered scheme shares:
-    TX intents, frame hops, silence with detach and resync, the upstream
-    choice, sample normalisation, first-contact alignment and the clamped
-    slew. Its :meth:`receive` runs a per-station driver's
-    :meth:`~repro.protocols.multihop_base.MultiHopProtocol.on_receptions`
-    once per receiver; a registered protocol overrides it with a batched
-    estimator.
+    TX intents, frame hops, silence with detach and resync, the orphan
+    election, the upstream choice, sample normalisation, first-contact
+    alignment and the clamped slew. A registered protocol subclasses it,
+    sets the three class attributes below and implements
+    :meth:`receive`, its batched estimator.
     """
 
-    def __init__(
-        self,
-        spec: "MultiHopSpec",
-        hws: Sequence[HardwareClock],
-        protocol_cls: Type["MultiHopProtocol"],
-    ) -> None:
+    #: Short identifier carried in trace events (``beacon_tx`` ``proto``
+    #: field) and used as the registry key / CSV tag.
+    protocol_name: ClassVar[str]
+    #: On-air size of one beacon; the harness feeds it to the channel's
+    #: delivery model (loss probability scales with size).
+    beacon_bytes: ClassVar[int]
+    #: Airtime of one beacon in slots; the harness derives window
+    #: segmentation and rx latency from it.
+    beacon_airtime_slots: ClassVar[int]
+
+    def __init__(self, spec: "MultiHopSpec", hws: Sequence[HardwareClock]) -> None:
         n = len(hws)
         self.spec = spec
         self.n = n
-        self.protocol_name = protocol_cls.protocol_name
         #: The stations' oscillators (fault injection mutates them).
         self.hws: List[HardwareClock] = list(hws)
         self.present = np.ones(n, dtype=bool)
@@ -174,6 +177,18 @@ class RelayTable:
         # Installed segments, in order, as (ids, start, k, b) chunks; a
         # start of -inf is a fresh clock (first-contact alignment).
         self._journal: List[Tuple[np.ndarray, ...]] = []
+
+    @classmethod
+    def degenerate_runner(cls, spec: "MultiHopSpec") -> Optional["NetworkRunner"]:
+        """A single-hop reference runner equivalent to ``spec`` on a
+        complete graph, or ``None`` when the protocol has no single-hop
+        counterpart (the harness then runs the spatial path even on
+        complete topologies)."""
+        return None
+
+    def stations(self) -> List[StationView]:
+        """One view per station, in id order."""
+        return [StationView(i, self) for i in range(self.n)]
 
     def gather_clocks(self) -> None:
         """Copy every oscillator's rate and offset into ``rate`` and
@@ -386,46 +401,11 @@ class RelayTable:
         delivery: "WindowDelivery",
         ctx: MultiHopContext,
     ) -> np.ndarray:
-        """Handle every decoded reception of the period; returns the mask
-        of stations that *accepted* a beacon (the root accepts whatever
-        it decodes and processes nothing).
-
-        This default hands each receiver's frames, in transmission-time
-        order, to its station's ``on_receptions``, emitting the
-        receiver's ``beacon_rx`` events first."""
-        accepted = np.zeros(self.n, dtype=bool)
-        tracing = tracing_enabled()
-        latency = ctx.rx_latency_us
-        senders = frames.sender.tolist()
-        hops = frames.hop.tolist()
-        tx_true = frames.tx_true.tolist()
-        delays = frames.delay_us.tolist()
-        by_receiver: Dict[int, List[int]] = {}
-        for receiver, f in zip(delivery.receiver.tolist(), delivery.frame.tolist()):
-            by_receiver.setdefault(receiver, []).append(f)
-        for receiver, indices in by_receiver.items():
-            decoded = [
-                MultiHopFrame(
-                    senders[f], hops[f], period, tx_true[f], frames.timestamp, delays[f]
-                )
-                for f in indices
-            ]
-            if tracing:
-                for tx in decoded:
-                    emit(
-                        "beacon_rx",
-                        t_us=tx.tx_true + latency,
-                        node=receiver,
-                        src=tx.sender,
-                        period=period,
-                        proto=self.protocol_name,
-                    )
-            if receiver == ctx.root:
-                accepted[receiver] = True
-                continue
-            if ctx.state_of(receiver).on_receptions(period, decoded, ctx):
-                accepted[receiver] = True
-        return accepted
+        """The protocol's batched estimator: handle every decoded
+        reception of the period and return the mask of stations that
+        *accepted* a beacon (the root accepts whatever it decodes and
+        processes nothing, see :meth:`entries`)."""
+        raise NotImplementedError(f"{type(self).__name__} defines no receive")
 
     def entries(
         self,
@@ -513,8 +493,7 @@ class RelayTable:
         """One sample ``(hw, est)`` per reception: the receiver's local
         hardware time at arrival and the sender's time estimate, both
         with the sender's schedule delay normalised out (see
-        :class:`~repro.protocols.multihop_base.MultiHopFrame`), so they
-        sit on the BP grid."""
+        :class:`PeriodFrames`), so they sit on the BP grid."""
         hw = (self.offset[rows] + self.rate[rows] * (tx_true + latency)) - delay_us
         return hw, timestamp + latency + jitter
 
@@ -605,3 +584,41 @@ class RelayTable:
         self.hop[ids] = -1
         self.silent[ids] = 0
         self.detach(ids)
+
+    # ------------------------------------------------------------------
+    # Orphan election
+    # ------------------------------------------------------------------
+
+    def elect_root(self, period: int, accepted: np.ndarray, active: np.ndarray) -> int:
+        """While the network has no root, after silence bookkeeping: the
+        new root, or -1 when no station volunteers.
+
+        A volunteer is an ``active`` first-hop station that ``accepted``
+        nothing (its transmission met no competing time source). The
+        transmission set of the period is gone, so the single-winner rule
+        is approximated by the lowest volunteering id. The winner becomes
+        hop 0 with no upstream and, being the timebase now, clamps any
+        transient slewing slope to ``1 +- REFERENCE_PACE_CLAMP`` (the
+        single-hop ``reference_pace_clamp`` default, same rationale),
+        continuously at the end of the period."""
+        volunteers = np.flatnonzero(active & (self.hop == 1) & ~accepted)
+        if not len(volunteers):
+            return -1
+        i = int(volunteers[0])
+        self.hop[i] = 0
+        self.upstream[i] = -1
+        hw_now = self.hws[i].read((period + 1) * self.spec.beacon_period_us)
+        k_old = float(self.seg_k[i])
+        k_new = min(max(k_old, 1.0 - REFERENCE_PACE_CLAMP), 1.0 + REFERENCE_PACE_CLAMP)
+        if k_new != k_old:
+            current = k_old * hw_now + float(self.seg_b[i])
+            if not self.adjust(
+                np.array([i]),
+                np.array([k_new]),
+                np.array([current - k_new * hw_now]),
+                np.array([hw_now]),
+            )[0]:
+                raise MonotonicityError(
+                    f"root pace clamp of station {i} rejected at t={hw_now}"
+                )
+        return i

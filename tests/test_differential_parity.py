@@ -24,7 +24,7 @@ from repro.multihop.topology import Topology
 from repro.network.churn import REFERENCE_MARKER, ChurnEvent, ChurnSchedule
 from repro.network.ibss import ScenarioSpec, build_network
 from repro.obs import observe_run, tracing_enabled
-from repro.protocols.multihop_sstsp import SstspRelayProtocol
+from repro.protocols.multihop_sstsp import SstspRelayTable
 
 #: The shared scenarios: (id, spec, relative tail tolerance).
 SCENARIOS = [
@@ -151,7 +151,7 @@ class TestTracingParity:
 
 def _run_reference_lane(spec: MultiHopSpec):
     """The single-hop lane built exactly as the multi-hop delegation does."""
-    runner = SstspRelayProtocol.degenerate_runner(spec)
+    runner = SstspRelayTable.degenerate_runner(spec)
     runner.recorder = TraceRecorder(keep_values=True)
     if spec.churn is not None and len(spec.churn):
         runner.churn = spec.churn
@@ -162,7 +162,7 @@ class TestMultiHopDegenerateParity:
     """A complete-graph multi-hop spec must reproduce the single-hop
     lane's decisions *exactly*: same reference elections, same per-period
     adjustment trace. The multi-hop runner delegates through
-    :meth:`SstspRelayProtocol.degenerate_runner`, so any drift between the lanes (RNG
+    :meth:`SstspRelayTable.degenerate_runner`, so any drift between the lanes (RNG
     stream names, protocol constants, churn plumbing) breaks bit-parity
     here."""
 

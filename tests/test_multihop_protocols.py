@@ -3,9 +3,12 @@ per-protocol behavioural invariants of the shootout competitors."""
 
 import statistics
 
+import numpy as np
 import pytest
 
 from repro.analysis.metrics import audit_no_leaps
+from repro.clocks.oscillator import HardwareClock
+from repro.core.config import REFERENCE_PACE_CLAMP
 from repro.multihop import MultiHopRunner, MultiHopSpec, Topology
 from repro.multihop.runner import run_multihop
 from repro.obs.profile import profile_spans
@@ -16,13 +19,12 @@ from repro.phy.params import (
     SSTSP_BEACON_AIRTIME_SLOTS,
     SSTSP_BEACON_BYTES,
 )
-from repro.protocols import multihop_base
 from repro.protocols.multihop_base import (
     MULTIHOP_PROTOCOLS,
-    MultiHopProtocol,
     available_multihop_protocols,
     resolve_multihop_protocol,
 )
+from repro.protocols.multihop_table import RelayTable
 
 
 class TestRegistry:
@@ -30,9 +32,11 @@ class TestRegistry:
         assert available_multihop_protocols() == ("sstsp", "beaconless", "coop")
 
     def test_resolve_returns_protocol_subclasses(self):
+        # a registered protocol is one class: its relay table
         for name in available_multihop_protocols():
             cls = resolve_multihop_protocol(name)
-            assert issubclass(cls, MultiHopProtocol)
+            assert issubclass(cls, RelayTable)
+            assert "receive" in vars(cls)
             assert cls.protocol_name == name
 
     def test_unknown_name_lists_known(self):
@@ -52,12 +56,12 @@ class TestRegistry:
         )
 
     def test_every_class_defines_its_own_batched_estimator(self):
-        # each registered protocol keeps its estimator once: batched on
-        # its own table, with no per-station copy
+        # each registered protocol is one class, its relay table, which
+        # keeps its estimator once: the batched receive
         for name in available_multihop_protocols():
             cls = resolve_multihop_protocol(name)
-            assert "receive" in vars(cls.table_cls)
-            assert "on_receptions" not in vars(cls)
+            assert issubclass(cls, RelayTable)
+            assert "receive" in vars(cls)
 
     @pytest.mark.parametrize("protocol", available_multihop_protocols())
     def test_receive_phase_opens_the_mh_receive_span(self, protocol):
@@ -206,42 +210,7 @@ class TestMonotonicityProperty:
         assert list(a.trace.max_diff_us) == list(b.trace.max_diff_us)
 
 
-class _SnapRelay(MultiHopProtocol):
-    """The smallest driver the relay skeleton admits: follow the chosen
-    upstream, aligning on first contact and slewing onto it after."""
-
-    protocol_name = "snap"
-
-    def on_receptions(self, period, decoded, ctx):
-        chosen = self._choose_upstream(decoded)
-        if chosen is None:
-            return False
-        hw, est = self._observe(chosen, ctx.sample_timestamp_error(), ctx)
-        local = self.clock.read_current(hw)
-        if self.hop is None:
-            self._align(local, est)
-        else:
-            self._slew(1.0 + (est - local) / self.spec.beacon_period_us, hw)
-        self.hop = chosen.hop + 1
-        self.upstream = chosen.sender
-        self.silent = 0
-        return True
-
-
 class TestRelaySkeleton:
-    def test_driver_with_only_on_receptions_runs_a_chain(self, monkeypatch):
-        monkeypatch.setitem(MULTIHOP_PROTOCOLS, "snap", f"{__name__}:_SnapRelay")
-        monkeypatch.setitem(multihop_base._RESOLVED, "snap", _SnapRelay)
-        spec = MultiHopSpec(
-            topology=Topology.chain(5), seed=2, duration_s=8.0, protocol="snap"
-        )
-        runner = MultiHopRunner(spec)
-        result = runner.run()
-        assert result.hop_of == {i: i for i in range(5)}
-        assert result.beacons_sent > spec.periods  # the relays relay
-        for state in runner.nodes:
-            assert audit_no_leaps(state.clock, 0.0, spec.duration_s * 1e6)
-
     @pytest.mark.parametrize("protocol", available_multihop_protocols())
     def test_relay_probability_thins_every_protocol(self, protocol):
         _, full = _run(protocol, Topology.chain(8), duration_s=10.0)
@@ -249,3 +218,78 @@ class TestRelaySkeleton:
             protocol, Topology.chain(8), duration_s=10.0, relay_probability=0.5
         )
         assert thinned.beacons_sent < full.beacons_sent
+
+
+def _table(hops, upstreams=None):
+    """A base relay table over ideal oscillators, one per entry of
+    ``hops``, with the given hops and upstreams (-1 for none)."""
+    n = len(hops)
+    spec = MultiHopSpec(topology=Topology.chain(n))
+    table = RelayTable(spec, [HardwareClock() for _ in range(n)])
+    table.hop[:] = hops
+    if upstreams is not None:
+        table.upstream[:] = upstreams
+    return table
+
+
+def _set_slope(table, node, k, hw):
+    """Re-slope ``node``'s clock to ``k`` continuously at ``hw``."""
+    ids = np.array([node])
+    current = table.seg_k[node] * hw + table.seg_b[node]
+    assert table.adjust(ids, np.array([k]), np.array([current - k * hw]), np.array([hw]))[0]
+
+
+class TestElectRoot:
+    PERIOD = 40
+
+    def test_lowest_qualifying_id_wins_and_becomes_root(self):
+        # 0 is at hop 2, 1 accepted a beacon, 2 is inactive: 3 wins over 4
+        table = _table(hops=[2, 1, 1, 1, 1, -1], upstreams=[1, 5, 5, 5, 5, -1])
+        accepted = np.array([False, True, False, False, False, False])
+        active = np.array([True, True, False, True, True, True])
+        assert table.elect_root(self.PERIOD, accepted, active) == 3
+        assert table.hop.tolist() == [2, 1, 1, 0, 1, -1]
+        assert table.upstream.tolist() == [1, 5, 5, -1, 5, -1]
+
+    def test_no_volunteer_returns_minus_one_and_changes_nothing(self):
+        table = _table(hops=[2, 1, 1, -1, 3, 1], upstreams=[1, 0, 0, -1, 2, 0])
+        _set_slope(table, 1, 1.002, 1000.0)
+        accepted = np.array([False, True, False, False, False, False])
+        active = np.array([True, True, False, True, True, False])
+        before = [
+            array.copy()
+            for array in (table.hop, table.upstream, table.seg_start, table.seg_k, table.seg_b)
+        ]
+        segments = [len(table.clock_of(i).segments) for i in range(table.n)]
+        assert table.elect_root(self.PERIOD, accepted, active) == -1
+        after = (table.hop, table.upstream, table.seg_start, table.seg_k, table.seg_b)
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+        assert [len(table.clock_of(i).segments) for i in range(table.n)] == segments
+
+    @pytest.mark.parametrize(
+        "slope, clamped",
+        [(1.002, 1.0 + REFERENCE_PACE_CLAMP), (0.997, 1.0 - REFERENCE_PACE_CLAMP)],
+    )
+    def test_out_of_band_slope_is_clamped_continuously(self, slope, clamped):
+        table = _table(hops=[0, 1, 2, 2, 2, 2])
+        _set_slope(table, 1, slope, 1000.0)
+        none = np.zeros(table.n, dtype=bool)
+        assert table.elect_root(self.PERIOD, none, ~none) == 1
+        bp = table.spec.beacon_period_us
+        hw_now = table.hws[1].read((self.PERIOD + 1) * bp)
+        assert table.seg_k[1] == clamped
+        assert table.seg_start[1] == hw_now
+        clock = table.clock_of(1)
+        assert len(clock.segments) == 3  # fresh, the slew, the clamp
+        assert audit_no_leaps(clock, 0.0, (self.PERIOD + 10) * bp)
+
+    def test_in_band_slope_installs_no_segment(self):
+        table = _table(hops=[0, 1, 2, 2, 2, 2])
+        _set_slope(table, 1, 1.0 + REFERENCE_PACE_CLAMP / 2, 1000.0)
+        k, b = table.seg_k[1], table.seg_b[1]
+        none = np.zeros(table.n, dtype=bool)
+        assert table.elect_root(self.PERIOD, none, ~none) == 1
+        assert (table.seg_k[1], table.seg_b[1]) == (k, b)
+        assert table.seg_start[1] == 1000.0
+        assert len(table.clock_of(1).segments) == 2

@@ -4,11 +4,11 @@ pre-refactor SSTSP runner.
 The committed fixtures under ``tests/data/multihop_refactor/`` were
 generated by the *pre-refactor* ``multihop/runner.py`` (the monolithic
 SSTSP relay loop), immediately before the relay logic moved behind the
-:class:`~repro.protocols.multihop_base.MultiHopProtocol` interface. The
-refactored SSTSP path must reproduce them byte-for-byte: identical event
-traces (every transmission, reception, guard rejection and election at
-the same simulated instant) and identical result payloads (per-hop
-errors, counters, and the SHA-256 of every trace array).
+multi-hop protocol interface. The refactored SSTSP path must reproduce
+them byte-for-byte: identical event traces (every transmission,
+reception, guard rejection and election at the same simulated instant)
+and identical result payloads (per-hop errors, counters, and the
+SHA-256 of every trace array).
 
 Three scenarios pin the distinct code paths:
 

@@ -93,7 +93,7 @@ class TestSameHopCount:
                     if runner.nodes[other].present
                     and runner.nodes[other].protocol.hop == state.hop
                 )
-            assert ctx.same_hop_count(i) == expected
+            assert ctx.same_hop_counts()[i] == expected
 
     def test_snapshot_lasts_until_the_next_period(self):
         runner = MultiHopRunner(MultiHopSpec(topology=Topology.chain(3)))
@@ -101,11 +101,11 @@ class TestSameHopCount:
             node.protocol.hop = 1
         ctx = runner.ctx
         ctx.new_period(0, False)
-        assert ctx.same_hop_count(1) == 2
+        assert ctx.same_hop_counts()[1] == 2
         runner.nodes[2].protocol.hop = 2
-        assert ctx.same_hop_count(1) == 2
+        assert ctx.same_hop_counts()[1] == 2
         ctx.new_period(0, False)
-        assert ctx.same_hop_count(1) == 1
+        assert ctx.same_hop_counts()[1] == 1
 
 
 class TestAdjustedAtAll:
