@@ -90,50 +90,54 @@ def solve_adjustment(
         raise DegenerateSamplesError(
             f"non-increasing sample pair: d_hw={d_hw}, d_ts={d_ts}"
         )
-    t_target = target_hw_time(
+    t_target = _target_hw_time(
         newest.local_hw_time, newest.ref_timestamp, d_hw, d_ts, target_ref_time
     )
     if t_target <= t_now:
         raise DegenerateSamplesError(
             f"target hardware time {t_target} not after t_now {t_now}"
         )
-    return segment_through(prev_k * t_now + prev_b, t_now, t_target, target_ref_time)
+    return _segment_through(prev_k * t_now + prev_b, t_now, t_target, target_ref_time)
 
 
 def solve_adjustments(
-    prev_k: np.ndarray,
-    prev_b: np.ndarray,
+    c_now: np.ndarray,
     t_now: np.ndarray,
     newest_hw: np.ndarray,
     newest_ts: np.ndarray,
     older_hw: np.ndarray,
     older_ts: np.ndarray,
-    target_ref_time: np.ndarray,
+    target_ref_time,
+    k_clamp: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`solve_adjustment` for many stations at once, element-wise.
+    """:func:`solve_adjustment` for many stations at once, element-wise,
+    with the ``1 +- k_clamp`` slope band applied.
 
-    Each argument is an array (or a scalar broadcast against them); the
-    samples come as parallel hardware-time and reference-time arrays.
-    Returns ``(k, b, ok)``: ``ok`` is False on the rows where
-    :func:`solve_adjustment` would raise :class:`DegenerateSamplesError`,
-    and ``k``/``b`` on those rows are meaningless. Every other row
-    carries the bits the scalar call returns: the same operations on the
-    same values.
+    ``c_now`` is each station's active segment read at ``t_now`` (``k *
+    t_now + b``, the continuity value); the samples come as parallel
+    hardware-time and reference-time arrays; ``target_ref_time`` may be
+    a scalar. Returns ``(k, b, ok)``: ``ok`` is False on the rows where
+    :func:`solve_adjustment` would raise :class:`DegenerateSamplesError`
+    and on the rows whose slope is not within ``1 +- k_clamp`` (NaN and
+    infinite slopes included), and ``k``/``b`` on those rows are
+    meaningless. Every other row carries the bits the scalar call
+    returns: the same operations on the same values.
     """
     d_ts = newest_ts - older_ts
     d_hw = newest_hw - older_hw
-    ok = (d_ts > 0.0) & (d_hw > 0.0)
-    if np.count_nonzero(ok) < ok.size:  # keep degenerate rows off zero
-        d_ts = np.where(ok, d_ts, 1.0)
-    t_target = target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time)
-    ok &= t_target > t_now
-    if np.count_nonzero(ok) < ok.size:
-        t_target = np.where(ok, t_target, t_now + 1.0)
-    k, b = segment_through(prev_k * t_now + prev_b, t_now, t_target, target_ref_time)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_target = _target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time)
+        k, b = _segment_through(c_now, t_now, t_target, target_ref_time)
+        ok = (
+            (d_ts > 0.0)
+            & (d_hw > 0.0)
+            & (t_target > t_now)
+            & (np.abs(k - 1.0) <= k_clamp)
+        )
     return k, b, ok
 
 
-def target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time):
+def _target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time):
     """(4) then (5): the expected local hardware time of beacon ``j+m``,
     ``(t_i^{j+m})^*``, extrapolating the reference timeline through the
     newest sample at the pair's rate (hardware microseconds per reference
@@ -142,7 +146,7 @@ def target_hw_time(newest_hw, newest_ts, d_hw, d_ts, target_ref_time):
     return newest_hw + rate * (target_ref_time - newest_ts)
 
 
-def segment_through(c_now, t_now, t_target, target_ref_time):
+def _segment_through(c_now, t_now, t_target, target_ref_time):
     """(2) and (3): the segment ``(k, b)`` through the continuity point
     ``(t_now, c_now)`` — ``c_now`` is the active segment's value at
     ``t_now`` — and the convergence target ``(t_target,
@@ -150,6 +154,19 @@ def segment_through(c_now, t_now, t_target, target_ref_time):
     k = (target_ref_time - c_now) / (t_target - t_now)
     b = c_now - k * t_now
     return k, b
+
+
+def clamp_pace(k: float, b: float, t: float, clamp: float) -> Tuple[float, float]:
+    """The segment a new timebase runs on: slope ``k`` clamped to ``1 +-
+    clamp``, joined continuously to ``(k, b)`` at hardware time ``t``.
+
+    A station that becomes the time source (a new reference or root, or
+    one free-running through silence) must not extrapolate a transient
+    slewing slope. An in-band ``k`` returns ``(k, b)`` unchanged."""
+    clamped = min(max(k, 1.0 - clamp), 1.0 + clamp)
+    if clamped == k:
+        return k, b
+    return clamped, (k * t + b) - clamped * t
 
 
 def paper_closed_form(

@@ -49,6 +49,7 @@ from repro.clocks.adjusted import AdjustedClock, MonotonicityError
 from repro.core.adjustment import (
     AdjustmentSample,
     DegenerateSamplesError,
+    clamp_pace,
     solve_adjustment,
 )
 from repro.core.backend import CryptoBackend
@@ -119,7 +120,6 @@ class SstspProtocol(SyncProtocol):
         hardware clock: ``c = hw + 0``).
     """
 
-    secure_beacons = True
     protocol_name = "sstsp"
 
     def __init__(
@@ -351,13 +351,12 @@ class SstspProtocol(SyncProtocol):
         """Clamp the adjusted-clock slope to ``1 +- reference_pace_clamp``
         continuously at ``hw_time``. Returns True when a new segment was
         installed."""
-        clamp = self.config.reference_pace_clamp
-        k = self.clock.k
-        clamped = min(max(k, 1.0 - clamp), 1.0 + clamp)
-        if clamped == k:
+        clock = self.clock
+        k, b = clamp_pace(clock.k, clock.b, hw_time, self.config.reference_pace_clamp)
+        if k == clock.k:
             return False
         try:
-            self.clock.slew_to(0.0, clamped, at_local_time=hw_time)
+            clock.adjust(k, b, at_local_time=hw_time)
         except MonotonicityError:
             # hw_time predates the latest segment (a beacon arrived later
             # in the same period) - skip; the next period retries.

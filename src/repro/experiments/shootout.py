@@ -110,7 +110,7 @@ def job_shootout_run(job: JobSpec) -> Dict[str, Any]:
     hop1 = per_hop.get(1)
     deepest = per_hop[max(per_hop)] if per_hop else None
     beacon_bytes = protocol_cls.beacon_bytes
-    airtime_us = spec.airtime_slots * spec.slot_time_us
+    airtime_us = protocol_cls.beacon_airtime_slots * spec.slot_time_us
     return {
         "protocol": spec.protocol,
         "scenario": params.get("name", job.kind),

@@ -46,7 +46,6 @@ from repro.sweep import (
     JobSpec,
     SweepOptions,
     add_sweep_arguments,
-    expand_grid,
     parse_sweep_args,
     run_sweep,
 )
@@ -77,33 +76,34 @@ def cell_specs(
     inner — the original serial loop order).
 
     Raises ``ValueError`` naming the bad field before any job exists:
-    ``replicas < 1``, a repeated or non-positive m, or a scenario that
+    ``replicas < 1``, no m, a repeated or non-positive m, or a scenario that
     ``ScenarioSpec`` rejects (``n < 2``, a duration shorter than one
     beacon period).
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if not m_values:
+        raise ValueError("m values must not be empty")
     scenario = quick_spec(n, seed=seed, duration_s=duration_s)
     for i, m in enumerate(m_values):
         if m in m_values[:i]:
             raise ValueError(f"m values must be distinct, got {m} more than once")
         scenario.sstsp_config(m=m)  # SstspConfig rejects m < 1
-    specs = []
-    for point in expand_grid({"m": list(m_values), "replica": list(range(replicas))}):
-        specs.append(
-            JobSpec.make(
-                "table1_cell",
-                {
-                    "m": point["m"],
-                    "n": n,
-                    "seed": seed + 1000 * point["replica"],
-                    "duration_s": duration_s,
-                    "initial_offset_us": TABLE1_INITIAL_OFFSET_US,
-                },
-                root_seed=seed,
-            )
+    return [
+        JobSpec.make(
+            "table1_cell",
+            {
+                "m": m,
+                "n": n,
+                "seed": seed + 1000 * replica,
+                "duration_s": duration_s,
+                "initial_offset_us": TABLE1_INITIAL_OFFSET_US,
+            },
+            root_seed=seed,
         )
-    return specs
+        for m in m_values
+        for replica in range(replicas)
+    ]
 
 
 def run(

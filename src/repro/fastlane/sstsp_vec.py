@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.analysis.metrics import SyncTrace
-from repro.core.adjustment import segment_through, target_hw_time
+from repro.core.adjustment import clamp_pace, solve_adjustments
 from repro.core.config import SstspConfig
 from repro.fastlane.common import VectorLane, resolve_window
 from repro.network.ibss import ScenarioSpec
@@ -234,13 +234,9 @@ class _VectorSstsp:
             self.reference_changes += 1
             # A new reference free-runs at a hardware-plausible pace: clamp
             # away any transient slewing slope (continuously at hw_tx).
-            clamp = cfg.reference_pace_clamp
-            k_old = float(self.k[winner])
-            k_new = min(max(k_old, 1.0 - clamp), 1.0 + clamp)
-            if k_new != k_old:
-                c_now = k_old * hw_tx + self.b[winner]
-                self.k[winner] = k_new
-                self.b[winner] = c_now - k_new * hw_tx
+            self.k[winner], self.b[winner] = clamp_pace(
+                float(self.k[winner]), self.b[winner], hw_tx, cfg.reference_pace_clamp
+            )
         # timestamp: the winner's adjusted clock at its actual tx start
         # (for the attacking insider: its claimed, shaved clock)
         timestamp = float(self.k[winner] * hw_tx + self.b[winner])
@@ -325,8 +321,8 @@ class _VectorSstsp:
             np.copyto(hist[3:], hist[:6], where=release)
         np.copyto(hist[:3], observed, where=valid)
 
-        # The (k, b) update of equations (2)-(5), element-wise through
-        # core.adjustment's helpers; ``local`` is the continuity value.
+        # The (k, b) update of equations (2)-(5), element-wise;
+        # ``local`` is the continuity value.
         can_adjust = (
             valid
             & (self.j1 >= 0)
@@ -337,20 +333,11 @@ class _VectorSstsp:
         can_adjust[winner] = False
         if not np.count_nonzero(can_adjust):
             return
-        d_ts = self.ts1 - self.ts2
-        d_hw = self.t1 - self.t2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            target = cfg.t0_us + (period + cfg.m) * cfg.beacon_period_us + latency
-            t_target = target_hw_time(self.t1, self.ts1, d_hw, d_ts, target)
-            k_new, b_new = segment_through(local, hw, t_target, target)
-        ok = (
-            can_adjust
-            & (d_ts > 0)
-            & (d_hw > 0)
-            & (t_target > hw)
-            & (np.abs(k_new - 1.0) <= cfg.k_clamp)
-            & np.isfinite(k_new)
+        target = cfg.t0_us + (period + cfg.m) * cfg.beacon_period_us + latency
+        k_new, b_new, ok = solve_adjustments(
+            local, hw, self.t1, self.ts1, self.t2, self.ts2, target, cfg.k_clamp
         )
+        ok &= can_adjust
         if np.count_nonzero(ok):
             np.putmask(self.k, ok, k_new)
             np.putmask(self.b, ok, b_new)

@@ -104,10 +104,6 @@ class MultiHopSpec:
     #: every station hearing both hops.
     hop_stride_slots: int = 16
     slot_time_us: float = 9.0
-    #: Airtime of one beacon in slots. ``None`` (the default) resolves to
-    #: the protocol's own frame declaration (7 slots for secure SSTSP
-    #: beacons, smaller for the lighter competitor schemes).
-    beacon_airtime_slots: Optional[int] = None
     propagation_delay_us: float = 1.0
     timestamp_jitter_us: float = 2.0
     packet_error_rate: float = 1e-4
@@ -175,28 +171,16 @@ class MultiHopSpec:
         if not 0.0 < self.k_clamp < 1.0:
             raise ValueError(f"k_clamp must be in (0, 1), got {self.k_clamp}")
         # Resolving also validates the protocol name.
-        protocol_cls = resolve_multihop_protocol(self.protocol)
-        if self.beacon_airtime_slots is None:
-            object.__setattr__(
-                self, "beacon_airtime_slots", protocol_cls.beacon_airtime_slots
-            )
-        if self.hop_stride_slots <= self.airtime_slots:
+        airtime_slots = resolve_multihop_protocol(self.protocol).beacon_airtime_slots
+        if self.hop_stride_slots <= airtime_slots:
             raise ValueError(
                 "hop_stride_slots must exceed beacon_airtime_slots: adjacent "
                 f"hop segments would overlap on the air (got "
                 f"hop_stride_slots={self.hop_stride_slots}, "
-                f"beacon_airtime_slots={self.airtime_slots})"
+                f"beacon_airtime_slots={airtime_slots})"
             )
         if self.loss_model not in _LOSS_MODELS:
             raise ValueError(f"unknown loss model {self.loss_model!r}")
-
-    @property
-    def airtime_slots(self) -> int:
-        """``beacon_airtime_slots`` after protocol-default resolution
-        (``__post_init__`` guarantees it is set)."""
-        value = self.beacon_airtime_slots
-        assert value is not None
-        return value
 
     @property
     def periods(self) -> int:
@@ -271,9 +255,11 @@ class MultiHopRunner(Lane):
             initial_offset_us=spec.initial_offset_us,
         )
         self._slot_rng = self.rngs.get("slots")
+        airtime_slots = self._protocol_cls.beacon_airtime_slots
+        self._airtime_us = airtime_slots * spec.slot_time_us
         self.phy = PhyParams(
             slot_time_us=spec.slot_time_us,
-            beacon_airtime_slots=spec.airtime_slots,
+            beacon_airtime_slots=airtime_slots,
             propagation_delay_us=spec.propagation_delay_us,
             timestamp_jitter_us=spec.timestamp_jitter_us,
             packet_error_rate=spec.packet_error_rate,
@@ -300,10 +286,7 @@ class MultiHopRunner(Lane):
         self.ctx = MultiHopContext(
             spec,
             self._slot_rng,
-            rx_latency_us=(
-                spec.airtime_slots * spec.slot_time_us
-                + spec.propagation_delay_us
-            ),
+            rx_latency_us=self._airtime_us + spec.propagation_delay_us,
             channel=self.channel,
             table=self.table,
         )
@@ -348,18 +331,12 @@ class MultiHopRunner(Lane):
         with work_lane(f"multihop/{self.protocol_name}"):
             for period in range(1, spec.periods + 1):
                 self._run_period(period)
-        per_hop: Dict[int, float] = {}
-        if self._hop_errors:
-            hops = np.concatenate([hop for hop, _ in self._hop_errors])
-            errors = np.concatenate([error for _, error in self._hop_errors])
-            for hop in np.unique(hops).tolist():
-                per_hop[hop] = float(np.median(errors[hops == hop]))
         hop_of = (
             spec.topology.hop_distances(self.root) if self.root >= 0 else {}
         )
         return MultiHopResult(
             trace=self.recorder.finalize(),
-            per_hop_error_us=per_hop,
+            per_hop_error_us=_per_hop_medians(self._hop_errors),
             hop_of=hop_of,
             root=self.root,
             root_changes=self.root_changes,
@@ -427,40 +404,25 @@ class MultiHopRunner(Lane):
         hop_of = (
             spec.topology.hop_distances(final_root) if final_root >= 0 else {}
         )
-        per_hop_samples: Dict[int, List[float]] = {}
+        # Per-hop error as run() reduces it: the second half of the run,
+        # each row against that period's reference, hops from the final
+        # root (unreachable and the root itself carry no error).
+        hop_errors: List[Tuple[np.ndarray, np.ndarray]] = []
         if trace.values_us is not None and final_root >= 0:
-            half = spec.periods // 2
-            for idx in range(len(trace)):
-                if idx + 1 <= half:  # mirror "period > periods // 2"
+            hops = self._hops_from(final_root)
+            half = spec.periods // 2  # rows from period periods // 2 + 1
+            for row, rid in zip(trace.values_us[half:], ref_ids[half:].tolist()):
+                if rid < 0 or math.isnan(row[rid]):
                     continue
-                rid = int(ref_ids[idx])
-                if rid < 0:
-                    continue
-                row = trace.values_us[idx]
-                root_value = row[rid]
-                if math.isnan(root_value):
-                    continue
-                for col in range(row.shape[0]):
-                    hop = hop_of.get(col)
-                    if hop is None or hop == 0:
-                        continue
-                    value = row[col]
-                    if math.isnan(value):
-                        continue
-                    per_hop_samples.setdefault(hop, []).append(
-                        abs(value - root_value)
-                    )
-        per_hop = {
-            hop: float(np.median(values))
-            for hop, values in sorted(per_hop_samples.items())
-        }
+                counted = (hops > 0) & ~np.isnan(row)
+                hop_errors.append((hops[counted], np.abs(row[counted] - row[rid])))
         self.root = final_root
         self.root_changes = trace.reference_changes()
         self.beacons_sent = result.successful_beacons
         self.collisions = inner.channel.stats.collisions
         return MultiHopResult(
             trace=trace,
-            per_hop_error_us=per_hop,
+            per_hop_error_us=_per_hop_medians(hop_errors),
             hop_of=hop_of,
             root=final_root,
             root_changes=self.root_changes,
@@ -480,7 +442,7 @@ class MultiHopRunner(Lane):
         spec = self.spec
         table = self.table
         nominal = period * spec.beacon_period_us
-        self.ctx.new_period(self.root, self.root < 0)
+        self.ctx.new_period(self.root)
         ids, delays = table.tx_intents(period, active, self.ctx)
         # The intents' schedule lives on the stations' synchronized
         # clocks; map it to the true-time axis through the chain.
@@ -516,9 +478,7 @@ class MultiHopRunner(Lane):
         handled at the receivers. A partition fault cuts hearing across
         groups. Returns the positions of the frames that go on air, in
         start-time order."""
-        spec = self.spec
-        airtime = spec.airtime_slots * spec.slot_time_us
-        neighbors = spec.topology.neighbors
+        neighbors = self.spec.topology.neighbors
         hears = neighbors
         if groups is not None:
             labels = groups
@@ -527,18 +487,17 @@ class MultiHopRunner(Lane):
                 group = labels[sender]
                 return [n for n in neighbors(sender) if labels[n] == group]
 
-        return resolve_neighborhood(ids, tx_true, airtime, hears).kept
+        return resolve_neighborhood(ids, tx_true, self._airtime_us, hears).kept
 
     def _resolve_receptions(
         self, frames: PeriodFrames, active: np.ndarray, groups: Optional[np.ndarray]
     ) -> WindowDelivery:
         """Per-receiver spatial reception through the shared channel."""
-        spec = self.spec
         delivery = self.channel.deliver_window(
             frames.sender,
             frames.tx_true,
             np.flatnonzero(active),
-            spec.airtime_slots * spec.slot_time_us,
+            self._airtime_us,
             size_bytes=self._protocol_cls.beacon_bytes,
             groups=groups,
         )
@@ -548,12 +507,12 @@ class MultiHopRunner(Lane):
     def _end_period(
         self, period: int, accepted: np.ndarray, active: np.ndarray
     ) -> None:
-        orphan_election = self.root < 0
+        orphaned = self.root < 0
         due = active.copy()
-        if self.root >= 0:
+        if not orphaned:
             due[self.root] = False
         self.table.end_period(accepted, due)
-        if not orphan_election:
+        if not orphaned:
             return
         winner = self.table.elect_root(period, accepted, active)
         if winner < 0:
@@ -602,6 +561,20 @@ class MultiHopRunner(Lane):
                 hops[node_id] = hop
             self._root_hops[root] = hops
         return hops
+
+
+def _per_hop_medians(
+    hop_errors: List[Tuple[np.ndarray, np.ndarray]],
+) -> Dict[int, float]:
+    """The median error per hop over ``(hop, error)`` array pairs, hops
+    in ascending order."""
+    if not hop_errors:
+        return {}
+    hops = np.concatenate([hop for hop, _ in hop_errors])
+    errors = np.concatenate([error for _, error in hop_errors])
+    return {
+        hop: float(np.median(errors[hops == hop])) for hop in np.unique(hops).tolist()
+    }
 
 
 def run_multihop(spec: MultiHopSpec) -> MultiHopResult:

@@ -92,10 +92,6 @@ class SyncProtocol(ABC):
     channel and randomness and interacts only through this interface.
     """
 
-    #: True when the protocol transmits SSTSP secure beacons (sized and
-    #: air-timed differently from plain TSF beacons).
-    secure_beacons: bool = False
-
     #: Short protocol identifier carried in trace events (``beacon_tx``
     #: ``proto`` field), so a mixed-protocol trace attributes every frame.
     protocol_name: str = "sync"

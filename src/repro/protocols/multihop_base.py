@@ -67,8 +67,8 @@ class MultiHopContext:
     """The harness services a protocol phase may touch.
 
     One instance per run. The harness calls :meth:`new_period` at the
-    top of every period, which refreshes :attr:`root` and
-    :attr:`orphan_election` and drops the same-hop snapshot.
+    top of every period, which refreshes :attr:`root` (-1 while the
+    network has no live root) and drops the same-hop snapshot.
 
     Timestamp jitter comes from the channel's stream, shared with every
     other lane: :attr:`sample_timestamp_errors` (``n`` draws at once,
@@ -86,7 +86,6 @@ class MultiHopContext:
         "slot_rng",
         "rx_latency_us",
         "root",
-        "orphan_election",
         "sample_timestamp_errors",
         "_table",
         "_same_hop",
@@ -111,8 +110,6 @@ class MultiHopContext:
         self.rx_latency_us = rx_latency_us
         #: Current root id (-1 while orphaned). Refreshed per period.
         self.root = spec.root
-        #: True while the network has no live root. Refreshed per period.
-        self.orphan_election = False
         #: ``n`` jitter draws of per-reception timestamp-estimate error
         #: at once, as an array (µs).
         self.sample_timestamp_errors: Callable[[int], np.ndarray] = (
@@ -121,10 +118,9 @@ class MultiHopContext:
         self._table = table
         self._same_hop: Optional[np.ndarray] = None
 
-    def new_period(self, root: int, orphan_election: bool) -> None:
+    def new_period(self, root: int) -> None:
         """Start a period: set the root view, drop the same-hop snapshot."""
         self.root = root
-        self.orphan_election = orphan_election
         self._same_hop = None
 
     def same_hop_counts(self) -> np.ndarray:

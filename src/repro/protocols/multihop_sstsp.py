@@ -25,7 +25,7 @@ bound, now per subtree.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 import numpy as np
 
@@ -83,19 +83,15 @@ class SstspRelayTable(RelayTable):
     # ------------------------------------------------------------------
 
     @classmethod
-    def degenerate_runner(cls, spec: "MultiHopSpec") -> Optional["NetworkRunner"]:
+    def degenerate_runner(cls, spec: "MultiHopSpec") -> "NetworkRunner":
         """The single-hop SSTSP network of a complete-graph ``spec``.
 
         On a complete graph every station hears every other, hop distances
         are all 1 and the relay machinery degenerates to the IBSS election;
         the returned runner has the same clocks, channel parameters and
         protocol constants (the per-hop guard collapses to ``guard_fine +
-        guard_per_hop`` - one hop). The single-hop lane sends 7-slot SSTSP
-        beacons, so a spec with any other airtime gets ``None`` and runs
-        on the spatial path.
+        guard_per_hop`` - one hop).
         """
-        if spec.airtime_slots != SSTSP_BEACON_AIRTIME_SLOTS:
-            return None
         scenario = ScenarioSpec(
             n=spec.topology.n,
             seed=spec.seed,
@@ -327,16 +323,15 @@ class SstspRelayTable(RelayTable):
             period + spec.m - newest
         ) * spec.beacon_period_us
         k, b, ok = solve_adjustments(
-            self.seg_k[ids],
-            self.seg_b[ids],
+            self.seg_k[ids] * hw_now + self.seg_b[ids],
             hw_now,
             self.sample_hw[ids, 1],
             self.sample_ts[ids, 1],
             self.sample_hw[ids, 0],
             self.sample_ts[ids, 0],
             target,
+            spec.k_clamp,
         )
-        ok &= ~(np.abs(k - 1.0) > spec.k_clamp)
         ids = ids[ok]
         adjusted = self.adjust(ids, k[ok], b[ok], hw_now[ok])
         self.adjustments[ids[adjusted]] += 1

@@ -43,6 +43,7 @@ import numpy as np
 from repro.clocks.adjusted import CONTINUITY_TOL_US, AdjustedClock, MonotonicityError
 from repro.clocks.chain import adjusted_at_all, true_at_adjusted_all
 from repro.clocks.oscillator import HardwareClock
+from repro.core.adjustment import clamp_pace
 from repro.core.config import REFERENCE_PACE_CLAMP
 from repro.obs.events import emit
 from repro.protocols.multihop_base import MultiHopContext, StationView
@@ -313,7 +314,7 @@ class RelayTable:
         eligible = active & (self.hop >= 1)
         relay = eligible & (self.adjustments >= 1)
         orphan = None
-        if ctx.orphan_election:
+        if root < 0:
             orphan = eligible & (self.hop == 1) & (self.silent >= spec.l)
             relay &= ~orphan
         turn = self.relay_turn(period, relay, ctx)
@@ -381,7 +382,7 @@ class RelayTable:
     def _backoff_range(self) -> int:
         """Backoff slots usable inside a hop segment without bleeding the
         transmission into the next segment."""
-        return max(1, self.spec.hop_stride_slots - self.spec.airtime_slots)
+        return max(1, self.spec.hop_stride_slots - self.beacon_airtime_slots)
 
     def frame_hops(self, ids: np.ndarray, root: int) -> np.ndarray:
         """The hop each transmitting station writes into its frame: 0 for
@@ -609,16 +610,11 @@ class RelayTable:
         self.upstream[i] = -1
         hw_now = self.hws[i].read((period + 1) * self.spec.beacon_period_us)
         k_old = float(self.seg_k[i])
-        k_new = min(max(k_old, 1.0 - REFERENCE_PACE_CLAMP), 1.0 + REFERENCE_PACE_CLAMP)
-        if k_new != k_old:
-            current = k_old * hw_now + float(self.seg_b[i])
-            if not self.adjust(
-                np.array([i]),
-                np.array([k_new]),
-                np.array([current - k_new * hw_now]),
-                np.array([hw_now]),
-            )[0]:
-                raise MonotonicityError(
-                    f"root pace clamp of station {i} rejected at t={hw_now}"
-                )
+        k, b = clamp_pace(k_old, float(self.seg_b[i]), hw_now, REFERENCE_PACE_CLAMP)
+        if k != k_old and not self.adjust(
+            np.array([i]), np.array([k]), np.array([b]), np.array([hw_now])
+        )[0]:
+            raise MonotonicityError(
+                f"root pace clamp of station {i} rejected at t={hw_now}"
+            )
         return i

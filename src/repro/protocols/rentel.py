@@ -71,7 +71,6 @@ class RentelProtocol(SyncProtocol):
     later borrows).
     """
 
-    secure_beacons = False
     protocol_name = "rentel"
 
     def __init__(

@@ -63,7 +63,6 @@ class TsfProtocol(SyncProtocol):
         Stream for this station's backoff draws.
     """
 
-    secure_beacons = False
     protocol_name = "tsf"
 
     def __init__(

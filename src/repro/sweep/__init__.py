@@ -5,8 +5,6 @@ of *independent* simulation runs. This package turns such a grid into a
 list of frozen, content-addressable :class:`~repro.sweep.spec.JobSpec`\\ s
 and executes them:
 
-* :mod:`repro.sweep.grid` — declarative grid expansion (cartesian
-  product, deterministic order);
 * :mod:`repro.sweep.spec` — the frozen job spec, its stable ``job_key``,
   the spec hash, and the scheduling-independent per-job seed derivation
   ``seed = hash(root_seed, job_key)``;
@@ -40,7 +38,6 @@ from repro.sweep.failpolicy import (
     JobTimeoutError,
     SweepInterrupted,
 )
-from repro.sweep.grid import expand_grid
 from repro.sweep.jobs import register_job, resolve_job
 from repro.sweep.manifest import SweepManifest, default_manifest_path
 from repro.sweep.orchestrator import (
@@ -69,7 +66,6 @@ __all__ = [
     "canonical_json",
     "default_manifest_path",
     "derive_seed",
-    "expand_grid",
     "parse_sweep_args",
     "register_job",
     "resolve_job",

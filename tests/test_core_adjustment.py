@@ -3,9 +3,11 @@
 
 import pytest
 
+from repro.clocks.adjusted import CONTINUITY_TOL_US
 from repro.core.adjustment import (
     AdjustmentSample,
     DegenerateSamplesError,
+    clamp_pace,
     error_bound_after_change,
     optimal_m,
     paper_closed_form,
@@ -112,6 +114,23 @@ class TestSolveAdjustment:
     def test_paper_closed_form_zero_denominator(self):
         with pytest.raises(DegenerateSamplesError):
             paper_closed_form(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+
+
+class TestClampPace:
+    CLAMP = 3e-4
+    T = 5e8  # hardware time of the clamp, us
+
+    def test_in_band_slope_returns_its_inputs(self):
+        for k in (1.0, 1.0 - self.CLAMP, 1.0 + self.CLAMP, 1.0001):
+            assert clamp_pace(k, -42.5, self.T, self.CLAMP) == (k, -42.5)
+
+    @pytest.mark.parametrize("k, expected", [(1.004, 1.0 + CLAMP), (0.996, 1.0 - CLAMP)])
+    def test_out_of_band_slope_clamps_and_joins(self, k, expected):
+        b = -1234.5
+        k_new, b_new = clamp_pace(k, b, self.T, self.CLAMP)
+        assert k_new == expected
+        gap = (k_new * self.T + b_new) - (k * self.T + b)
+        assert abs(gap) <= CONTINUITY_TOL_US
 
 
 class TestLemma1:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.multihop import MultiHopRunner, MultiHopSpec, Topology
 from repro.multihop.runner import run_multihop
-from repro.network.churn import ChurnEvent
+from repro.network.churn import REFERENCE_MARKER, ChurnEvent, ChurnSchedule
 from repro.phy.params import SSTSP_BEACON_AIRTIME_SLOTS, PhyParams
 from repro.sim.units import S
 
@@ -178,24 +178,48 @@ class TestMultiHopSync:
         assert set(result.per_hop_error_us) == {1}
         assert result.per_hop_error_us[1] < 10.0
 
-    @pytest.mark.parametrize("airtime_slots", [5, SSTSP_BEACON_AIRTIME_SLOTS, 10])
-    def test_full_mesh_airtime_matches_spec(self, airtime_slots):
-        """A complete graph delegates to the single-hop lane only at its
-        7-slot airtime; either way the channel and every receiver's
-        latency estimate use the spec's airtime."""
-        spec = MultiHopSpec(
-            topology=Topology.full_mesh(6),
-            seed=3,
-            duration_s=2.0,
-            beacon_airtime_slots=airtime_slots,
+    def test_full_mesh_per_hop_error_matches_cell_reduction(self):
+        """The delegated run's per-hop median, against a cell-by-cell
+        reduction of its clock matrix: the second half of the run, each
+        row against that period's reference, every present station but
+        the final root at hop 1. The reference departs and a station
+        leaves in the second half, so rows carry absent (NaN) stations
+        and another reference than the final root."""
+        churn = ChurnSchedule(
+            (
+                ChurnEvent(200, "leave", (REFERENCE_MARKER,)),
+                ChurnEvent(240, "leave", (0,)),
+            )
         )
+        spec = MultiHopSpec(
+            topology=Topology.full_mesh(10), seed=5, duration_s=30.0, churn=churn
+        )
+        result = run_multihop(spec)
+        half = spec.periods // 2
+        rows = result.trace.values_us[half:]
+        refs = result.trace.reference_ids[half:].tolist()
+        assert np.isnan(rows).any() and result.root in refs and len(set(refs)) > 1
+        samples = []
+        for row, ref in zip(rows, refs):
+            if ref < 0 or np.isnan(row[ref]):
+                continue
+            samples += [
+                abs(value - row[ref])
+                for col, value in enumerate(row)
+                if col != result.root and not np.isnan(value)
+            ]
+        assert result.per_hop_error_us == {1: float(np.median(samples))}
+
+    @pytest.mark.parametrize("airtime_slots", [SSTSP_BEACON_AIRTIME_SLOTS])
+    def test_full_mesh_airtime_matches_spec(self, airtime_slots):
+        """A complete graph delegates to the single-hop lane, whose
+        channel and every receiver's latency estimate use SSTSP's 7-slot
+        airtime, as the spatial path would."""
+        spec = MultiHopSpec(topology=Topology.full_mesh(6), seed=3, duration_s=2.0)
         runner = MultiHopRunner(spec)
         runner.run()
         assert runner.channel.phy.beacon_airtime_slots == airtime_slots
-        if airtime_slots == SSTSP_BEACON_AIRTIME_SLOTS:
-            latencies = {node.protocol.config.rx_latency_us for node in runner.nodes}
-        else:
-            latencies = {runner.ctx.rx_latency_us}
+        latencies = {node.protocol.config.rx_latency_us for node in runner.nodes}
         expected = airtime_slots * spec.slot_time_us + spec.propagation_delay_us
         assert latencies == {expected}
 

@@ -87,26 +87,16 @@ class TestRegistry:
 
 class TestSpecResolution:
     def test_airtime_defaults_to_protocol_declaration(self):
-        chain = Topology.chain(4)
-        assert (
-            MultiHopSpec(topology=chain).airtime_slots
-            == SSTSP_BEACON_AIRTIME_SLOTS
-        )
-        assert (
-            MultiHopSpec(topology=chain, protocol="beaconless").airtime_slots
-            == BEACONLESS_BEACON_AIRTIME_SLOTS
-        )
-        assert (
-            MultiHopSpec(topology=chain, protocol="coop").airtime_slots
-            == COOP_BEACON_AIRTIME_SLOTS
-        )
-
-    def test_explicit_airtime_override_wins(self):
-        spec = MultiHopSpec(
-            topology=Topology.chain(4), protocol="beaconless",
-            beacon_airtime_slots=5,
-        )
-        assert spec.airtime_slots == 5
+        for protocol, slots in (
+            ("sstsp", SSTSP_BEACON_AIRTIME_SLOTS),
+            ("beaconless", BEACONLESS_BEACON_AIRTIME_SLOTS),
+            ("coop", COOP_BEACON_AIRTIME_SLOTS),
+        ):
+            spec = MultiHopSpec(topology=Topology.chain(4), protocol=protocol)
+            runner = MultiHopRunner(spec)
+            assert runner.channel.phy.beacon_airtime_slots == slots
+            expected = slots * spec.slot_time_us + spec.propagation_delay_us
+            assert runner.ctx.rx_latency_us == expected
 
     def test_unknown_protocol_rejected_at_spec_construction(self):
         with pytest.raises(ValueError, match="ntp"):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from repro.core.adjustment import (
     DegenerateSamplesError,
     paper_closed_form,
     solve_adjustment,
+    solve_adjustments,
 )
 
 BP = 100_000.0
@@ -139,3 +141,70 @@ def test_slope_stays_hardware_plausible_under_jitter(
         assume(False)
     noise = abs(jitter1) + abs(jitter2)
     assert abs(k - prev_k) <= 1e-9 + 6 * noise / BP
+
+
+#: How a generated row departs from a clean sample pair: none, a zero or
+#: reversed sample gap, a convergence target behind ``t_now``, or a
+#: continuity value that makes the slope NaN or +-inf.
+DEFECTS = (
+    None, "zero_ts_gap", "zero_hw_gap", "reversed_ts", "target_behind",
+    "nan_slope", "inf_slope", "neg_inf_slope",
+)
+
+
+@st.composite
+def adjustment_rows(draw):
+    """One station's solve inputs: ``(prev_k, prev_b, t_now, newest_hw,
+    newest_ts, older_hw, older_ts, target)``."""
+    rate, offset = draw(ref_rates), draw(offsets)
+    m = draw(m_values)
+    base = draw(st.floats(min_value=1e5, max_value=1e8))
+    ts2, ts1 = base, base + BP + draw(jitters)
+    hw2, hw1 = observation(rate, offset, ts2), observation(rate, offset, ts1)
+    t_now = observation(rate, offset, ts1 + BP)
+    target = ts1 + (m + 1) * BP
+    prev_k, prev_b = draw(prev_ks), draw(prev_bs)
+    defect = draw(st.sampled_from(DEFECTS))
+    if defect == "zero_ts_gap":
+        ts2 = ts1
+    elif defect == "zero_hw_gap":
+        hw2 = hw1
+    elif defect == "reversed_ts":
+        ts2 = ts1 + BP
+    elif defect == "target_behind":
+        target = ts1 - draw(st.floats(min_value=0.0, max_value=BP))
+    elif defect == "nan_slope":
+        prev_b = math.nan
+    elif defect == "inf_slope":
+        prev_b = -math.inf
+    elif defect == "neg_inf_slope":
+        prev_b = math.inf
+    return prev_k, prev_b, t_now, hw1, ts1, hw2, ts2, target
+
+
+@given(
+    rows=st.lists(adjustment_rows(), min_size=1, max_size=8),
+    k_clamp=st.sampled_from([5e-4, 5e-3, 5e-2]),
+)
+@settings(max_examples=300)
+def test_array_solve_matches_scalar_bit_for_bit(rows, k_clamp):
+    """Every ``ok`` row of :func:`solve_adjustments` carries the bits of
+    :func:`solve_adjustment`, and ``ok`` is False exactly where the
+    scalar raises or its slope is not within ``1 +- k_clamp`` (a NaN
+    slope is not)."""
+    prev_k, prev_b, t_now, hw1, ts1, hw2, ts2, target = map(np.array, zip(*rows))
+    k, b, ok = solve_adjustments(
+        prev_k * t_now + prev_b, t_now, hw1, ts1, hw2, ts2, target, k_clamp
+    )
+    for i, row in enumerate(rows):
+        pk, pb, tn, h1, s1, h2, s2, tgt = row
+        try:
+            k_s, b_s = solve_adjustment(
+                pk, pb, tn, AdjustmentSample(2, h1, s1), AdjustmentSample(1, h2, s2), tgt
+            )
+        except DegenerateSamplesError:
+            assert not ok[i]
+            continue
+        assert ok[i] == (abs(k_s - 1.0) <= k_clamp)
+        if ok[i]:
+            assert (float(k[i]).hex(), float(b[i]).hex()) == (k_s.hex(), b_s.hex())

@@ -81,7 +81,7 @@ class TestSameHopCount:
             node.present = data.draw(st.booleans())
             node.protocol.hop = data.draw(st.none() | st.integers(0, 3))
         ctx = runner.ctx
-        ctx.new_period(0, False)
+        ctx.new_period(0)
         for node in runner.nodes:
             i = node.node_id
             state = node.protocol
@@ -100,11 +100,11 @@ class TestSameHopCount:
         for node in runner.nodes:
             node.protocol.hop = 1
         ctx = runner.ctx
-        ctx.new_period(0, False)
+        ctx.new_period(0)
         assert ctx.same_hop_counts()[1] == 2
         runner.nodes[2].protocol.hop = 2
         assert ctx.same_hop_counts()[1] == 2
-        ctx.new_period(0, False)
+        ctx.new_period(0)
         assert ctx.same_hop_counts()[1] == 1
 
 

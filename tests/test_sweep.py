@@ -27,7 +27,6 @@ from repro.sweep import (
     SweepManifest,
     SweepOptions,
     derive_seed,
-    expand_grid,
     register_job,
     run_sweep,
 )
@@ -67,23 +66,18 @@ register_job("test_sleep", f"{__name__}:sleep_job")
 register_job("test_exit", f"{__name__}:worker_exit_job")
 
 
-# --- grid expansion ------------------------------------------------------
+# --- table1 grid ---------------------------------------------------------
 
 
-def test_expand_grid_product_order_and_fixed_scalars():
-    points = expand_grid({"m": [1, 2], "n": 30, "guard": [0.0, 0.5]})
-    # axes in insertion order, last axis fastest, scalars on every point
-    assert points == [
-        {"m": 1, "n": 30, "guard": 0.0},
-        {"m": 1, "n": 30, "guard": 0.5},
-        {"m": 2, "n": 30, "guard": 0.0},
-        {"m": 2, "n": 30, "guard": 0.5},
-    ]
+def test_table1_cell_specs_m_outer_replica_inner():
+    specs = table1.cell_specs([2, 1], n=12, duration_s=5.0, seed=3, replicas=2)
+    cells = [(spec.params_dict()["m"], spec.params_dict()["seed"]) for spec in specs]
+    assert cells == [(2, 3), (2, 1003), (1, 3), (1, 1003)]
 
 
-def test_expand_grid_empty_axis_rejected():
-    with pytest.raises(ValueError, match="no values"):
-        expand_grid({"m": []})
+def test_table1_cell_specs_empty_m_rejected():
+    with pytest.raises(ValueError, match="m values must not be empty"):
+        table1.cell_specs([], n=12, duration_s=5.0, seed=3, replicas=1)
 
 
 # --- job specs -----------------------------------------------------------
